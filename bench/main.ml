@@ -1,15 +1,10 @@
-(* The benchmark harness.
-
-   Part 1 — Bechamel micro-benchmarks: one per reproduction experiment
-   (timing the kernel each table is built from, at reduced scale) plus the
-   substrate hot paths (SHA-256, Merkle, oracle query, codec, validation).
-
-   Part 2 — the reproduction itself: every experiment E01–E17 at full
-   scale, printing the tables and figures recorded in EXPERIMENTS.md.
+(* The reproduction harness: every registered experiment (E01–E22) at
+   full scale, printing the tables and figures recorded in EXPERIMENTS.md,
+   then the engine headline. Per-layer and micro timings live in
+   fruitbench/ (see BENCHMARK.json).
 
    Run with: dune exec bench/main.exe            (full, ~5 minutes at 1 job)
             dune exec bench/main.exe -- --quick  (reduced scale)
-            dune exec bench/main.exe -- --micro-only | --tables-only
             dune exec bench/main.exe -- --jobs N (worker domains for the
             experiment sweeps; default: available cores, 1 = sequential)
             dune exec bench/main.exe -- --json PATH    (machine-readable
@@ -19,8 +14,6 @@
             dune exec bench/main.exe -- --metrics PATH (deterministic
             metric dump of the reproduction runs) *)
 
-open Bechamel
-open Toolkit
 module Exp = Fruitchain_experiments.Exp
 module Registry = Fruitchain_experiments.Registry
 module Runs = Fruitchain_experiments.Runs
@@ -28,12 +21,6 @@ module Config = Fruitchain_sim.Config
 module Engine = Fruitchain_sim.Engine
 module Trace = Fruitchain_sim.Trace
 module Params = Fruitchain_core.Params
-module Oracle = Fruitchain_crypto.Oracle
-module Sha256 = Fruitchain_crypto.Sha256
-module Merkle = Fruitchain_crypto.Merkle
-module Codec = Fruitchain_chain.Codec
-module Types = Fruitchain_chain.Types
-module Rng = Fruitchain_util.Rng
 module Pool = Fruitchain_util.Pool
 module Clock = Fruitchain_obs.Clock
 module Metrics = Fruitchain_obs.Metrics
@@ -41,197 +28,7 @@ module Tracer = Fruitchain_obs.Tracer
 module Scope = Fruitchain_obs.Scope
 module Json = Fruitchain_obs.Json
 
-(* --- Part 1: micro-benchmarks ------------------------------------------ *)
-
-let sample_block =
-  let oracle = Oracle.real ~p:1.0 ~pf:1.0 in
-  let rng = Rng.of_seed 1L in
-  let fruit record =
-    let header =
-      {
-        Types.parent = Types.genesis_hash;
-        pointer = Types.genesis_hash;
-        nonce = Rng.bits64 rng;
-        digest = Merkle.empty_root;
-        record;
-      }
-    in
-    {
-      Types.f_header = header;
-      f_hash = Oracle.query oracle (Codec.header_bytes header);
-      f_prov = None;
-    }
-  in
-  let fruits = List.init 100 (fun i -> fruit (Printf.sprintf "tx-%04d" i)) in
-  let header =
-    {
-      Types.parent = Types.genesis_hash;
-      pointer = Types.genesis_hash;
-      nonce = 7L;
-      digest = Fruitchain_chain.Validate.fruit_set_digest fruits;
-      record = "";
-    }
-  in
-  {
-    Types.b_header = header;
-    b_hash = Oracle.query oracle (Codec.header_bytes header);
-    fruits;
-    b_prov = None;
-  }
-
-let substrate_tests =
-  let payload = String.make 256 'x' in
-  let leaves = List.init 100 (fun i -> Printf.sprintf "leaf-%d" i) in
-  let sim_oracle = Oracle.sim ~p:0.01 ~pf:0.1 (Rng.of_seed 2L) in
-  let real_oracle = Oracle.real ~p:1.0 ~pf:1.0 in
-  let block_bytes = Codec.block_bytes sample_block in
-  [
-    Test.make ~name:"sha256/256B" (Staged.stage (fun () -> Sha256.digest payload));
-    Test.make ~name:"merkle/root-100" (Staged.stage (fun () -> Merkle.root leaves));
-    Test.make ~name:"oracle/sim-query" (Staged.stage (fun () -> Oracle.query sim_oracle ""));
-    Test.make ~name:"codec/block-100-fruits"
-      (Staged.stage (fun () -> Codec.block_bytes sample_block));
-    Test.make ~name:"codec/decode-block"
-      (Staged.stage (fun () -> Codec.block_of_bytes block_bytes));
-    Test.make ~name:"validate/block-100-fruits"
-      (Staged.stage (fun () -> Fruitchain_chain.Validate.valid_block real_oracle sample_block));
-  ]
-
-(* One micro-benchmark per experiment: time a miniature version of the
-   simulation kernel behind each table. *)
-let experiment_kernel ~protocol ~rho ~strategy rounds () =
-  let params = Params.make ~recency_r:4 ~p:0.01 ~pf:0.1 ~kappa:4 () in
-  let config = Config.make ~protocol ~n:8 ~rho ~delta:2 ~rounds ~seed:9L ~params () in
-  ignore (Engine.run ~config ~strategy ())
-
-let experiment_tests =
-  [
-    Test.make ~name:"E01/nakamoto-selfish"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Nakamoto ~rho:0.3
-            ~strategy:(Runs.selfish ~gamma:0.5) 500));
-    Test.make ~name:"E02/fruitchain-selfish"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Fruitchain ~rho:0.3
-            ~strategy:(Runs.selfish ~gamma:0.5) 500));
-    Test.make ~name:"E03/fairness-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Fruitchain ~rho:0.25
-            ~strategy:(Runs.selfish ~gamma:0.5) 500));
-    Test.make ~name:"E04/growth-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Fruitchain ~rho:0.0 ~strategy:Runs.null_delay 500));
-    Test.make ~name:"E05/consistency-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Fruitchain ~rho:0.4
-            ~strategy:(Runs.selfish ~gamma:0.5) 500));
-    Test.make ~name:"E06/liveness-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Fruitchain ~rho:0.25
-            ~strategy:(Runs.selfish ~gamma:0.5) 500));
-    Test.make ~name:"E07/high-q-run"
-      (Staged.stage (fun () ->
-           let params = Params.make ~recency_r:4 ~p:0.002 ~pf:0.2 ~kappa:4 () in
-           let config =
-             Config.make ~protocol:Config.Fruitchain ~n:4 ~rho:0.0 ~delta:2 ~rounds:500
-               ~seed:9L ~params ()
-           in
-           ignore (Engine.run ~config ~strategy:Runs.null_delay ())));
-    Test.make ~name:"E08/wire-size" (Staged.stage (fun () -> Codec.block_wire_size sample_block));
-    Test.make ~name:"E09/withhold-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Fruitchain ~rho:0.3
-            ~strategy:(Runs.withholder ~release_interval:200) 500));
-    Test.make ~name:"E10/fee-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Nakamoto ~rho:0.3
-            ~strategy:(Runs.fee_sniper ~threshold:10.0) 500));
-    Test.make ~name:"E11/committee-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Nakamoto ~rho:0.3
-            ~strategy:(Runs.selfish ~gamma:1.0) 500));
-    Test.make ~name:"E12/oracle-stats"
-      (Staged.stage (fun () ->
-           let o = Oracle.sim ~p:0.01 ~pf:0.1 (Rng.of_seed 3L) in
-           for _ = 1 to 1000 do
-             ignore (Oracle.query o "")
-           done));
-    Test.make ~name:"E13/bft-committee"
-      (Staged.stage (fun () ->
-           let seats = List.init 99 (fun i -> i mod 3 <> 0) in
-           let committee =
-             Fruitchain_hybrid.Committee.of_provenances
-               (List.map
-                  (fun honest -> { Types.miner = 0; round = 0; honest })
-                  seats)
-               ~elected_at:0
-           in
-           ignore
-             (Fruitchain_hybrid.Bft.run_slots ~rng:(Rng.of_seed 4L) ~committee ~slots:33)));
-    Test.make ~name:"E14/pool-round"
-      (Staged.stage (fun () ->
-           ignore
-             (Fruitchain_pool.Pool.simulate ~rng:(Rng.of_seed 5L)
-                ~scheme:(Fruitchain_pool.Pool.Proportional { fee = 0.02 })
-                ~member_power:(Array.make 10 0.1) ~p_block:1e-3 ~share_ratio:100.0
-                ~rounds:2_000 ~block_reward:1.0 ~slices:10)));
-    Test.make ~name:"E15/retarget-run"
-      (Staged.stage (fun () ->
-           ignore
-             (Fruitchain_difficulty.Retarget.simulate ~rng:(Rng.of_seed 6L)
-                ~params:(Fruitchain_difficulty.Retarget.make_params ~target_interval:25.0 ())
-                ~initial_p:0.04
-                ~power:(Fruitchain_difficulty.Retarget.constant 1.0)
-                ~rounds:5_000)));
-    Test.make ~name:"E16/stubborn-run"
-      (Staged.stage
-         (experiment_kernel ~protocol:Config.Nakamoto ~rho:0.35
-            ~strategy:(Runs.stubborn ~gamma:0.9 ~lead:true ~fork:true) 500));
-    Test.make ~name:"E17/recency-run"
-      (Staged.stage (fun () ->
-           let params = Params.make ~recency_r:2 ~p:0.01 ~pf:0.1 ~kappa:4 () in
-           let config =
-             Config.make ~protocol:Config.Fruitchain ~n:8 ~rho:0.3 ~delta:2 ~rounds:500
-               ~seed:9L ~params ()
-           in
-           ignore
-             (Engine.run ~config ~strategy:(Runs.withholder ~release_interval:200) ())));
-    Test.make ~name:"E18/topology-flood"
-      (Staged.stage (fun () ->
-           let topo = Fruitchain_net.Topology.ring 200 ~k:2 in
-           ignore (Fruitchain_net.Topology.flood topo ~source:0 ~per_hop_rounds:1)));
-  ]
-
-let pretty_ns estimate =
-  if Float.is_nan estimate then "n/a"
-  else if estimate > 1e9 then Printf.sprintf "%8.2f s " (estimate /. 1e9)
-  else if estimate > 1e6 then Printf.sprintf "%8.2f ms" (estimate /. 1e6)
-  else if estimate > 1e3 then Printf.sprintf "%8.2f us" (estimate /. 1e3)
-  else Printf.sprintf "%8.0f ns" estimate
-
-let run_micro () =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  Printf.printf "== micro-benchmarks (monotonic clock, OLS time per run) ==\n\n";
-  Printf.printf "%-28s %14s\n" "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> est
-            | Some _ | None -> nan
-          in
-          Printf.printf "%-28s %14s\n%!" name (pretty_ns estimate))
-        analyzed)
-    (substrate_tests @ experiment_tests);
-  Printf.printf "\n"
-
-(* --- Part 2: the reproduction tables ------------------------------------ *)
+(* --- The reproduction tables ---------------------------------------------- *)
 
 (* The throughput figure of BENCH.json: instrumented simulator events the
    reproduction performed (oracle queries dominate; deliveries, mints and
@@ -360,8 +157,6 @@ let bench_json ~scale ~jobs ~timings ~total ~engines ~registry ~tracer =
 let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
-  let micro_only = List.mem "--micro-only" args in
-  let tables_only = List.mem "--tables-only" args in
   (* --jobs N: worker domains for parallel experiment units; defaults to the
      available cores, --jobs 1 restores the fully sequential path. *)
   let rec parse_jobs = function
@@ -387,35 +182,31 @@ let () =
   let trace_path = path_opt "--trace" in
   let metrics_path = path_opt "--metrics" in
   let scale = if quick then Exp.Quick else Exp.Full in
-  if not tables_only then run_micro ();
-  if not micro_only then begin
-    (* The reproduction runs under a fruitscope scope so BENCH.json can
-       carry a metric snapshot. Installed around the tables only — the
-       micro-benchmarks repeat their kernels thousands of times and would
-       drown the reproduction's counts. *)
-    let registry = Metrics.create () in
-    let tracer = Option.map Tracer.to_file trace_path in
-    Pool.set_scope (Scope.make ~metrics:registry ?tracer ());
-    let timings, total = run_tables ~registry scale in
-    Pool.set_scope Scope.null;
-    let engines = engine_headline () in
-    Option.iter Tracer.close tracer;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Metrics.dump registry);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "metrics written to %s\n%!" path)
-      metrics_path;
-    Option.iter
-      (fun path ->
-        let jobs = Pool.default_jobs () in
-        let doc = bench_json ~scale ~jobs ~timings ~total ~engines ~registry ~tracer in
-        let oc = open_out path in
-        output_string oc (Json.to_string doc);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "bench telemetry written to %s\n%!" path)
-      json_path
-  end
+  (* The reproduction runs under a fruitscope scope so BENCH.json can
+     carry a metric snapshot. Installed around the tables only, so the
+     engine headline's timing runs stay unobserved. *)
+  let registry = Metrics.create () in
+  let tracer = Option.map Tracer.to_file trace_path in
+  Pool.set_scope (Scope.make ~metrics:registry ?tracer ());
+  let timings, total = run_tables ~registry scale in
+  Pool.set_scope Scope.null;
+  let engines = engine_headline () in
+  Option.iter Tracer.close tracer;
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Metrics.dump registry);
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "metrics written to %s\n%!" path)
+    metrics_path;
+  Option.iter
+    (fun path ->
+      let jobs = Pool.default_jobs () in
+      let doc = bench_json ~scale ~jobs ~timings ~total ~engines ~registry ~tracer in
+      let oc = open_out path in
+      output_string oc (Json.to_string doc);
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "bench telemetry written to %s\n%!" path)
+    json_path

@@ -188,7 +188,8 @@ let sim_cmd =
       & info [ "engine" ]
           ~doc:
             "Simulation plane: $(b,exact) (reference, per-party-per-query) or $(b,sparse) \
-             (aggregate win sampling; the adversary strategy is ignored).")
+             (aggregate win sampling; every party mines the converged chain, so it \
+             requires $(b,--adversary honest) and exits 2 with any other adversary).")
   in
   let rho = Arg.(value & opt float 0.25 & info [ "rho" ] ~doc:"Corrupt power fraction.") in
   let gamma = Arg.(value & opt float 0.5 & info [ "gamma" ] ~doc:"Selfish-mining tie parameter.") in
@@ -213,6 +214,13 @@ let sim_cmd =
           ~docv:"FILE" ~doc:"Persist the canonical honest chain to $(docv) (see $(b,inspect)).")
   in
   let run protocol engine rho gamma n rounds delta seed p q kappa strategy save_chain obs =
+    (match (engine, strategy) with
+    | Config.Sparse, (`Selfish | `Null) ->
+        Printf.eprintf
+          "sim: --engine sparse simulates the honest coalition only; pass --adversary \
+           honest (or use --engine exact)\n";
+        exit 2
+    | Config.Sparse, `Honest | Config.Exact, _ -> ());
     with_observability obs @@ fun () ->
     let params = Params.make ~p ~pf:(p *. q) ~kappa () in
     let config =

@@ -3,14 +3,10 @@ module Rng = Fruitchain_util.Rng
 module Pool = Fruitchain_util.Pool
 module Oracle = Fruitchain_crypto.Oracle
 module Network = Fruitchain_net.Network
-module Message = Fruitchain_net.Message
 module Params = Fruitchain_core.Params
 module Window_view = Fruitchain_core.Window_view
 module Fruit_node = Fruitchain_core.Node
 module Nak_node = Fruitchain_nakamoto.Node
-module Scope = Fruitchain_obs.Scope
-module Metrics = Fruitchain_obs.Metrics
-module Json = Fruitchain_obs.Json
 
 type workload = Strategy.workload
 
@@ -25,110 +21,6 @@ let head_of = function
   | Fruit node -> Some (Fruit_node.head_id node)
   | Corrupt -> None
 
-let events_of_messages ~round ~miner msgs =
-  List.filter_map
-    (fun (m : Message.t) ->
-      if m.Message.relay then None
-      else
-      match m.payload with
-      | Message.Fruit_announce f ->
-          Some { Trace.round; miner; honest = true; kind = `Fruit; hash = f.Types.f_hash }
-      | Message.Chain_announce { blocks = [ b ]; _ } ->
-          Some { Trace.round; miner; honest = true; kind = `Block; hash = b.Types.b_hash }
-      | Message.Chain_announce _ -> None)
-    msgs
-
-let protocol_name = function
-  | Config.Nakamoto -> "nakamoto"
-  | Config.Fruitchain -> "fruitchain"
-
-(* Reorg depths: a switch of depth d means the party abandoned the last d
-   blocks of its previous chain. Depth 1 (sibling tip) dominates under
-   honest churn; the tail is what the common-prefix property bounds. *)
-let reorg_buckets = [| 1; 2; 3; 4; 6; 8; 12; 16; 24; 32 |]
-
-(* Per-round head watch, active only when a scope is attached: classifies
-   every head change as an extension (new head has the old head as
-   ancestor) or a switch, and records switch depths. Extensions walk
-   [new height - old height] parent links; switches additionally walk to
-   the fork point — both proportional to the change, not to the chain. *)
-let watch_heads ~scope ~lifecycle ~store ~round ~parties ~prev_head ~prev_height
-    ~prev_change =
-  Array.iteri
-    (fun i p ->
-      match head_of p with
-      | None -> ()
-      | Some h ->
-          if not (Store.id_equal h prev_head.(i)) then begin
-            let height = Store.height_at store h in
-            let extends =
-              match Store.ancestor_id_at_height store ~head:h ~height:prev_height.(i) with
-              | Some a -> Store.id_equal a prev_head.(i)
-              | None -> false
-            in
-            if extends then Scope.incr scope "sim.head_extends"
-            else begin
-              let fork = Store.common_prefix_height_id store h prev_head.(i) in
-              let depth = prev_height.(i) - fork in
-              Scope.incr scope "sim.head_switches";
-              (match Scope.metrics scope with
-              | None -> ()
-              | Some m ->
-                  Metrics.observe
-                    (Metrics.histogram m ~buckets:reorg_buckets "sim.reorg_depth")
-                    depth);
-              (match lifecycle with
-              | Some lc ->
-                  Lifecycle.reorg lc ~party:i ~round ~depth
-                    ~duration:(round - prev_change.(i))
-              | None -> ());
-              if Scope.tracing scope then
-                Scope.emit scope "reorg"
-                  [
-                    ("round", Json.Int round);
-                    ("party", Json.Int i);
-                    ("depth", Json.Int depth);
-                    ("height", Json.Int height);
-                  ]
-            end;
-            (match lifecycle with
-            | Some lc -> Lifecycle.adopted lc ~round (Store.hash_at store h)
-            | None -> ());
-            prev_head.(i) <- h;
-            prev_height.(i) <- height;
-            prev_change.(i) <- round
-          end)
-    parties
-
-(* End-of-run harvest: the hot paths (oracle queries, message delivery)
-   keep native int counters; this folds them into the scope's registry
-   exactly once, so instrumentation costs O(1) per run there. *)
-let harvest ~scope ~config ~trace ~network ~oracle ~final_height =
-  match Scope.metrics scope with
-  | None -> ()
-  | Some m ->
-      let add name by = Metrics.incr ~by (Metrics.counter m name) in
-      add "sim.runs" 1;
-      add "sim.rounds" config.Config.rounds;
-      add "sim.probes" (Trace.probe_count trace);
-      add "oracle.queries" (Oracle.queries oracle);
-      add "oracle.wins.block" (Oracle.block_wins oracle);
-      add "oracle.wins.fruit" (Oracle.fruit_wins oracle);
-      add "net.sent" (Network.sent network);
-      add "net.delivered" (Network.delivered network);
-      let fh = ref 0 and fa = ref 0 and bh = ref 0 and ba = ref 0 in
-      Trace.iter_events trace ~f:(fun (e : Trace.event) ->
-          match (e.kind, e.honest) with
-          | `Fruit, true -> incr fh
-          | `Fruit, false -> incr fa
-          | `Block, true -> incr bh
-          | `Block, false -> incr ba);
-      add "sim.mint.fruit.honest" !fh;
-      add "sim.mint.fruit.adversary" !fa;
-      add "sim.mint.block.honest" !bh;
-      add "sim.mint.block.adversary" !ba;
-      Metrics.set (Metrics.gauge m "sim.final_height") (float_of_int final_height)
-
 let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_ -> "")
     ?net_policy ?round_hook ?scope () =
   let scope = match scope with Some s -> s | None -> Pool.current_scope () in
@@ -140,7 +32,8 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     Network.create ~scope ?policy:net_policy ~n:config.Config.n
       ~delta:config.Config.delta ()
   in
-  let trace = Trace.create ~scope ~config ~store () in
+  let obs = Observe.create ~scope ~config ~store in
+  let trace = Observe.trace obs in
   let net_rng = Rng.split master in
   let parties =
     Array.init config.Config.n (fun i ->
@@ -167,22 +60,8 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     }
   in
   let strat = Strategy.instantiate strategy ctx in
-  let lifecycle = Lifecycle.create ~scope ~store ~config () in
-  if Scope.tracing scope then
-    Scope.emit scope "run.start"
-      [
-        ("protocol", Json.Str (protocol_name config.Config.protocol));
-        ("n", Json.Int config.Config.n);
-        ("rounds", Json.Int config.Config.rounds);
-        ("delta", Json.Int config.Config.delta);
-        ("kappa", Json.Int config.Config.params.Params.kappa);
-        ("recency", Json.Int (Params.recency_window config.Config.params));
-        ("seed", Json.Str (Int64.to_string config.Config.seed));
-      ];
-  let observing = Scope.enabled scope in
-  let prev_head = Array.make config.Config.n Store.genesis_id in
-  let prev_height = Array.make config.Config.n 0 in
-  let prev_change = Array.make config.Config.n 0 in
+  Observe.start obs;
+  let head_at i = head_of parties.(i) in
   (* Liveness probes model a submitted transaction: from its injection round
      until the next probe replaces it, every honest party keeps offering the
      probe record to its mining attempts (the mempool behaviour the liveness
@@ -206,23 +85,14 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
           gossip_now := on;
           Array.iter
             (fun p -> match p with Fruit node -> Fruit_node.set_gossip node on | _ -> ())
-            parties;
-          if Scope.tracing scope then
-            Scope.emit scope "scenario.gossip"
-              [ ("round", Json.Int round); ("on", Json.Bool on) ]
+            parties
         end)
       config.Config.gossip_schedule;
     (* Adaptive corruption: Z hands the party to A at its scheduled round;
        the node stops acting (its state is the adversary's to use) and its
        query moves into the adversary's budget (Strategy.q_at). *)
     List.iter
-      (fun (r, party) ->
-        if r = round then begin
-          parties.(party) <- Corrupt;
-          if Scope.tracing scope then
-            Scope.emit scope "corrupt"
-              [ ("round", Json.Int round); ("party", Json.Int party) ]
-        end)
+      (fun (r, party) -> if r = round then parties.(party) <- Corrupt)
       config.Config.corruption_schedule;
     (* Uncorruption: the released party re-spawns as a freshly initialized
        honest node (the paper treats it exactly like a new player). *)
@@ -236,12 +106,10 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
             | Config.Fruitchain ->
                 Fruit
                   (Fruit_node.create ~gossip:!gossip_now ~id:party
-                     ~params:config.Config.params ~store ~views ~rng ()));
-          if Scope.tracing scope then
-            Scope.emit scope "uncorrupt"
-              [ ("round", Json.Int round); ("party", Json.Int party) ]
+                     ~params:config.Config.params ~store ~views ~rng ()))
         end)
       config.Config.uncorruption_schedule;
+    Observe.schedule obs ~round;
     if probe_round round then begin
       let probe = Printf.sprintf "probe/%d" round in
       Trace.record_probe trace ~record:probe ~round;
@@ -250,9 +118,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     let broadcasts = ref [] in
     for i = 0 to config.Config.n - 1 do
       let incoming = Network.drain network ~round ~recipient:i in
-      (match lifecycle with
-      | Some lc -> Lifecycle.on_incoming lc ~round incoming
-      | None -> ());
+      Observe.incoming obs ~round incoming;
       match parties.(i) with
       | Corrupt -> () (* the adversary observes everything at send time *)
       | (Nak _ | Fruit _) as p ->
@@ -266,10 +132,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
             | Fruit node -> Fruit_node.step node oracle ~round ~record ~incoming
             | Corrupt -> assert false
           in
-          List.iter (Trace.record_event trace) (events_of_messages ~round ~miner:i out);
-          (match lifecycle with
-          | Some lc -> Lifecycle.on_outgoing lc out
-          | None -> ());
+          Observe.minted obs ~round ~miner:i out;
           List.iter
             (fun msg ->
               broadcasts := msg :: !broadcasts;
@@ -279,9 +142,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
             out
     done;
     Strategy.act strat ~round ~honest_broadcasts:(List.rev !broadcasts);
-    if observing then
-      watch_heads ~scope ~lifecycle ~store ~round ~parties ~prev_head ~prev_height
-        ~prev_change;
+    Observe.heads obs ~round head_at;
     if round mod config.Config.snapshot_interval = 0 then begin
       let heights =
         Array.map
@@ -289,31 +150,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
             match head_of p with Some h -> Store.height_at store h | None -> -1)
           parties
       in
-      Trace.record_heights trace ~round heights;
-      if Scope.tracing scope then begin
-        let mn = ref max_int and mx = ref (-1) in
-        Array.iter
-          (fun h ->
-            if h >= 0 then begin
-              if h < !mn then mn := h;
-              if h > !mx then mx := h
-            end)
-          heights;
-        if !mx >= 0 then
-          Scope.emit scope "heights"
-            [
-              ("round", Json.Int round);
-              ("min", Json.Int !mn);
-              ("max", Json.Int !mx);
-            ];
-        Scope.emit scope "net"
-          [
-            ("round", Json.Int round);
-            ("sent", Json.Int (Network.sent network));
-            ("delivered", Json.Int (Network.delivered network));
-            ("pending", Json.Int (Network.pending network));
-          ]
-      end
+      Observe.snapshot obs ~round heights network
     end;
     if round mod config.Config.head_snapshot_interval = 0 then begin
       let heads =
@@ -337,25 +174,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
   in
   Trace.set_final_heads trace final_heads;
   Trace.set_oracle_queries trace (Oracle.queries oracle);
-  if observing then begin
-    let final_height =
-      match Trace.honest_parties trace with
-      | [] -> -1
-      | i :: _ -> Store.height store final_heads.(i)
-    in
-    harvest ~scope ~config ~trace ~network ~oracle ~final_height;
-    (match lifecycle with
-    | Some lc -> Lifecycle.finalize lc ~trace
-    | None -> ());
-    if Scope.tracing scope then
-      Scope.emit scope "run.end"
-        [
-          ("rounds", Json.Int config.Config.rounds);
-          ("final_height", Json.Int final_height);
-          ("events", Json.Int (Trace.event_count trace));
-          ("queries", Json.Int (Oracle.queries oracle));
-        ]
-  end;
+  Observe.finish obs ~network ~oracle ~extra:[];
   trace
 
 let run ~config ~strategy ?workload ?net_policy ?round_hook ?scope () =

@@ -7,8 +7,6 @@ module Oracle = Fruitchain_crypto.Oracle
 module Network = Fruitchain_net.Network
 module Params = Fruitchain_core.Params
 module Scope = Fruitchain_obs.Scope
-module Metrics = Fruitchain_obs.Metrics
-module Json = Fruitchain_obs.Json
 
 (* Stream indices under the config seed: each concern owns a derived
    stream, so the draw count of one (e.g. a power change re-scheduling the
@@ -66,7 +64,8 @@ let run ~config ?power ?power_schedule
   let network =
     Network.create ~scope ?policy:net_policy ~n ~delta:config.Config.delta ()
   in
-  let trace = Trace.create ~scope ~config ~store () in
+  let obs = Observe.create ~scope ~config ~store in
+  let trace = Observe.trace obs in
   let sched_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:scheduler_stream) in
   let attr_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:attribution_stream) in
   let forge_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:forge_stream) in
@@ -101,30 +100,12 @@ let run ~config ?power ?power_schedule
   let visited = ref 0 in
   let active_probe = ref None in
   let depth = Params.pointer_depth params in
-  (* Cursors into the sorted schedules; [next_scheduled] peeks, the
-     processing loop advances past entries <= the current round. *)
-  let corr = ref config.Config.corruption_schedule in
-  let uncorr = ref config.Config.uncorruption_schedule in
-  let gossip = ref config.Config.gossip_schedule in
+  (* Cursor into the sorted power schedule; the processing loop advances
+     past entries <= the current round. Corruption, uncorruption and gossip
+     toggles change no state here (corruption is read off the config), so
+     they only need their rounds visited: Observe keeps that cursor. *)
   let powers = ref power_schedule in
-  let observing = Scope.enabled scope in
-  let lifecycle = Lifecycle.create ~scope ~store ~config () in
-  if Scope.tracing scope then
-    Scope.emit scope "run.start"
-      [
-        ("protocol",
-         Json.Str
-           (match config.Config.protocol with
-            | Config.Nakamoto -> "nakamoto"
-            | Config.Fruitchain -> "fruitchain"));
-        ("engine", Json.Str "sparse");
-        ("n", Json.Int n);
-        ("rounds", Json.Int rounds);
-        ("delta", Json.Int config.Config.delta);
-        ("kappa", Json.Int params.Params.kappa);
-        ("recency", Json.Int (Params.recency_window params));
-        ("seed", Json.Str (Int64.to_string config.Config.seed));
-      ];
+  Observe.start obs;
   let probe_round round =
     config.Config.probe_interval > 0 && round mod config.Config.probe_interval = 0
   in
@@ -191,13 +172,7 @@ let run ~config ?power ?power_schedule
     in
     let id = Store.add_id store block in
     if not sibling then head_id := id;
-    Trace.record_event trace { Trace.round; miner = winner; honest; kind = `Block; hash };
-    (match lifecycle with
-    | Some lc ->
-        Lifecycle.block_mined lc ~height:(Store.height_at store id)
-          ~adopted:(if sibling then None else Some round)
-          ~delivered:(round + config.Config.delta) ~recipients:(n - 1) block
-    | None -> ());
+    Observe.block_mined obs ~sibling block;
     Network.deliver_batch network ~count:(n - 1) ~delay:config.Config.delta
   in
   let mine_fruit ~round =
@@ -219,45 +194,16 @@ let run ~config ?power ?power_schedule
       }
     in
     Queue.add { ready = round + config.Config.delta; fruit } pending;
-    Trace.record_event trace { Trace.round; miner = winner; honest; kind = `Fruit; hash };
-    (match lifecycle with
-    | Some lc -> Lifecycle.fruit_mined lc ~gossiped:(round + config.Config.delta) fruit
-    | None -> ());
+    Observe.fruit_mined obs fruit;
     Network.deliver_batch network ~count:(n - 1) ~delay:config.Config.delta
   in
   let process round =
     incr visited;
     (match round_hook with None -> () | Some hook -> hook ~scope ~round);
-    while (match !gossip with (r, _) :: _ when r <= round -> true | _ -> false) do
-      (match !gossip with
-      | (r, on) :: _ when r = round ->
-          (* Relaying does not exist on the sparse plane (the chain is
-             already converged); the toggle survives only as a trace
-             event, for scenario parity. *)
-          if Scope.tracing scope then
-            Scope.emit scope "scenario.gossip"
-              [ ("round", Json.Int round); ("on", Json.Bool on) ]
-      | _ -> ());
-      gossip := List.tl !gossip
-    done;
-    while (match !corr with (r, _) :: _ when r <= round -> true | _ -> false) do
-      (match !corr with
-      | (r, party) :: _ when r = round ->
-          if Scope.tracing scope then
-            Scope.emit scope "corrupt"
-              [ ("round", Json.Int round); ("party", Json.Int party) ]
-      | _ -> ());
-      corr := List.tl !corr
-    done;
-    while (match !uncorr with (r, _) :: _ when r <= round -> true | _ -> false) do
-      (match !uncorr with
-      | (r, party) :: _ when r = round ->
-          if Scope.tracing scope then
-            Scope.emit scope "uncorrupt"
-              [ ("round", Json.Int round); ("party", Json.Int party) ]
-      | _ -> ());
-      uncorr := List.tl !uncorr
-    done;
+    (* Relaying does not exist on the sparse plane (the chain is already
+       converged); gossip toggles survive only as trace lines, for
+       scenario parity. *)
+    Observe.schedule obs ~round;
     while (match !powers with (r, _) :: _ when r <= round -> true | _ -> false) do
       (match !powers with
       | (r, w) :: _ when r = round -> apply_power_change ~round w
@@ -291,27 +237,7 @@ let run ~config ?power ?power_schedule
         Array.init n (fun i ->
             if Config.is_corrupt_at config ~round i then -1 else height)
       in
-      Trace.record_heights trace ~round heights;
-      if Scope.tracing scope then begin
-        let mn = ref max_int and mx = ref (-1) in
-        Array.iter
-          (fun h ->
-            if h >= 0 then begin
-              if h < !mn then mn := h;
-              if h > !mx then mx := h
-            end)
-          heights;
-        if !mx >= 0 then
-          Scope.emit scope "heights"
-            [ ("round", Json.Int round); ("min", Json.Int !mn); ("max", Json.Int !mx) ];
-        Scope.emit scope "net"
-          [
-            ("round", Json.Int round);
-            ("sent", Json.Int (Network.sent network));
-            ("delivered", Json.Int (Network.delivered network));
-            ("pending", Json.Int (Network.pending network));
-          ]
-      end
+      Observe.snapshot obs ~round heights network
     end;
     if round mod config.Config.head_snapshot_interval = 0 then begin
       let hh = head_hash () in
@@ -338,9 +264,7 @@ let run ~config ?power ?power_schedule
     consider (next_multiple r config.Config.head_snapshot_interval);
     if config.Config.probe_interval > 0 then
       consider (next_multiple r config.Config.probe_interval);
-    (match !corr with (rr, _) :: _ -> consider rr | [] -> ());
-    (match !uncorr with (rr, _) :: _ -> consider rr | [] -> ());
-    (match !gossip with (rr, _) :: _ -> consider rr | [] -> ());
+    consider (Observe.next_scheduled obs);
     (match !powers with (rr, _) :: _ -> consider rr | [] -> ());
     (match round_hook with Some _ -> consider (r + 1) | None -> ());
     if max_skip < max_int && r <= max_int - max_skip then consider (r + max_skip);
@@ -361,46 +285,6 @@ let run ~config ?power ?power_schedule
   in
   Trace.set_final_heads trace final_heads;
   Trace.set_oracle_queries trace !eff_queries;
-  if observing then begin
-    let final_height =
-      match Trace.honest_parties trace with [] -> -1 | _ :: _ -> head_height ()
-    in
-    (match Scope.metrics scope with
-    | None -> ()
-    | Some m ->
-        let add name by = Metrics.incr ~by (Metrics.counter m name) in
-        add "sim.runs" 1;
-        add "sim.rounds" rounds;
-        add "sim.rounds_visited" !visited;
-        add "sim.alias_rebuilds" !rebuilds;
-        add "sim.probes" (Trace.probe_count trace);
-        add "oracle.queries" (Oracle.queries oracle);
-        add "oracle.wins.block" (Oracle.block_wins oracle);
-        add "oracle.wins.fruit" (Oracle.fruit_wins oracle);
-        add "net.sent" (Network.sent network);
-        add "net.delivered" (Network.delivered network);
-        let fh = ref 0 and fa = ref 0 and bh = ref 0 and ba = ref 0 in
-        Trace.iter_events trace ~f:(fun (e : Trace.event) ->
-            match (e.kind, e.honest) with
-            | `Fruit, true -> incr fh
-            | `Fruit, false -> incr fa
-            | `Block, true -> incr bh
-            | `Block, false -> incr ba);
-        add "sim.mint.fruit.honest" !fh;
-        add "sim.mint.fruit.adversary" !fa;
-        add "sim.mint.block.honest" !bh;
-        add "sim.mint.block.adversary" !ba;
-        Metrics.set (Metrics.gauge m "sim.final_height") (float_of_int final_height));
-    (match lifecycle with
-    | Some lc -> Lifecycle.finalize lc ~trace
-    | None -> ());
-    if Scope.tracing scope then
-      Scope.emit scope "run.end"
-        [
-          ("rounds", Json.Int rounds);
-          ("final_height", Json.Int final_height);
-          ("events", Json.Int (Trace.event_count trace));
-          ("queries", Json.Int (Oracle.queries oracle));
-        ]
-  end;
+  Observe.finish obs ~network ~oracle
+    ~extra:[ ("sim.rounds_visited", !visited); ("sim.alias_rebuilds", !rebuilds) ];
   trace

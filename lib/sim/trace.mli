@@ -22,7 +22,7 @@ type t
 val create : ?scope:Fruitchain_obs.Scope.t -> config:Config.t -> store:Store.t -> unit -> t
 (** [?scope] (default {!Fruitchain_obs.Scope.null}) is the fruitscope
     channel of the run: recording functions stream structured events into
-    its tracer (one branch when disabled), and the engine harvests the
+    its tracer (one branch when disabled), and {!Observe} harvests the
     run's aggregate counters into its metrics registry. *)
 
 val config : t -> Config.t

@@ -1,5 +1,6 @@
-(* Golden-table generator: prints the rendered Quick-scale outcome of one
-   experiment, exactly as bench/main.exe renders it. Used by the runtest
+(* Golden generator: prints the rendered Quick-scale outcome of one
+   experiment, exactly as bench/main.exe renders it (plus the trace,
+   metrics, scenario and analyzer modes below). Used by the runtest
    diff rules in test/dune against the snapshots in test/fixtures/golden/;
    on an intentional table change, `dune promote` refreshes the snapshot.
    Runs at jobs=2 so every golden check also exercises the parallel path —
@@ -14,6 +15,11 @@ module Driver = Fruitchain_scenario.Driver
 module Pool = Fruitchain_util.Pool
 module Metrics = Fruitchain_obs.Metrics
 module Scope = Fruitchain_obs.Scope
+module Tracer = Fruitchain_obs.Tracer
+module Runs = Fruitchain_experiments.Runs
+module Config = Fruitchain_sim.Config
+module Engine = Fruitchain_sim.Engine
+module Sparse = Fruitchain_sim.Sparse
 
 (* `golden_gen scenario FILE` pins the canonical re-serialization and the
    trial table; `golden_gen scenario-metrics FILE` pins the golden metric
@@ -53,8 +59,43 @@ let analyze_golden file =
       with End_of_file -> ());
   print_string (Fruitchain_obs.Analyze.render (Fruitchain_obs.Analyze.summarize (List.rev !lines)))
 
+(* `golden_gen trace PLANE` / `golden_gen metrics PLANE` pin the JSONL
+   trace and the metric dump of one small run on the exact or sparse plane.
+   The configuration reaches every run-level observation point: run.start,
+   a corruption, an uncorruption, two gossip toggles, probes, height/net
+   snapshots, mints, spans and run.end — and on the exact plane, selfish
+   mining at gamma = 0.5 so head switches (reorg lines, adversary mints)
+   appear too. *)
+let sim_golden ~engine ~dump =
+  let config =
+    Config.make ~protocol:Config.Fruitchain ~engine ~n:8 ~rho:0.25 ~delta:2 ~rounds:150
+      ~seed:2L ~corruption_schedule:[ (30, 1) ] ~uncorruption_schedule:[ (90, 1) ]
+      ~gossip_schedule:[ (50, true); (120, false) ]
+      ~snapshot_interval:50 ~head_snapshot_interval:100 ~probe_interval:50
+      ~params:(Exp.default_params ~q:1.5 ~kappa:4 ~p:0.006 ())
+      ()
+  in
+  let registry = Metrics.create () in
+  let tracer = Tracer.buffer () in
+  let scope = Scope.make ~metrics:registry ~tracer () in
+  (match engine with
+  | Config.Exact ->
+      ignore (Engine.run ~config ~strategy:(Runs.selfish ~gamma:0.5) ~scope ())
+  | Config.Sparse -> ignore (Sparse.run ~config ~scope ()));
+  if dump then print_endline (Metrics.dump registry)
+  else List.iter print_endline (Tracer.lines tracer)
+
+let plane = function
+  | "exact" -> Config.Exact
+  | "sparse" -> Config.Sparse
+  | other ->
+      prerr_endline ("golden_gen: unknown plane " ^ other);
+      exit 2
+
 let () =
   match Array.to_list Sys.argv with
+  | [ _; "trace"; p ] -> sim_golden ~engine:(plane p) ~dump:false
+  | [ _; "metrics"; p ] -> sim_golden ~engine:(plane p) ~dump:true
   | [ _; "scenario"; file ] ->
       Pool.set_default_jobs 2;
       scenario_golden ~dump:false file
@@ -72,5 +113,6 @@ let () =
           print_string (Format.asprintf "%a" Exp.print (E.run ~scale:Exp.Quick ())))
   | _ ->
       prerr_endline
-        "usage: golden_gen EXX | golden_gen scenario[-metrics] FILE | golden_gen analyze FILE";
+        "usage: golden_gen EXX | golden_gen (trace|metrics) (exact|sparse) | golden_gen \
+         scenario[-metrics] FILE | golden_gen analyze FILE";
       exit 2

@@ -1,18 +1,20 @@
 (* fruittrace span suite.
 
    Three contracts from the observability layer (lib/obs/span.ml +
-   lib/sim/lifecycle.ml):
+   lib/sim/observe.ml, the one module both engines report through):
 
    1. Span-bearing traces are jobs-invariant. test_determinism.ml already
       pins trace byte-identity for the scoped experiments; this suite adds
       the sharper claim for E01 and E19 that the traces actually CARRY
-      lifecycle spans (a silent `Lifecycle.create` regression to `None`
-      would keep byte-identity while deleting the feature).
+      lifecycle spans (a silent regression that stopped `Observe` opening
+      spans would keep byte-identity while deleting the feature).
 
-   2. Exact and sparse engines emit the same span schema: for every event
-      name x entity combination, the sorted field-key set of the emitted
-      JSON objects is identical across planes, and both planes emit fruit
-      and block spans. The planes cannot agree on *values* (different
+   2. Exact and sparse engines emit the same schema: for every span event
+      name x entity combination, and for every run-level line (run.start,
+      run.end, heights, net, mint, probe, corrupt/uncorrupt,
+      scenario.gossip), the sorted field-key set of the emitted JSON
+      objects is identical across planes, and both planes emit fruit and
+      block spans. The planes cannot agree on *values* (different
       randomness consumption), so the schema is the interface the offline
       analyzer depends on.
 
@@ -78,38 +80,40 @@ let test_span_bearing_invariance id () =
 
 (* --- Exact vs sparse schema agreement --------------------------------- *)
 
+(* Corruption, uncorruption, gossip toggles and probes are scheduled so
+   every run-level line appears on both planes. *)
 let config ~engine =
   Config.make ~protocol:Config.Fruitchain ~engine ~n:12 ~rho:0.25 ~delta:2
-    ~rounds:3_000 ~seed:5L
+    ~rounds:3_000 ~seed:5L ~corruption_schedule:[ (400, 2) ]
+    ~uncorruption_schedule:[ (1_500, 2) ] ~gossip_schedule:[ (700, true); (2_200, false) ]
+    ~probe_interval:250
     ~params:(Exp.default_params ~q:10.0 ~p:0.004 ())
     ()
 
 let trace_lines ~engine =
   let tracer = Tracer.buffer () in
   let scope = Scope.make ~metrics:(Metrics.create ()) ~tracer () in
+  let config = config ~engine in
   (match engine with
-  | Config.Exact ->
-      ignore
-        (Engine.run ~config:(config ~engine) ~strategy:Runs.honest_coalition ~scope ())
-  | Config.Sparse -> ignore (Sparse.run ~config:(config ~engine) ~scope ()));
+  | Config.Exact -> ignore (Engine.run ~config ~strategy:Runs.honest_coalition ~scope ())
+  | Config.Sparse -> ignore (Sparse.run ~config ~scope ()));
   Tracer.lines tracer
 
-(* (event, entity) -> sorted field-key set, e.g. ("span.close", "fruit") ->
-   ["ev"; "entity"; "id"; "mined"; ...]. *)
-let span_schema lines =
+(* (event, entity) -> sorted field-key set for the events [keep] selects,
+   e.g. ("span.close", "fruit") -> ["ev"; "entity"; "id"; "mined"; ...].
+   Lines without an entity key under "". *)
+let schema ~keep lines =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun line ->
       match Json.of_string line with
       | Error _ -> ()
       | Ok doc -> (
-          match
-            ( Option.bind (Json.member "ev" doc) Json.to_str,
-              Option.bind (Json.member "entity" doc) Json.to_str,
-              Json.to_obj doc )
-          with
-          | Some ev, Some entity, Some fields
-            when String.equal ev "span.open" || String.equal ev "span.close" ->
+          match (Option.bind (Json.member "ev" doc) Json.to_str, Json.to_obj doc) with
+          | Some ev, Some fields when keep ev ->
+              let entity =
+                Option.value ~default:"" (Option.bind (Json.member "entity" doc) Json.to_str)
+              in
               let keys = List.sort String.compare (List.map fst fields) in
               (match Hashtbl.find_opt tbl (ev, entity) with
               | None -> Hashtbl.replace tbl (ev, entity) keys
@@ -122,6 +126,9 @@ let span_schema lines =
     lines;
   List.sort compare
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let span_schema =
+  schema ~keep:(fun ev -> String.equal ev "span.open" || String.equal ev "span.close")
 
 let test_engine_schema_agreement () =
   let exact = span_schema (trace_lines ~engine:Config.Exact) in
@@ -158,6 +165,34 @@ let test_engine_schema_agreement () =
   Alcotest.(check bool) "the sparse plane emits no reorg spans" false
     (List.mem_assoc ("span.close", "reorg") sparse)
 
+(* Both planes emit every run-level line with the same field keys; the
+   only sanctioned difference is the sparse run.start's "engine" key. *)
+let run_level_events =
+  [
+    "run.start"; "run.end"; "heights"; "net"; "mint"; "probe"; "corrupt"; "uncorrupt";
+    "scenario.gossip";
+  ]
+
+let test_run_level_agreement () =
+  let run_schema engine =
+    schema ~keep:(fun ev -> List.mem ev run_level_events) (trace_lines ~engine)
+  in
+  let exact = run_schema Config.Exact and sparse = run_schema Config.Sparse in
+  let keys plane ev = List.assoc_opt (ev, "") plane in
+  Alcotest.(check (option (list string)))
+    "only the sparse run.start carries an engine key"
+    (Option.map (fun ks -> List.sort String.compare ("engine" :: ks)) (keys exact "run.start"))
+    (keys sparse "run.start");
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool) (ev ^ " is emitted on the exact plane") true
+        (Option.is_some (keys exact ev));
+      if not (String.equal ev "run.start") then
+        Alcotest.(check (option (list string)))
+          (ev ^ " field keys agree across planes")
+          (keys exact ev) (keys sparse ev))
+    run_level_events
+
 (* --- Analyzer purity --------------------------------------------------- *)
 
 let test_analyze_purity () =
@@ -179,7 +214,10 @@ let () =
           Alcotest.test_case "E19" `Slow (test_span_bearing_invariance "E19");
         ] );
       ( "engine schema agreement",
-        [ Alcotest.test_case "exact == sparse" `Slow test_engine_schema_agreement ] );
+        [
+          Alcotest.test_case "exact == sparse" `Slow test_engine_schema_agreement;
+          Alcotest.test_case "run-level lines" `Slow test_run_level_agreement;
+        ] );
       ( "analyzer purity",
         [ Alcotest.test_case "summarize/diff/render" `Quick test_analyze_purity ] );
     ]
