@@ -14,12 +14,6 @@ let put_u32 buf n =
   Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr (n land 0xff))
 
-let put_u64 buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-  done
-
 let put_hash buf h = Buffer.add_string buf (Hash.to_raw h)
 
 let put_string buf s =
@@ -29,7 +23,7 @@ let put_string buf s =
 let add_header buf h =
   put_hash buf h.parent;
   put_hash buf h.pointer;
-  put_u64 buf h.nonce;
+  Buffer.add_int64_be buf h.nonce;
   put_hash buf h.digest;
   put_string buf h.record
 

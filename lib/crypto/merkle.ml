@@ -2,7 +2,11 @@ let empty_root = Hash.of_digest (Sha256.digest "fruitchain:merkle:empty")
 let leaf_hash s = Hash.of_digest (Sha256.digest ("\x00" ^ s))
 
 let node_hash l r =
-  Hash.of_digest (Sha256.digest ("\x01" ^ Hash.to_raw l ^ Hash.to_raw r))
+  let pre = Bytes.create 65 in
+  Bytes.set pre 0 '\x01';
+  Bytes.blit_string (Hash.to_raw l) 0 pre 1 32;
+  Bytes.blit_string (Hash.to_raw r) 0 pre 33 32;
+  Hash.of_digest (Sha256.digest (Bytes.unsafe_to_string pre))
 
 (* Collapse one level: pair up nodes left to right; an unpaired last node is
    promoted unchanged. *)

@@ -1,96 +1,34 @@
-(* SHA-256 per FIPS 180-4. The message schedule and compression loop run on
-   native [int]s masked to 32 bits: on 64-bit OCaml the intermediate sums
-   never overflow, and unlike [Int32] nothing is boxed, which makes the
-   compression function allocation-free. The message is buffered in a
-   64-byte block. *)
+(* SHA-256 per FIPS 180-4. The block function is C (sha256_stubs.c); this
+   module does buffering and padding. The chaining state is a 32-byte
+   [Bytes.t] holding H0..H7 big-endian, so the final state is the digest. *)
 
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
+(* [compress state data pos] absorbs the 64-byte block of [data] at [pos].
+   It reads those bytes unchecked: every call site below proves them in
+   bounds. *)
+external compress : Bytes.t -> Bytes.t -> int -> unit = "fruitchain_sha256_compress"
+[@@noalloc]
+
+(* H0..H7 of FIPS 180-4 §5.3.3, big-endian. *)
+let iv =
+  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\
+   \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
 type ctx = {
-  h : int array; (* 8 words of chaining state, each masked to 32 bits *)
+  h : Bytes.t; (* chaining state *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes absorbed *)
-  w : int array; (* 64-entry message schedule, reused across blocks *)
+  mutable total : int; (* bytes absorbed *)
 }
 
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
-        0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0;
-  }
-
-let mask32 = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-
-let compress ctx block pos =
-  let w = ctx.w in
-  for t = 0 to 15 do
-    (* One 32-bit big-endian load per word; [Int32.to_int] sign-extends, so
-       mask back to the unsigned 32-bit range. *)
-    w.(t) <- Int32.to_int (Bytes.get_int32_be block (pos + (4 * t))) land mask32
-  done;
-  for t = 16 to 63 do
-    let wt15 = w.(t - 15) and wt2 = w.(t - 2) in
-    let s0 = rotr wt15 7 lxor rotr wt15 18 lxor (wt15 lsr 3) in
-    let s1 = rotr wt2 17 lxor rotr wt2 19 lxor (wt2 lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
-  done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
-  for t = 0 to 63 do
-    let sigma1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land mask32 land !g) in
-    let t1 = !h + sigma1 + ch + k.(t) + w.(t) in
-    let sigma0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = sigma0 + maj in
-    h := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask32;
-  ctx.h.(1) <- (ctx.h.(1) + !b) land mask32;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask32;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask32;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask32;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask32;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask32;
-  ctx.h.(7) <- (ctx.h.(7) + !h) land mask32
+let init () = { h = Bytes.of_string iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
 let update_bytes ctx data ~pos ~len =
-  (* Bounds guard for the public ~pos/~len API; the whole-string callers on
-     the validation paths ([update], [digest]) pass [0, length] and cannot
-     trip it. *)
+  (* Bounds guard for the public ~pos/~len API; [update] passes
+     [0, length] and cannot trip it. *)
   if pos < 0 || len < 0 || pos + len > Bytes.length data then
     (* fruitlint: allow R10 *)
     invalid_arg "Sha256.update_bytes: out of bounds";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let offset = ref pos and remaining = ref len in
   (* Fill a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -100,13 +38,13 @@ let update_bytes ctx data ~pos ~len =
     offset := !offset + take;
     remaining := !remaining - take;
     if Int.equal ctx.buf_len 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx.h ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
   while !remaining >= 64 do
-    compress ctx data !offset;
+    compress ctx.h data !offset;
     offset := !offset + 64;
     remaining := !remaining - 64
   done;
@@ -117,33 +55,35 @@ let update_bytes ctx data ~pos ~len =
 
 let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
+(* Absorb the last [rem] (< 64) message bytes, [src] at [pos], and the
+   padding of a [total]-byte message: 0x80, zeros, the 64-bit big-endian bit
+   length — one block if [rem] leaves room for the 9 padding bytes, else
+   two. *)
+let finish h src pos rem total =
+  let n = if rem < 56 then 64 else 128 in
+  let tail = Bytes.make n '\000' in
+  Bytes.blit src pos tail 0 rem;
+  Bytes.set tail rem '\x80';
+  Bytes.set_int64_be tail (n - 8) (Int64.mul (Int64.of_int total) 8L);
+  compress h tail 0;
+  if Int.equal n 128 then compress h tail 64
+
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod 64 in
-    if Int.equal rem 0 then 1 else 1 + (64 - rem)
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  Bytes.set_int64_be tail pad_len bit_len;
-  (* Absorb the padding without recounting it in [total]. *)
-  let saved_total = ctx.total in
-  update_bytes ctx tail ~pos:0 ~len:(Bytes.length tail);
-  ctx.total <- saved_total;
-  (* Padding always rounds the absorbed length to a block multiple, so the
-     buffer is empty by arithmetic, not by input.  fruitlint: allow R10 *)
-  assert (Int.equal ctx.buf_len 0);
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
-  done;
-  Bytes.unsafe_to_string out
+  finish ctx.h ctx.buf 0 ctx.buf_len ctx.total;
+  Bytes.to_string ctx.h
 
 let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
+  let data = Bytes.unsafe_of_string s in
+  let len = String.length s in
+  let whole = len land lnot 63 in
+  let h = Bytes.of_string iv in
+  let pos = ref 0 in
+  while !pos < whole do
+    compress h data !pos;
+    pos := !pos + 64
+  done;
+  finish h data whole (len - whole) len;
+  Bytes.unsafe_to_string h
 
 let hmac ~key msg =
   let block = 64 in

@@ -301,6 +301,31 @@ let test_invalid_fruit_wrong_hash () =
   let forged = { f with Types.f_hash = Hash.of_raw (Sha256.digest "forged") } in
   Alcotest.(check bool) "forged reference rejected" false (Validate.valid_fruit o forged)
 
+let test_header_mismatch_rejected () =
+  (* Validation serializes a header only when the oracle reads pre-images;
+     every oracle that does must still reject a fruit or block whose hash
+     is not H(header). The memo-less sampling oracle never read the bytes,
+     so it accepts the same objects, as it always has. *)
+  let retitle (h : Types.header) = { h with Types.record = h.record ^ "!" } in
+  List.iter
+    (fun (name, o, rejects) ->
+      let rng = Rng.of_seed 21L in
+      let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
+      let b = mine_block o rng ~parent:Types.genesis_hash [ f ] in
+      Alcotest.(check bool) (name ^ ": mined fruit valid") true (Validate.valid_fruit o f);
+      Alcotest.(check bool) (name ^ ": mined block valid") true (Validate.valid_block o b);
+      let f' = { f with Types.f_header = retitle f.f_header } in
+      let b' = { b with Types.b_header = retitle b.b_header } in
+      Alcotest.(check bool) (name ^ ": fruit header/hash mismatch") (not rejects)
+        (Validate.valid_fruit o f');
+      Alcotest.(check bool) (name ^ ": block header/hash mismatch") (not rejects)
+        (Validate.valid_block o b'))
+    [
+      ("real", easy_oracle (), true);
+      ("sim memo", Oracle.sim ~memo:true ~p:1.0 ~pf:1.0 (Rng.of_seed 22L), true);
+      ("sim", Oracle.sim ~p:1.0 ~pf:1.0 (Rng.of_seed 23L), false);
+    ]
+
 let test_fruit_difficulty_rejected () =
   (* Mine with an easy oracle, check with a strict one: the PoW no longer
      meets the difficulty. *)
@@ -480,6 +505,7 @@ let () =
         [
           Alcotest.test_case "valid fruit" `Quick test_valid_fruit;
           Alcotest.test_case "forged fruit hash" `Quick test_invalid_fruit_wrong_hash;
+          Alcotest.test_case "header/hash mismatch per oracle" `Quick test_header_mismatch_rejected;
           Alcotest.test_case "fruit difficulty" `Quick test_fruit_difficulty_rejected;
           Alcotest.test_case "valid block + digest" `Quick test_valid_block_and_digest;
           Alcotest.test_case "genesis always valid" `Quick test_genesis_always_valid;

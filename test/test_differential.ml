@@ -1,14 +1,17 @@
 (* Differential tests for the hot-path rewrites: the arena Store, the
-   deferred-sampling Oracle and the ring-buffer Network are each checked
-   against a test-local reference copy of the naive implementation it
-   replaced (hash-table store, per-query view sampling, hashtable-of-lists
-   inboxes with a full sort per drain). The reference modules are the
+   deferred-sampling Oracle, the ring-buffer Network and the C SHA-256
+   block function (with the lean Merkle and Codec paths around it) are each
+   checked against a test-local reference copy of the naive implementation
+   it replaced (hash-table store, per-query view sampling, hashtable-of-lists
+   inboxes with a full sort per drain, pure-OCaml compression, concatenated
+   pre-images, byte-by-byte u64 encoding). The reference modules are the
    pre-rewrite code kept verbatim modulo observability plumbing; QCheck
    drives both sides with identical inputs — including the same RNG seeds,
    so the draw-for-draw equivalence of the batched oracle is pinned, not
    just distributional agreement. *)
 
 module Types = Fruitchain_chain.Types
+module Codec = Fruitchain_chain.Codec
 module Store = Fruitchain_chain.Store
 module Hash = Fruitchain_crypto.Hash
 module Oracle = Fruitchain_crypto.Oracle
@@ -483,9 +486,262 @@ let network_differential_overflow =
       run_network_differential ~ring_policy:push_policy ~ref_policy:push_policy
         ~skip_drains:true seed)
 
+(* ------------------------------------------------------------------ *)
+(* Reference SHA-256: the pure-OCaml hashing core the C block function
+   replaced, verbatim (HMAC omitted).                                  *)
+
+module Ref_sha256 = struct
+  let k =
+    [|
+      0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+      0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+      0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+      0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+      0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+      0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+      0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+      0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+      0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+    |]
+
+  type ctx = {
+    h : int array; (* 8 words of chaining state, each masked to 32 bits *)
+    buf : Bytes.t; (* 64-byte block buffer *)
+    mutable buf_len : int;
+    mutable total : int64; (* bytes absorbed *)
+    w : int array; (* 64-entry message schedule, reused across blocks *)
+  }
+
+  let init () =
+    {
+      h =
+        [|
+          0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+          0x1f83d9ab; 0x5be0cd19;
+        |];
+      buf = Bytes.create 64;
+      buf_len = 0;
+      total = 0L;
+      w = Array.make 64 0;
+    }
+
+  let mask32 = 0xffffffff
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+
+  let compress ctx block pos =
+    let w = ctx.w in
+    for t = 0 to 15 do
+      w.(t) <- Int32.to_int (Bytes.get_int32_be block (pos + (4 * t))) land mask32
+    done;
+    for t = 16 to 63 do
+      let wt15 = w.(t - 15) and wt2 = w.(t - 2) in
+      let s0 = rotr wt15 7 lxor rotr wt15 18 lxor (wt15 lsr 3) in
+      let s1 = rotr wt2 17 lxor rotr wt2 19 lxor (wt2 lsr 10) in
+      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    done;
+    let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
+    let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
+    for t = 0 to 63 do
+      let sigma1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = !e land !f lxor (lnot !e land mask32 land !g) in
+      let t1 = !h + sigma1 + ch + k.(t) + w.(t) in
+      let sigma0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
+      let t2 = sigma0 + maj in
+      h := !g;
+      g := !f;
+      f := !e;
+      e := (!d + t1) land mask32;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (t1 + t2) land mask32
+    done;
+    ctx.h.(0) <- (ctx.h.(0) + !a) land mask32;
+    ctx.h.(1) <- (ctx.h.(1) + !b) land mask32;
+    ctx.h.(2) <- (ctx.h.(2) + !c) land mask32;
+    ctx.h.(3) <- (ctx.h.(3) + !d) land mask32;
+    ctx.h.(4) <- (ctx.h.(4) + !e) land mask32;
+    ctx.h.(5) <- (ctx.h.(5) + !f) land mask32;
+    ctx.h.(6) <- (ctx.h.(6) + !g) land mask32;
+    ctx.h.(7) <- (ctx.h.(7) + !h) land mask32
+
+  let update_bytes ctx data ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > Bytes.length data then
+      invalid_arg "Sha256.update_bytes: out of bounds";
+    ctx.total <- Int64.add ctx.total (Int64.of_int len);
+    let offset = ref pos and remaining = ref len in
+    if ctx.buf_len > 0 then begin
+      let take = min !remaining (64 - ctx.buf_len) in
+      Bytes.blit data !offset ctx.buf ctx.buf_len take;
+      ctx.buf_len <- ctx.buf_len + take;
+      offset := !offset + take;
+      remaining := !remaining - take;
+      if Int.equal ctx.buf_len 64 then begin
+        compress ctx ctx.buf 0;
+        ctx.buf_len <- 0
+      end
+    end;
+    while !remaining >= 64 do
+      compress ctx data !offset;
+      offset := !offset + 64;
+      remaining := !remaining - 64
+    done;
+    if !remaining > 0 then begin
+      Bytes.blit data !offset ctx.buf 0 !remaining;
+      ctx.buf_len <- !remaining
+    end
+
+  let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+
+  let finalize ctx =
+    let bit_len = Int64.mul ctx.total 8L in
+    let pad_len =
+      let rem = (ctx.buf_len + 1 + 8) mod 64 in
+      if Int.equal rem 0 then 1 else 1 + (64 - rem)
+    in
+    let tail = Bytes.make (pad_len + 8) '\000' in
+    Bytes.set tail 0 '\x80';
+    Bytes.set_int64_be tail pad_len bit_len;
+    let saved_total = ctx.total in
+    update_bytes ctx tail ~pos:0 ~len:(Bytes.length tail);
+    ctx.total <- saved_total;
+    assert (Int.equal ctx.buf_len 0);
+    let out = Bytes.create 32 in
+    for i = 0 to 7 do
+      Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
+    done;
+    Bytes.unsafe_to_string out
+
+  let digest s =
+    let ctx = init () in
+    update ctx s;
+    finalize ctx
+end
+
+(* Reference Merkle root and fruit encoder: the concatenation-based
+   pre-images and the byte-by-byte u64 writer the lean paths replaced. *)
+module Ref_merkle = struct
+  let leaf_hash s = Ref_sha256.digest ("\x00" ^ s)
+  let node_hash l r = Ref_sha256.digest ("\x01" ^ l ^ r)
+  let empty_root = Ref_sha256.digest "fruitchain:merkle:empty"
+
+  let rec level = function
+    | [] -> []
+    | [ x ] -> [ x ]
+    | a :: b :: rest -> node_hash a b :: level rest
+
+  let rec reduce = function [] -> empty_root | [ root ] -> root | nodes -> reduce (level nodes)
+  let root leaves = reduce (List.map leaf_hash leaves)
+end
+
+module Ref_codec = struct
+  let put_u32 buf n =
+    Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
+    Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
+    Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
+    Buffer.add_char buf (Char.chr (n land 0xff))
+
+  let put_u64 buf v =
+    for i = 7 downto 0 do
+      Buffer.add_char buf
+        (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
+    done
+
+  let fruit_bytes (f : Types.fruit) =
+    let buf = Buffer.create 160 in
+    let h = f.f_header in
+    Buffer.add_string buf (Hash.to_raw h.parent);
+    Buffer.add_string buf (Hash.to_raw h.pointer);
+    put_u64 buf h.nonce;
+    Buffer.add_string buf (Hash.to_raw h.digest);
+    put_u32 buf (String.length h.record);
+    Buffer.add_string buf h.record;
+    Buffer.add_string buf (Hash.to_raw f.f_hash);
+    Buffer.contents buf
+end
+
+(* ------------------------------------------------------------------ *)
+(* Crypto kernel differential.                                        *)
+
+(* Lengths 0-300, with a third of the draws on the padding boundaries:
+   55 is the longest tail padded in one block, 56 the shortest that needs
+   two, 63/64 and 119/120/128 the same edges one block further on. *)
+let gen_message =
+  let open QCheck.Gen in
+  let len = frequency [ (1, oneofl [ 55; 56; 63; 64; 119; 120; 128 ]); (2, int_range 0 300) ] in
+  string_size ~gen:char len
+
+let print_message s = Printf.sprintf "len=%d %S" (String.length s) s
+
+let sha256_differential =
+  QCheck.Test.make ~name:"C SHA-256 = pure-OCaml reference" ~count:1000
+    (QCheck.make ~print:print_message gen_message)
+    (fun s -> String.equal (Sha256.digest s) (Ref_sha256.digest s))
+
+let sha256_split_points =
+  (* Feed one buffer through [update_bytes] in random pieces, at non-zero
+     offsets, and compare with the one-shot path. *)
+  let gen =
+    let open QCheck.Gen in
+    gen_message >>= fun s ->
+    list_size (int_range 0 6) (int_range 0 (String.length s)) >|= fun cuts ->
+    (s, List.sort_uniq Int.compare cuts)
+  in
+  QCheck.Test.make ~name:"init/update_bytes/finalize at random splits = digest" ~count:500
+    (QCheck.make ~print:(fun (s, cuts) ->
+         Printf.sprintf "%s cuts=[%s]" (print_message s)
+           (String.concat ";" (List.map string_of_int cuts)))
+       gen)
+    (fun (s, cuts) ->
+      let data = Bytes.of_string s in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha256.update_bytes ctx data ~pos ~len:(cut - pos);
+            cut)
+          0 cuts
+      in
+      Sha256.update_bytes ctx data ~pos:last ~len:(String.length s - last);
+      String.equal (Sha256.finalize ctx) (Sha256.digest s))
+
+let merkle_differential =
+  QCheck.Test.make ~name:"Merkle.root = concatenation-based reference root" ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 70) (string_of_size Gen.(int_range 0 200)))
+    (fun leaves -> String.equal (Hash.to_raw (Merkle.root leaves)) (Ref_merkle.root leaves))
+
+let gen_fruit =
+  let open QCheck.Gen in
+  let hash = string_size ~gen:char (return 32) >|= Hash.of_raw in
+  let nonce = map2 (fun hi lo -> Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      (int_bound 0xffffffff) (int_bound 0xffffffff)
+  in
+  hash >>= fun parent ->
+  hash >>= fun pointer ->
+  nonce >>= fun nonce ->
+  hash >>= fun digest ->
+  string_size ~gen:char (int_range 0 100) >>= fun record ->
+  hash >|= fun f_hash ->
+  { Types.f_header = { parent; pointer; nonce; digest; record }; f_hash; f_prov = None }
+
+let codec_differential =
+  QCheck.Test.make ~name:"Codec.fruit_bytes = byte-by-byte reference encoder" ~count:300
+    (QCheck.make ~print:(fun (f : Types.fruit) -> Int64.to_string f.f_header.nonce) gen_fruit)
+    (fun f -> String.equal (Codec.fruit_bytes f) (Ref_codec.fruit_bytes f))
+
 let () =
   Alcotest.run "differential"
     [
+      ( "crypto",
+        [
+          QCheck_alcotest.to_alcotest sha256_differential;
+          QCheck_alcotest.to_alcotest sha256_split_points;
+          QCheck_alcotest.to_alcotest merkle_differential;
+          QCheck_alcotest.to_alcotest codec_differential;
+        ] );
       ( "store",
         [ QCheck_alcotest.to_alcotest store_differential ] );
       ( "oracle",

@@ -160,6 +160,33 @@ let test_r7_scoped_to_lib () =
     (Lint.lint_source ~only:[ Lint.R7 ] ~path:"bin/main.ml"
        "let read path = open_in_bin path")
 
+(* --- R11: foreign-code confinement --------------------------------------- *)
+
+let test_r11_fires () =
+  let file = fx "lib/sim/r11_bad.ml" in
+  check_diags "top-level, noalloc, nested-module, local-module and %-primitive externals"
+    [ (file, 2, "R11"); (file, 3, "R11"); (file, 4, "R11"); (file, 5, "R11"); (file, 6, "R11") ]
+    (Lint.lint_files ~only:[ Lint.R11 ] [ file ])
+
+let test_r11_clean () =
+  check_diags "wrappers, the word in a string, suppressions pass" []
+    (Lint.lint_files ~only:[ Lint.R11 ] [ fx "lib/sim/r11_ok.ml" ])
+
+let test_r11_allowlist () =
+  (* The SHA-256 module is the one blessed home of a C primitive. *)
+  check_diags "lib/crypto/sha256.ml is allowlisted" []
+    (Lint.lint_source ~only:[ Lint.R11 ] ~path:"lib/crypto/sha256.ml"
+       "external compress : Bytes.t -> Bytes.t -> int -> unit = \"c_compress\"")
+
+let test_r11_not_scoped_to_lib () =
+  (* Unlike R7, a CLI declaring a primitive is flagged too: the effect
+     rules are blind to C wherever it is linked in. *)
+  Alcotest.(check (list string)) "external in bin/ is flagged" [ "R11" ]
+    (List.map
+       (fun (d : Lint.diag) -> Lint.rule_name d.rule)
+       (Lint.lint_source ~only:[ Lint.R11 ] ~path:"bin/main.ml"
+          "external now : unit -> float = \"c_now\""))
+
 (* --- Suppression parsing --------------------------------------------- *)
 
 let test_suppression_is_per_rule () =
@@ -371,6 +398,13 @@ let () =
           Alcotest.test_case "clean" `Quick test_r7_clean;
           Alcotest.test_case "allowlist" `Quick test_r7_allowlist;
           Alcotest.test_case "scoped to lib" `Quick test_r7_scoped_to_lib;
+        ] );
+      ( "R11 FFI confinement",
+        [
+          Alcotest.test_case "fires" `Quick test_r11_fires;
+          Alcotest.test_case "clean" `Quick test_r11_clean;
+          Alcotest.test_case "allowlist" `Quick test_r11_allowlist;
+          Alcotest.test_case "not scoped to lib" `Quick test_r11_not_scoped_to_lib;
         ] );
       ( "suppression",
         [

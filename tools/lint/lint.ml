@@ -47,6 +47,12 @@
          Raises-free after try-absorption, however deep the raising
          callee.
 
+   Foreign-code confinement, per file:
+
+     R11 [external] declarations only in lib/crypto/sha256.ml — effect
+         inference assumes an unresolved identifier is pure, so a C
+         primitive anywhere else would escape R1, R8 and R10 unseen.
+
    Suppression: a comment containing "fruitlint: allow R<n>[, R<m> ...]"
    silences those rules on its own line and on the following line;
    "fruitlint: allow-file R<n>[, R<m> ...]" silences them for the whole
@@ -54,9 +60,9 @@
    at the origin: that occurrence stops transmitting Raises, so every
    entry point reached through it is covered by the one justification. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -69,6 +75,7 @@ let rule_name = function
   | R8 -> "R8"
   | R9 -> "R9"
   | R10 -> "R10"
+  | R11 -> "R11"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -81,6 +88,7 @@ let rule_of_string = function
   | "R8" -> Some R8
   | "R9" -> Some R9
   | "R10" -> Some R10
+  | "R11" -> Some R11
   | _ -> None
 
 (* One-line rule documentation, used by the SARIF emitter's rule
@@ -96,6 +104,7 @@ let rule_doc = function
   | R8 -> "effect confinement: no transitive Rng/Clock/Io/DomainPrim outside the blessed capability modules"
   | R9 -> "static race detection: pool work units must not capture mutated top-level state"
   | R10 -> "transitive totality: validation entry points are raise-free through their whole call chain"
+  | R11 -> "foreign-code confinement: external declarations only in lib/crypto/sha256.ml"
 
 type diag = {
   file : string;
@@ -200,6 +209,14 @@ let r7_applies path =
   let cs = components path in
   contains_sublist [ "lib" ] cs
   && not (List.exists (fun a -> contains_sublist a cs) r7_allowlist)
+
+(* Foreign-code confinement: the SHA-256 block function is the one C
+   primitive, and the effect analysis cannot see inside C, so every
+   [external] is pinned to the module that declares it. *)
+let r11_allowlist = [ [ "lib"; "crypto"; "sha256.ml" ] ]
+
+let r11_applies path =
+  not (List.exists (fun a -> contains_sublist a (components path)) r11_allowlist)
 
 (* ------------------------------------------------------------------ *)
 (* Suppression comments.  Two forms:
@@ -358,6 +375,7 @@ let lint_structure ~path ~only structure =
   let r5 = enabled R5 && r5_applies path in
   let r6 = enabled R6 && r6_applies path in
   let r7 = enabled R7 && r7_applies path in
+  let r11 = enabled R11 && r11_applies path in
   let push (loc : Location.t) rule msg =
     let p = loc.loc_start in
     diags :=
@@ -391,7 +409,18 @@ let lint_structure ~path ~only structure =
     | _ -> ());
     super.module_expr self m
   in
-  let iter = { super with expr; module_expr } in
+  let structure_item self (si : Parsetree.structure_item) =
+    (match si.pstr_desc with
+    | Pstr_primitive { pval_name; _ } when r11 ->
+        push si.pstr_loc R11
+          (Printf.sprintf
+             "external %s: foreign primitives are confined to lib/crypto/sha256.ml; the \
+              effect rules cannot see into C"
+             pval_name.txt)
+    | _ -> ());
+    super.structure_item self si
+  in
+  let iter = { super with expr; module_expr; structure_item } in
   iter.structure iter structure;
   !diags
 

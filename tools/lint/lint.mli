@@ -38,6 +38,13 @@
       through the whole call graph from the validate/extract entry
       points.
 
+    One more per-file rule guards the analysis itself:
+
+    - {b R11} foreign-code confinement: [external] declarations only in
+      [lib/crypto/sha256.ml]. The effect inference treats unresolved
+      identifiers as pure, so a C primitive elsewhere would escape R1, R8
+      and R10.
+
     A comment containing ["fruitlint: allow R<n>[, R<m> ...]"] suppresses
     those rules on its own line and on the following line;
     ["fruitlint: allow-file R<n>[, R<m> ...]"] suppresses them for the
@@ -45,7 +52,7 @@
     suppresses at the origin: that occurrence stops transmitting
     [Raises], covering every entry point reached through it. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
 
 val all_rules : rule list
 val rule_name : rule -> string

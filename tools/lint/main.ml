@@ -3,7 +3,8 @@
      fruitlint [--only R1,R2,...] [--format text|json|sarif] PATH...
 
    Lints every .ml/.mli under the given paths (default: lib bin bench)
-   with the per-file rules R1-R7 and the whole-program rules R8-R10.
+   with the per-file rules R1-R7 and R11 and the whole-program rules
+   R8-R10.
 
    Formats:
      text   "file:line:col: [R] message" diagnostics (effect paths on an
