@@ -34,16 +34,16 @@ module M : Strategy.S = struct
   let adopt t head =
     t.head <- head;
     t.view <- Window_view.Cache.view t.ctx.views ~head;
-    Buffer_f.refresh t.buffer ~store:t.ctx.store ~view:t.view
+    Buffer_f.prune t.buffer ~store:t.ctx.store ~view:t.view
 
   let learn_fruits t (msgs : Message.t list) =
     List.iter
       (fun (m : Message.t) ->
         match m.payload with
-        | Message.Fruit_announce f -> Buffer_f.add t.buffer ~view:t.view f
+        | Message.Fruit_announce f -> Buffer_f.add t.buffer f
         | Message.Chain_announce { blocks; _ } ->
             List.iter
-              (fun (b : Types.block) -> List.iter (Buffer_f.add t.buffer ~view:t.view) b.fruits)
+              (fun (b : Types.block) -> List.iter (Buffer_f.add t.buffer) b.fruits)
               blocks)
       msgs
 
@@ -69,14 +69,14 @@ module M : Strategy.S = struct
        depends only on the round. *)
     let pointer_now = ref (pointer t) in
     let record = Common.coalition_record t.ctx ~round in
-    let fruits () = if fruitchain then Buffer_f.candidates t.buffer else [] in
+    let fruits () = if fruitchain then Buffer_f.candidates t.buffer ~view:t.view else [] in
     for _ = 1 to Strategy.q_at t.ctx ~round do
       let { Common.fruit; block } =
         Common.mine_once t.ctx ~round ~parent:t.head ~pointer:!pointer_now ~fruits ~record
       in
       (match fruit with
       | Some f when fruitchain ->
-          Buffer_f.add t.buffer ~view:t.view f;
+          Buffer_f.add t.buffer f;
           Common.broadcast_fruit t.ctx ~round f
       | Some _ | None -> ());
       match block with

@@ -87,7 +87,7 @@ module Make (P : PARAMS) : Strategy.S = struct
     t.priv <- head;
     if t.ctx.config.Config.protocol = Config.Fruitchain then begin
       t.view <- Window_view.Cache.view t.ctx.views ~head;
-      Buffer_f.refresh t.buffer ~store:t.ctx.store ~view:t.view
+      Buffer_f.prune t.buffer ~store:t.ctx.store ~view:t.view
     end
 
   let adopt_public t ~round =
@@ -181,14 +181,14 @@ module Make (P : PARAMS) : Strategy.S = struct
        depend only on state fixed before the query loop — hoist them. *)
     let pointer = pointer t in
     let record = Common.coalition_record t.ctx ~round in
-    let fruits () = if fruitchain then Buffer_f.candidates t.buffer else [] in
+    let fruits () = if fruitchain then Buffer_f.candidates t.buffer ~view:t.view else [] in
     for _ = 1 to Strategy.q_at t.ctx ~round do
       let { Common.fruit; block } =
         Common.mine_once t.ctx ~round ~parent:t.priv ~pointer ~fruits ~record
       in
       (match fruit with
       | Some f when fruitchain ->
-          Buffer_f.add t.buffer ~view:t.view f;
+          Buffer_f.add t.buffer f;
           if P.broadcast_fruits then Common.broadcast_fruit t.ctx ~round f
       | Some _ | None -> ());
       match block with

@@ -1,13 +1,6 @@
 open Types
 module Hash = Fruitchain_crypto.Hash
 
-module Hashtbl_h = Hashtbl.Make (struct
-  type t = Hash.t
-
-  let equal = Hash.equal
-  let hash = Hash.hash
-end)
-
 type id = int
 
 (* Arena representation: blocks live in a growable array, densely numbered
@@ -23,14 +16,14 @@ type t = {
   mutable parents : int array;
   mutable heights : int array;
   mutable len : int;
-  ids : id Hashtbl_h.t;
+  ids : id Hash.Tbl.t;
 }
 
 let initial_capacity = 4096
 
 let create () =
-  let ids = Hashtbl_h.create initial_capacity in
-  Hashtbl_h.replace ids genesis.b_hash 0;
+  let ids = Hash.Tbl.create initial_capacity in
+  Hash.Tbl.replace ids genesis.b_hash 0;
   {
     blocks = Array.make initial_capacity genesis;
     parents = Array.make initial_capacity 0;
@@ -41,17 +34,17 @@ let create () =
 
 let genesis_id = 0
 let id_equal = Int.equal
-let find_id t h = Hashtbl_h.find_opt t.ids h
+let find_id t h = Hash.Tbl.find_opt t.ids h
 
 let id t h =
-  match Hashtbl_h.find_opt t.ids h with Some i -> i | None -> raise Not_found
+  match Hash.Tbl.find_opt t.ids h with Some i -> i | None -> raise Not_found
 
 let block_at t i = t.blocks.(i)
 let hash_at t i = t.blocks.(i).b_hash
 let height_at t i = t.heights.(i)
 let parent_id t i = t.parents.(i)
 
-let mem t h = Hashtbl_h.mem t.ids h
+let mem t h = Hash.Tbl.mem t.ids h
 let find t h = match find_id t h with Some i -> Some t.blocks.(i) | None -> None
 let find_exn t h = t.blocks.(id t h)
 let height t h = t.heights.(id t h)
@@ -83,7 +76,7 @@ let add_id t block =
           t.parents.(i) <- p;
           t.heights.(i) <- t.heights.(p) + 1;
           t.len <- i + 1;
-          Hashtbl_h.replace t.ids block.b_hash i;
+          Hash.Tbl.replace t.ids block.b_hash i;
           i)
 
 let add t block = ignore (add_id t block)
@@ -157,18 +150,18 @@ let common_prefix_height_id t a b =
 let common_prefix_height t a b = common_prefix_height_id t (id t a) (id t b)
 
 let recent_fruit_hashes_id t ~head ~window =
-  let acc = Hashtbl.create 64 in
+  let acc = Hash.Tbl.create 64 in
   List.iter
-    (fun i -> List.iter (fun f -> Hashtbl.replace acc f.f_hash ()) t.blocks.(i).fruits)
+    (fun i -> List.iter (fun f -> Hash.Tbl.replace acc f.f_hash ()) t.blocks.(i).fruits)
     (last_n_ids t ~head window);
   acc
 
 let recent_fruit_hashes t ~head ~window = recent_fruit_hashes_id t ~head:(id t head) ~window
 
 let hang_positions_id t ~head ~window =
-  let acc = Hashtbl.create 64 in
+  let acc = Hash.Tbl.create 64 in
   List.iter
-    (fun i -> Hashtbl.replace acc t.blocks.(i).b_hash t.heights.(i))
+    (fun i -> Hash.Tbl.replace acc t.blocks.(i).b_hash t.heights.(i))
     (last_n_ids t ~head window);
   acc
 

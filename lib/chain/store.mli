@@ -50,10 +50,10 @@ val to_list_id : t -> head:id -> block list
     ids are valid by construction, so resolved callers (validation,
     extraction) can list chains without a raising hash lookup. *)
 
-val recent_fruit_hashes_id : t -> head:id -> window:int -> (Hash.t, unit) Hashtbl.t
+val recent_fruit_hashes_id : t -> head:id -> window:int -> unit Hash.Tbl.t
 (** {!recent_fruit_hashes} over an already-resolved head. *)
 
-val hang_positions_id : t -> head:id -> window:int -> (Hash.t, int) Hashtbl.t
+val hang_positions_id : t -> head:id -> window:int -> int Hash.Tbl.t
 (** {!hang_positions} over an already-resolved head. *)
 
 val create : unit -> t
@@ -98,12 +98,12 @@ val common_prefix_height : t -> Hash.t -> Hash.t -> int
 (** Height of the deepest common ancestor of two heads — the paper's common
     prefix measure. Genesis guarantees the result is ≥ 0. *)
 
-val recent_fruit_hashes : t -> head:Hash.t -> window:int -> (Hash.t, unit) Hashtbl.t
+val recent_fruit_hashes : t -> head:Hash.t -> window:int -> unit Hash.Tbl.t
 (** Hashes of all fruits contained in the last [window] blocks of the chain
     at [head]. Used both by miners (duplicate suppression) and by the
     recency validity rule. *)
 
-val hang_positions : t -> head:Hash.t -> window:int -> (Hash.t, int) Hashtbl.t
+val hang_positions : t -> head:Hash.t -> window:int -> int Hash.Tbl.t
 (** Maps the reference of each of the last [window] blocks (and genesis when
     in range) to its height; a fruit is {e recent} w.r.t. [head] iff its
     pointer is a key (§4.1). *)

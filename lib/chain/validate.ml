@@ -35,7 +35,7 @@ let pp_chain_error fmt = function
 (* Is [pointer] the reference of a block in positions [lo .. i-1]?
    [positions] maps block reference -> position. *)
 let recent_enough positions ~pointer ~lo ~hi =
-  match Hashtbl.find_opt positions pointer with
+  match Hash.Tbl.find_opt positions pointer with
   | Some j -> j >= lo && j < hi
   | None -> false
 
@@ -57,8 +57,8 @@ let valid_chain oracle ~recency chain =
   | [] -> Error Not_genesis_rooted
   | first :: _ when not (block_equal first genesis) -> Error Not_genesis_rooted
   | first :: rest ->
-      let positions = Hashtbl.create 64 in
-      Hashtbl.replace positions first.b_hash 0;
+      let positions = Hash.Tbl.create 64 in
+      Hash.Tbl.replace positions first.b_hash 0;
       let rec walk prev position = function
         | [] -> Ok ()
         | b :: tail ->
@@ -69,7 +69,7 @@ let valid_chain oracle ~recency chain =
               match check_fruits_recency ~recency ~positions ~position b with
               | Error _ as e -> e
               | Ok () ->
-                  Hashtbl.replace positions b.b_hash position;
+                  Hash.Tbl.replace positions b.b_hash position;
                   walk b (position + 1) tail
             end
       in

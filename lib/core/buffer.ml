@@ -3,113 +3,86 @@ module Hash = Fruitchain_crypto.Hash
 
 type t = {
   enforce_recency : bool;
-  fruits : (Hash.t, Types.fruit) Hashtbl.t;  (* everything retained *)
-  candidate_set : (Hash.t, Types.fruit) Hashtbl.t;  (* recent ∧ not recorded *)
-  by_pointer : (Hash.t, Hash.t list) Hashtbl.t;  (* hang point -> fruit refs *)
-  mutable sorted : Types.fruit list;  (* cache of [candidates] *)
-  mutable dirty : bool;
+  groups : Types.fruit list Hash.Tbl.t; (* hang point -> the fruits hanging there *)
+  members : unit Hash.Tbl.t; (* every retained fruit *)
+  settled : unit Hash.Tbl.t; (* recency off: recorded below the window since the last prune *)
+  mutable mutations : int;
+  (* The last F′, valid while the view's head and [mutations] are unchanged. *)
+  mutable memo_head : Hash.t;
+  mutable memo_mutations : int;
+  mutable memo : Types.fruit list;
 }
 
 let create ?(enforce_recency = true) () =
   {
     enforce_recency;
-    fruits = Hashtbl.create 256;
-    candidate_set = Hashtbl.create 64;
-    by_pointer = Hashtbl.create 64;
-    sorted = [];
-    dirty = false;
+    groups = Hash.Tbl.create 64;
+    members = Hash.Tbl.create 256;
+    settled = Hash.Tbl.create 16;
+    mutations = 0;
+    memo_head = Hash.zero;
+    memo_mutations = -1;
+    memo = [];
   }
 
-let size t = Hashtbl.length t.fruits
-let mem t h = Hashtbl.mem t.fruits h
+let size t = Hash.Tbl.length t.members
+let mem t h = Hash.Tbl.mem t.members h
+let touch t = t.mutations <- t.mutations + 1
 
-let classify t ~view (f : Types.fruit) =
-  let eligible =
-    ((not t.enforce_recency) || Window_view.is_recent view ~pointer:f.f_header.pointer)
-    && not (Window_view.is_included view ~fruit:f.f_hash)
-  in
-  if eligible then begin
-    if not (Hashtbl.mem t.candidate_set f.f_hash) then begin
-      Hashtbl.replace t.candidate_set f.f_hash f;
-      t.dirty <- true
-    end
-  end
-  else if Hashtbl.mem t.candidate_set f.f_hash then begin
-    Hashtbl.remove t.candidate_set f.f_hash;
-    t.dirty <- true
+let add t (f : Types.fruit) =
+  if not (Hash.Tbl.mem t.members f.f_hash) then begin
+    Hash.Tbl.replace t.members f.f_hash ();
+    let pointer = f.f_header.pointer in
+    let group = Option.value ~default:[] (Hash.Tbl.find_opt t.groups pointer) in
+    Hash.Tbl.replace t.groups pointer (f :: group);
+    touch t
   end
 
-let add t ~view (f : Types.fruit) =
-  if not (Hashtbl.mem t.fruits f.f_hash) then begin
-    Hashtbl.replace t.fruits f.f_hash f;
-    let siblings =
-      Option.value ~default:[] (Hashtbl.find_opt t.by_pointer f.f_header.pointer)
-    in
-    Hashtbl.replace t.by_pointer f.f_header.pointer (f.f_hash :: siblings);
-    classify t ~view f
-  end
-
-let drop t fruit_hash =
-  match Hashtbl.find_opt t.fruits fruit_hash with
+let drop_group t pointer =
+  match Hash.Tbl.find_opt t.groups pointer with
   | None -> ()
-  | Some f ->
-      Hashtbl.remove t.fruits fruit_hash;
-      if Hashtbl.mem t.candidate_set fruit_hash then begin
-        Hashtbl.remove t.candidate_set fruit_hash;
-        t.dirty <- true
-      end;
-      let siblings =
-        Option.value ~default:[] (Hashtbl.find_opt t.by_pointer f.f_header.pointer)
-      in
-      (match List.filter (fun h -> not (Hash.equal h fruit_hash)) siblings with
-      | [] -> Hashtbl.remove t.by_pointer f.f_header.pointer
-      | siblings -> Hashtbl.replace t.by_pointer f.f_header.pointer siblings)
+  | Some group ->
+      List.iter (fun (f : Types.fruit) -> Hash.Tbl.remove t.members f.f_hash) group;
+      Hash.Tbl.remove t.groups pointer;
+      touch t
 
-let refresh t ~store ~view =
-  Hashtbl.reset t.candidate_set;
-  t.dirty <- true;
-  let stale = ref [] in
-  Hashtbl.iter
-    (fun h (f : Types.fruit) ->
-      if t.enforce_recency && Window_view.stale_pointer ~store view ~pointer:f.f_header.pointer
-      then stale := h :: !stale
-      else classify t ~view f)
-    t.fruits;
-  List.iter (drop t) !stale
+let expire t ~view =
+  match Window_view.expired view with
+  | None -> ()
+  | Some (block, recorded) ->
+      if t.enforce_recency then drop_group t block
+      else begin
+        List.iter (fun h -> if mem t h then Hash.Tbl.replace t.settled h ()) recorded;
+        touch t
+      end
 
-let advance t ~view ~block =
-  (* The chain grew by exactly [block] and the window slid accordingly; the
-     candidate set changes only at the edges, no rescan needed. *)
-  List.iter
-    (fun (f : Types.fruit) ->
-      if Hashtbl.mem t.candidate_set f.f_hash then begin
-        Hashtbl.remove t.candidate_set f.f_hash;
-        t.dirty <- true
-      end)
-    block.Types.fruits;
-  if t.enforce_recency then begin
-    match Window_view.expired view with
-    | None -> ()
-    | Some old_block ->
-        (* Fruits hanging from the block that left the window are stale on
-           this chain forever (heights only grow). *)
-        let victims = Option.value ~default:[] (Hashtbl.find_opt t.by_pointer old_block) in
-        List.iter (drop t) victims
+let prune t ~store ~view =
+  Hash.Tbl.reset t.settled;
+  if t.enforce_recency then
+    Hash.Tbl.fold
+      (fun pointer _ stale ->
+        if Window_view.stale_pointer ~store view ~pointer then pointer :: stale else stale)
+      t.groups []
+    |> List.iter (drop_group t);
+  touch t
+
+let candidates t ~view =
+  let head = Window_view.head view in
+  if not (Int.equal t.memo_mutations t.mutations && Hash.equal t.memo_head head) then begin
+    let unrecorded acc (f : Types.fruit) =
+      if Window_view.is_included view ~fruit:f.f_hash || Hash.Tbl.mem t.settled f.f_hash then acc
+      else f :: acc
+    in
+    let fruits =
+      if t.enforce_recency then
+        Window_view.fold_window view ~init:[] ~f:(fun acc pointer ->
+            match Hash.Tbl.find_opt t.groups pointer with
+            | Some group -> List.fold_left unrecorded acc group
+            | None -> acc)
+      else Hash.Tbl.fold (fun _ group acc -> List.fold_left unrecorded acc group) t.groups []
+    in
+    t.memo <- List.sort (fun (a : Types.fruit) b -> Hash.compare a.f_hash b.f_hash) fruits;
+    t.memo_head <- head;
+    t.memo_mutations <- t.mutations
   end;
-  (* Buffered fruits hanging from the new head become recent now. *)
-  let newly_recent =
-    Option.value ~default:[] (Hashtbl.find_opt t.by_pointer block.Types.b_hash)
-  in
-  List.iter
-    (fun h -> match Hashtbl.find_opt t.fruits h with Some f -> classify t ~view f | None -> ())
-    newly_recent
-
-let candidates t =
-  if t.dirty then begin
-    let all = Hashtbl.fold (fun _ f acc -> f :: acc) t.candidate_set [] in
-    t.sorted <- List.sort (fun (a : Types.fruit) b -> Hash.compare a.f_hash b.f_hash) all;
-    t.dirty <- false
-  end;
-  t.sorted
-
-let candidate_count t = Hashtbl.length t.candidate_set
+  t.memo

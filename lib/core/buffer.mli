@@ -8,12 +8,15 @@
     a reorg, the fruit becomes includable again, which is exactly the
     mechanism by which FruitChain neutralizes block-erasing attacks.
 
-    The buffer maintains the candidate set (recent ∧ not recorded)
-    incrementally: candidates are refreshed from the whole buffer only when
-    the owner's chain head moves, and single fruits are classified on
-    arrival; between head moves, mining reads a cached, canonically sorted
-    candidate list. Fruits whose hang point has dropped below the recency
-    window can never be recorded again and are pruned. *)
+    The buffer stores fruits grouped by hang point and keeps nothing per
+    fruit up to date: a player needs F′ only when it mines a block, so
+    {!candidates} derives it on demand from the groups the window names.
+    Arrivals are one insertion; a block leaving the window drops its whole
+    group; a reorg prunes whole groups. Fruits whose hang point has dropped
+    below the recency window can never be recorded again and are pruned.
+
+    All views passed to one buffer must come from one window size (one
+    {!Window_view.Cache}). *)
 
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
@@ -22,30 +25,32 @@ type t
 
 val create : ?enforce_recency:bool -> unit -> t
 (** [enforce_recency] (default [true]) mirrors {!Params.t.enforce_recency}:
-    when off, fruits are never ruled out (or pruned) by pointer age. *)
+    when off, fruits are never ruled out (or pruned) by pointer age, and a
+    fruit seen recorded stays out of F′ after its block leaves the window,
+    until the next {!prune}. *)
 
 val size : t -> int
 (** Fruits currently retained. *)
 
 val mem : t -> Hash.t -> bool
 
-val add : t -> view:Window_view.t -> Types.fruit -> unit
-(** Insert a fruit (idempotent) and classify it against the current view. *)
+val add : t -> Types.fruit -> unit
+(** Insert a fruit into its hang point's group (idempotent). *)
 
-val refresh : t -> store:Store.t -> view:Window_view.t -> unit
-(** Re-classify the whole buffer — the reorg path. Prunes fruits with stale
-    hang points. O(buffer size). *)
+val expire : t -> view:Window_view.t -> unit
+(** The owner's chain grew by one block and [view] is the extended view:
+    drops every fruit hanging from {!Window_view.expired}, which is stale on
+    this chain forever. O(that group). A buffer that follows its chain must
+    see each extended view in turn; anything else goes through {!prune}. *)
 
-val advance : t -> view:Window_view.t -> block:Types.block -> unit
-(** Incremental update for the common case: the owner's chain grew by
-    exactly [block] and [view] is the extended view. Removes the block's
-    fruits from the candidate set, expires fruits hanging from the block
-    that left the window, and admits buffered fruits hanging from the new
-    head. O(affected fruits), not O(buffer). *)
+val prune : t -> store:Store.t -> view:Window_view.t -> unit
+(** The reorg path: drops every group whose hang point is stale w.r.t.
+    [view] ({!Window_view.stale_pointer}). O(groups). *)
 
-val candidates : t -> Types.fruit list
-(** The current F′: buffered fruits that are recent and not recorded,
-    sorted by reference (a canonical order shared by all honest miners).
-    O(1) when nothing changed since the last call. *)
-
-val candidate_count : t -> int
+val candidates : t -> view:Window_view.t -> Types.fruit list
+(** F′ for [view]: buffered fruits hanging from a block in the window (any
+    block when recency is off) and not recorded there, sorted by reference
+    (a canonical order shared by all honest miners). Computed from the
+    window's groups in O(window + their fruits + |F′| log |F′|); a
+    repeated call with the same head and no mutation in between returns
+    the memoized list. *)

@@ -2,14 +2,14 @@ open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 
 let fruits_of_chain chain =
-  let seen = Hashtbl.create 256 in
+  let seen = Hash.Tbl.create 256 in
   let out = ref [] in
   List.iter
     (fun (b : Types.block) ->
       List.iter
         (fun (f : Types.fruit) ->
-          if not (Hashtbl.mem seen f.f_hash) then begin
-            Hashtbl.replace seen f.f_hash ();
+          if not (Hash.Tbl.mem seen f.f_hash) then begin
+            Hash.Tbl.replace seen f.f_hash ();
             out := f :: !out
           end)
         b.fruits)

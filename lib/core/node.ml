@@ -39,35 +39,33 @@ let head t = Store.hash_at t.store t.head_id
 let height t = Store.height_at t.store t.head_id
 let chain t = Store.to_list t.store ~head:(head t)
 let buffer_size t = Buffer.size t.buffer
-let candidate_fruits t = Buffer.candidates t.buffer
+let candidate_fruits t = Buffer.candidates t.buffer ~view:t.view
 let ledger t = Extract.ledger t.store ~head:(head t)
 
 let recency t =
   if t.params.Params.enforce_recency then Some (Params.recency_window t.params) else None
 
 (* Adopting a head that extends the current chain walks the extension
-   block-by-block so the buffer can update incrementally; a genuine reorg
-   (or an extension deeper than the recency window) falls back to a full
-   buffer rescan. *)
+   block-by-block so the buffer sees every block leave the window; a
+   genuine reorg (or an extension deeper than the recency window) prunes
+   the buffer against the new view instead. *)
 let adopt t new_id =
   let bound = Params.recency_window t.params in
   let rec path_to acc i steps =
     if Store.id_equal i t.head_id then Some acc
     else if Int.equal steps 0 || Store.id_equal i Store.genesis_id then None
-    else path_to (Store.block_at t.store i :: acc) (Store.parent_id t.store i) (steps - 1)
+    else path_to (Store.hash_at t.store i :: acc) (Store.parent_id t.store i) (steps - 1)
   in
   (match path_to [] new_id bound with
-  | Some blocks ->
+  | Some heads ->
       List.iter
-        (fun (b : Types.block) ->
-          let view = Window_view.Cache.view t.views ~head:b.b_hash in
-          t.view <- view;
-          Buffer.advance t.buffer ~view ~block:b)
-        blocks
+        (fun head ->
+          t.view <- Window_view.Cache.view t.views ~head;
+          Buffer.expire t.buffer ~view:t.view)
+        heads
   | None ->
-      let view = Window_view.Cache.view t.views ~head:(Store.hash_at t.store new_id) in
-      t.view <- view;
-      Buffer.refresh t.buffer ~store:t.store ~view);
+      t.view <- Window_view.Cache.view t.views ~head:(Store.hash_at t.store new_id);
+      Buffer.prune t.buffer ~store:t.store ~view:t.view);
   t.head_id <- new_id
 
 (* Insert announced blocks parent-first; any invalid block invalidates the
@@ -79,7 +77,7 @@ let receive t oracle (msg : Message.t) =
   match msg.payload with
   | Message.Fruit_announce f ->
       if Validate.valid_fruit oracle f && not (Buffer.mem t.buffer f.f_hash) then begin
-        Buffer.add t.buffer ~view:t.view f;
+        Buffer.add t.buffer f;
         if t.gossip then
           t.pending_relays <-
             Message.fruit_announce ~sender:t.id ~sent_at:msg.sent_at ~relay:true f
@@ -94,7 +92,7 @@ let receive t oracle (msg : Message.t) =
               match Validate.valid_extension oracle t.store ~recency:(recency t) b with
               | Ok () ->
                   Store.add t.store b;
-                  List.iter (Buffer.add t.buffer ~view:t.view) b.fruits;
+                  List.iter (Buffer.add t.buffer) b.fruits;
                   insert rest
               | Error _ -> false
             end
@@ -136,7 +134,7 @@ let finish t ~parent ~pointer ~nonce ~digest ~record ~candidates ~hash ~round ~h
   let fruit =
     if won_fruit then begin
       let f = { Types.f_header = header; f_hash = hash; f_prov = prov } in
-      Buffer.add t.buffer ~view:t.view f;
+      Buffer.add t.buffer f;
       Some f
     end
     else None
@@ -178,7 +176,7 @@ let mine t oracle ~round ~record ~honest =
          and any fixed value is canonical enough. *)
       let candidates, digest =
         if won_block then begin
-          let candidates = Buffer.candidates t.buffer in
+          let candidates = candidate_fruits t in
           (candidates, Validate.fruit_set_digest candidates)
         end
         else ([], Merkle.empty_root)
@@ -191,7 +189,7 @@ let mine t oracle ~round ~record ~honest =
     let parent = head t in
     let nonce = Rng.bits64 t.rng in
     let pointer = pointer_hash t in
-    let candidates = Buffer.candidates t.buffer in
+    let candidates = candidate_fruits t in
     let digest = Validate.fruit_set_digest candidates in
     let header = { Types.parent; pointer; nonce; digest; record } in
     let hash = Oracle.query oracle (Codec.header_bytes header) in

@@ -25,6 +25,8 @@ module Span = struct
         | x :: front -> (x, { front; back = []; length = t.length - 1 }))
 
   let length t = t.length
+
+  let fold t ~init ~f = List.fold_left f (List.fold_left f init t.front) t.back
 end
 
 type t = {
@@ -33,7 +35,7 @@ type t = {
   hangs : int Hmap.t;
   included : int Hmap.t;
   span : Span.t;
-  expired : Hash.t option; (* block that left the window when this view was made *)
+  expired : Span.elt option; (* block that left the window when this view was made *)
 }
 
 let genesis =
@@ -64,7 +66,7 @@ let extend ~window view (block : Types.block) =
   let expired_height = height - window in
   let hangs, included, span, expired =
     if Span.length span > window && expired_height >= 0 then begin
-      let (old_hash, old_fruits), span = Span.pop span in
+      let ((old_hash, old_fruits) as old), span = Span.pop span in
       let hangs =
         match Hmap.find_opt old_hash hangs with
         | Some h when Int.equal h expired_height -> Hmap.remove old_hash hangs
@@ -78,7 +80,7 @@ let extend ~window view (block : Types.block) =
             | _ -> acc)
           included old_fruits
       in
-      (hangs, included, span, Some old_hash)
+      (hangs, included, span, Some old)
     end
     else (hangs, included, span, None)
   in
@@ -107,6 +109,7 @@ let of_chain ~window ~store ~head =
       in
       List.fold_left (fun view b -> extend ~window view b) start (List.tl blocks)
 
+let fold_window view ~init ~f = Span.fold view.span ~init ~f:(fun acc (h, _) -> f acc h)
 let is_recent view ~pointer = Hmap.mem pointer view.hangs
 let is_included view ~fruit = Hmap.mem fruit view.included
 
@@ -122,21 +125,21 @@ let stale_pointer ~store view ~pointer =
 
 module Cache = struct
   type view = t
-  type nonrec t = { window : int; store : Store.t; views : (Hash.t, view) Hashtbl.t }
+  type nonrec t = { window : int; store : Store.t; views : view Hash.Tbl.t }
 
   let create ~window ~store =
-    let views = Hashtbl.create 1024 in
-    Hashtbl.replace views Types.genesis.b_hash genesis;
+    let views = Hash.Tbl.create 1024 in
+    Hash.Tbl.replace views Types.genesis.b_hash genesis;
     { window; store; views }
 
   let view t ~head =
-    match Hashtbl.find_opt t.views head with
+    match Hash.Tbl.find_opt t.views head with
     | Some v -> v
     | None ->
         (* Walk up to the nearest cached ancestor; give up after [window]
            steps and rebuild (deep reorg or cold cache). *)
         let rec ancestors acc h depth =
-          match Hashtbl.find_opt t.views h with
+          match Hash.Tbl.find_opt t.views h with
           | Some v -> Some (v, acc)
           | None when depth > t.window -> None
           | None ->
@@ -150,12 +153,12 @@ module Cache = struct
               List.fold_left
                 (fun view b ->
                   let view = extend ~window:t.window view b in
-                  Hashtbl.replace t.views view.head view;
+                  Hash.Tbl.replace t.views view.head view;
                   view)
                 base blocks
           | None -> of_chain ~window:t.window ~store:t.store ~head
         in
-        Hashtbl.replace t.views head v;
+        Hash.Tbl.replace t.views head v;
         v
 end
 

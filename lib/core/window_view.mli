@@ -22,10 +22,17 @@ val genesis : t
 val head : t -> Hash.t
 val height : t -> int
 
-val expired : t -> Hash.t option
-(** When this view was produced by {!extend}, the reference of the block
-    that fell out of the window in that step (if any). [None] for rebuilt
-    views. Lets buffers expire hanging fruits incrementally. *)
+val expired : t -> (Hash.t * Hash.t list) option
+(** The block that fell out of the window when this view was made — its
+    reference and the references of the fruits it records — or [None] while
+    the chain is still shorter than the window. A view rebuilt by
+    {!of_chain} reports the same block as one derived by {!extend}, so
+    buffers that follow a chain one view at a time see every block leave,
+    exactly once, and can expire what hangs from it. *)
+
+val fold_window : t -> init:'a -> f:('a -> Hash.t -> 'a) -> 'a
+(** Folds over the references of the blocks in the window — exactly the
+    pointers for which {!is_recent} holds — in an unspecified order. *)
 
 val extend : window:int -> t -> Types.block -> t
 (** [extend ~window view block] where [block.parent] is the view's head.

@@ -29,6 +29,13 @@ let suffix64 t = String.get_int64_be t 24
    and immune to polymorphic-hash traversal limits. *)
 let hash t = Int64.to_int (prefix64 t) land max_int
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let threshold p =
   if p <= 0.0 then 0L
   else if p >= 1.0 then -1L (* all ones: every view passes *)

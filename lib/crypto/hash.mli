@@ -27,7 +27,12 @@ val zero : t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-(** For [Hashtbl] keys. *)
+(** The leading eight bytes as a non-negative int: digests are uniform. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by digests, hashed with {!hash} and compared with
+    {!equal}. Every digest-keyed table goes through this instead of the
+    polymorphic [Hashtbl]. *)
 
 val to_hex : t -> string
 val of_hex : string -> t

@@ -29,12 +29,12 @@ let corrupted_at t i =
   if is_corrupt t i then Some 0
   else
     List.fold_left
-      (fun acc (round, party) -> if party = i then Some round else acc)
+      (fun acc (round, party) -> if Int.equal party i then Some round else acc)
       None t.corruption_schedule
 
 let uncorrupted_at t i =
   List.fold_left
-    (fun acc (round, party) -> if party = i then Some round else acc)
+    (fun acc (round, party) -> if Int.equal party i then Some round else acc)
     None t.uncorruption_schedule
 
 let is_corrupt_at t ~round i =
@@ -49,7 +49,7 @@ let is_corrupt_at t ~round i =
           round >= r
           && (match uncorrupted_at t i with None -> true | Some u -> round < u))
 
-let is_ever_corrupt t i = corrupted_at t i <> None
+let is_ever_corrupt t i = Option.is_some (corrupted_at t i)
 
 let corrupt_count_at t ~round =
   match (t.corruption_schedule, t.uncorruption_schedule) with
@@ -60,6 +60,13 @@ let corrupt_count_at t ~round =
         if is_corrupt_at t ~round i then incr count
       done;
       !count
+
+(* Schedules are kept sorted by round, ties broken by the entry's second
+   component. *)
+let by_round compare_second (r1, x1) (r2, x2) =
+  match Int.compare r1 r2 with 0 -> compare_second x1 x2 | c -> c
+
+let distinct xs = Int.equal (List.length (List.sort_uniq Int.compare xs)) (List.length xs)
 
 let make ?(protocol = Fruitchain) ?(engine = Exact) ?(n = 40) ?(rho = 0.0) ?(delta = 2) ?(rounds = 50_000)
     ?(seed = 1L) ?(corruption_schedule = []) ?(uncorruption_schedule = [])
@@ -80,13 +87,13 @@ let make ?(protocol = Fruitchain) ?(engine = Exact) ?(n = 40) ?(rho = 0.0) ?(del
       if party >= n - int_of_float (Float.floor (rho *. float_of_int n)) then
         invalid_arg "Config.make: party is already statically corrupt")
     corruption_schedule;
-  let corruption_schedule = List.sort_uniq compare corruption_schedule in
+  let corruption_schedule = List.sort_uniq (by_round Int.compare) corruption_schedule in
   let parties_seen = List.map snd corruption_schedule in
-  if List.length (List.sort_uniq compare parties_seen) <> List.length parties_seen then
+  if not (distinct parties_seen) then
     invalid_arg "Config.make: a party may be scheduled for corruption only once";
-  let uncorruption_schedule = List.sort_uniq compare uncorruption_schedule in
+  let uncorruption_schedule = List.sort_uniq (by_round Int.compare) uncorruption_schedule in
   let uparties = List.map snd uncorruption_schedule in
-  if List.length (List.sort_uniq compare uparties) <> List.length uparties then
+  if not (distinct uparties) then
     invalid_arg "Config.make: a party may be scheduled for uncorruption only once";
   let static_count = int_of_float (Float.floor (rho *. float_of_int n)) in
   List.iter
@@ -99,7 +106,7 @@ let make ?(protocol = Fruitchain) ?(engine = Exact) ?(n = 40) ?(rho = 0.0) ?(del
         if party >= n - static_count then Some 0
         else
           List.fold_left
-            (fun acc (r, pty) -> if pty = party then Some r else acc)
+            (fun acc (r, pty) -> if Int.equal pty party then Some r else acc)
             None corruption_schedule
       in
       match corrupted_from with
@@ -108,14 +115,14 @@ let make ?(protocol = Fruitchain) ?(engine = Exact) ?(n = 40) ?(rho = 0.0) ?(del
           if round <= r then
             invalid_arg "Config.make: uncorruption must follow corruption")
     uncorruption_schedule;
-  let gossip_schedule = List.sort_uniq compare gossip_schedule in
+  let gossip_schedule = List.sort_uniq (by_round Bool.compare) gossip_schedule in
   List.iter
     (fun (round, _) ->
       if round < 0 || round >= rounds then
         invalid_arg "Config.make: gossip toggle round out of range")
     gossip_schedule;
   let toggle_rounds = List.map fst gossip_schedule in
-  if List.length (List.sort_uniq compare toggle_rounds) <> List.length toggle_rounds then
+  if not (distinct toggle_rounds) then
     invalid_arg "Config.make: contradictory gossip toggles at the same round";
   {
     protocol;

@@ -69,7 +69,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
      round r' on). Explicit workload records take precedence. *)
   let active_probe = ref None in
   let probe_round round =
-    config.Config.probe_interval > 0 && round mod config.Config.probe_interval = 0
+    config.Config.probe_interval > 0 && Int.equal (round mod config.Config.probe_interval) 0
   in
   (* Current relay setting: gossip_toggle events flip it for every live
      fruit node, and nodes respawned by uncorruption inherit it. *)
@@ -81,7 +81,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     (* Scheduled gossip toggles (scenario sugar; no-op for Nakamoto). *)
     List.iter
       (fun (r, on) ->
-        if r = round then begin
+        if Int.equal r round then begin
           gossip_now := on;
           Array.iter
             (fun p -> match p with Fruit node -> Fruit_node.set_gossip node on | _ -> ())
@@ -92,13 +92,13 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
        the node stops acting (its state is the adversary's to use) and its
        query moves into the adversary's budget (Strategy.q_at). *)
     List.iter
-      (fun (r, party) -> if r = round then parties.(party) <- Corrupt)
+      (fun (r, party) -> if Int.equal r round then parties.(party) <- Corrupt)
       config.Config.corruption_schedule;
     (* Uncorruption: the released party re-spawns as a freshly initialized
        honest node (the paper treats it exactly like a new player). *)
     List.iter
       (fun (r, party) ->
-        if r = round then begin
+        if Int.equal r round then begin
           let rng = Rng.split master in
           parties.(party) <-
             (match config.Config.protocol with
@@ -124,7 +124,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
       | (Nak _ | Fruit _) as p ->
           let record =
             let base = workload ~round ~party:i in
-            if String.length base = 0 then Option.value ~default:"" !active_probe else base
+            if Int.equal (String.length base) 0 then Option.value ~default:"" !active_probe else base
           in
           let out =
             match p with
@@ -143,7 +143,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     done;
     Strategy.act strat ~round ~honest_broadcasts:(List.rev !broadcasts);
     Observe.heads obs ~round head_at;
-    if round mod config.Config.snapshot_interval = 0 then begin
+    if Int.equal (round mod config.Config.snapshot_interval) 0 then begin
       let heights =
         Array.map
           (fun p ->
@@ -152,7 +152,7 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
       in
       Observe.snapshot obs ~round heights network
     end;
-    if round mod config.Config.head_snapshot_interval = 0 then begin
+    if Int.equal (round mod config.Config.head_snapshot_interval) 0 then begin
       let heads =
         Array.map
           (fun p ->

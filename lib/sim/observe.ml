@@ -89,7 +89,7 @@ let start t =
 let schedule t ~round =
   let rec emit = function
     | (r, ev, fields) :: rest when r <= round ->
-        if r = round && Scope.tracing t.scope then
+        if Int.equal r round && Scope.tracing t.scope then
           Scope.emit t.scope ev (int "round" round :: fields);
         emit rest
     | pending -> pending
@@ -323,7 +323,7 @@ let close_spans t span =
       Array.iteri
         (fun h (b : Types.block) ->
           Span.block_height span ~id:(short b.Types.b_hash) ~height:h;
-          if b.Types.fruits <> [] then begin
+          if not (List.is_empty b.Types.fruits) then begin
             let stable_round =
               if h + kappa < Array.length chain then mint_round chain.(h + kappa).Types.b_prov
               else -1

@@ -26,7 +26,7 @@ let round_win_prob ~budget ~p =
   else -.Float.expm1 (float_of_int budget *. Float.log1p (-.p))
 
 let validate_power ~n w =
-  if Array.length w <> n then invalid_arg "Sparse.run: power vector length <> n";
+  if not (Int.equal (Array.length w) n) then invalid_arg "Sparse.run: power vector length <> n";
   Array.iter (fun q -> if q < 0 then invalid_arg "Sparse.run: negative power") w;
   if not (Array.exists (fun q -> q > 0) w) then
     invalid_arg "Sparse.run: all-zero power vector"
@@ -56,7 +56,7 @@ let run ~config ?power ?power_schedule
           sched;
         let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) sched in
         let rs = List.map fst sorted in
-        if List.length (List.sort_uniq Int.compare rs) <> List.length rs then
+        if not (Int.equal (List.length (List.sort_uniq Int.compare rs)) (List.length rs)) then
           invalid_arg "Sparse.run: duplicate power change round";
         sorted
   in
@@ -107,7 +107,7 @@ let run ~config ?power ?power_schedule
   let powers = ref power_schedule in
   Observe.start obs;
   let probe_round round =
-    config.Config.probe_interval > 0 && round mod config.Config.probe_interval = 0
+    config.Config.probe_interval > 0 && Int.equal (round mod config.Config.probe_interval) 0
   in
   let head_hash () = Store.hash_at store !head_id in
   let head_height () = Store.height_at store !head_id in
@@ -121,7 +121,7 @@ let run ~config ?power ?power_schedule
   in
   let record_for ~round ~party =
     let base = workload ~round ~party in
-    if String.length base = 0 then Option.value ~default:"" !active_probe else base
+    if Int.equal (String.length base) 0 then Option.value ~default:"" !active_probe else base
   in
   let take_ready round =
     let out = ref [] in
@@ -206,7 +206,7 @@ let run ~config ?power ?power_schedule
     Observe.schedule obs ~round;
     while (match !powers with (r, _) :: _ when r <= round -> true | _ -> false) do
       (match !powers with
-      | (r, w) :: _ when r = round -> apply_power_change ~round w
+      | (r, w) :: _ when Int.equal r round -> apply_power_change ~round w
       | _ -> ());
       powers := List.tl !powers
     done;
@@ -215,7 +215,7 @@ let run ~config ?power ?power_schedule
       Trace.record_probe trace ~record:probe ~round;
       active_probe := Some probe
     end;
-    if round = !next_b then begin
+    if Int.equal round !next_b then begin
       let count = Sampling.binomial_pos sched_rng !budget p in
       next_b := next_win (round + 1) !pb;
       let parent = head_hash () in
@@ -224,14 +224,14 @@ let run ~config ?power ?power_schedule
         mine_block ~round ~parent ~pointer ~sibling:(k > 0)
       done
     end;
-    if fruiting && round = !next_f then begin
+    if fruiting && Int.equal round !next_f then begin
       let count = Sampling.binomial_pos sched_rng !budget pf in
       next_f := next_win (round + 1) !pfr;
       for _ = 1 to count do
         mine_fruit ~round
       done
     end;
-    if round mod config.Config.snapshot_interval = 0 then begin
+    if Int.equal (round mod config.Config.snapshot_interval) 0 then begin
       let height = head_height () in
       let heights =
         Array.init n (fun i ->
@@ -239,7 +239,7 @@ let run ~config ?power ?power_schedule
       in
       Observe.snapshot obs ~round heights network
     end;
-    if round mod config.Config.head_snapshot_interval = 0 then begin
+    if Int.equal (round mod config.Config.head_snapshot_interval) 0 then begin
       let hh = head_hash () in
       let heads =
         Array.init n (fun i ->

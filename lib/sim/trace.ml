@@ -83,7 +83,7 @@ let honest_parties t =
     (List.init t.config.Config.n Fun.id)
 
 let final_head_of t ~party =
-  if Array.length t.final_heads = 0 then invalid_arg "Trace.final_head_of: run not finished";
+  if Int.equal (Array.length t.final_heads) 0 then invalid_arg "Trace.final_head_of: run not finished";
   t.final_heads.(party)
 
 let honest_final_chain t =

@@ -212,13 +212,13 @@ let test_store_fruit_indices () =
   let b2 = mine_block o rng ~parent:b1.Types.b_hash [] in
   Store.add s b2;
   let fruits = Store.recent_fruit_hashes s ~head:b2.Types.b_hash ~window:2 in
-  Alcotest.(check bool) "fruit found in window" true (Hashtbl.mem fruits f1.Types.f_hash);
+  Alcotest.(check bool) "fruit found in window" true (Hash.Tbl.mem fruits f1.Types.f_hash);
   let fruits1 = Store.recent_fruit_hashes s ~head:b2.Types.b_hash ~window:1 in
-  Alcotest.(check bool) "window 1 misses it" false (Hashtbl.mem fruits1 f1.Types.f_hash);
+  Alcotest.(check bool) "window 1 misses it" false (Hash.Tbl.mem fruits1 f1.Types.f_hash);
   let hangs = Store.hang_positions s ~head:b2.Types.b_hash ~window:2 in
   Alcotest.(check bool) "hang positions cover b1,b2" true
-    (Hashtbl.mem hangs b1.Types.b_hash && Hashtbl.mem hangs b2.Types.b_hash);
-  Alcotest.(check bool) "genesis outside window 2" false (Hashtbl.mem hangs Types.genesis_hash)
+    (Hash.Tbl.mem hangs b1.Types.b_hash && Hash.Tbl.mem hangs b2.Types.b_hash);
+  Alcotest.(check bool) "genesis outside window 2" false (Hash.Tbl.mem hangs Types.genesis_hash)
 
 (* --- Snapshot ---------------------------------------------------------- *)
 

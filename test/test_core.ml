@@ -114,8 +114,10 @@ let test_view_extend_tracks_window () =
     (Window_view.is_recent view ~pointer:(List.nth blocks 1).Types.b_hash);
   Alcotest.(check bool) "old inclusion expired" false
     (Window_view.is_included view ~fruit:f.Types.f_hash);
-  Alcotest.(check bool) "expired hash reported" true
-    (Window_view.expired view = Some (List.nth blocks 1).Types.b_hash)
+  Alcotest.(check bool) "expired block reported with its fruits" true
+    (match Window_view.expired view with
+    | Some (h, [ g ]) -> Hash.equal h (List.nth blocks 1).Types.b_hash && Hash.equal g f.Types.f_hash
+    | _ -> false)
 
 let test_view_inclusion_visible () =
   let o = easy_oracle () and rng = Rng.of_seed 2L in
@@ -148,7 +150,15 @@ let test_view_of_chain_matches_extend () =
     blocks;
   Alcotest.(check bool) "inclusion agrees"
     (Window_view.is_included by_extend ~fruit:f.Types.f_hash)
-    (Window_view.is_included by_scan ~fruit:f.Types.f_hash)
+    (Window_view.is_included by_scan ~fruit:f.Types.f_hash);
+  let expired v = Option.map fst (Window_view.expired v) in
+  Alcotest.(check bool) "rebuilt view reports the same expired block" true
+    (Option.equal Hash.equal (expired by_extend) (expired by_scan)
+    && Option.is_some (expired by_scan));
+  let window_of v = List.sort Hash.compare (Window_view.fold_window v ~init:[] ~f:(fun acc h -> h :: acc)) in
+  Alcotest.(check bool) "same window blocks" true
+    (List.equal Hash.equal (window_of by_extend) (window_of by_scan));
+  Alcotest.(check int) "window holds [window] blocks" window (List.length (window_of by_scan))
 
 let test_view_extend_wrong_parent () =
   let o = easy_oracle () and rng = Rng.of_seed 4L in
@@ -189,35 +199,40 @@ let test_buffer_add_and_candidates () =
   let view = Window_view.genesis in
   let f1 = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let f2 = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "elsewhere")) () in
-  Buffer_f.add buf ~view f1;
-  Buffer_f.add buf ~view f2;
+  Buffer_f.add buf f1;
+  Buffer_f.add buf f2;
   Alcotest.(check int) "both retained" 2 (Buffer_f.size buf);
-  Alcotest.(check int) "only recent one a candidate" 1 (Buffer_f.candidate_count buf);
+  Alcotest.(check int) "only recent one a candidate" 1
+    (List.length (Buffer_f.candidates buf ~view));
   Alcotest.(check bool) "candidate is f1" true
-    (Types.fruit_equal (List.hd (Buffer_f.candidates buf)) f1)
+    (Types.fruit_equal (List.hd (Buffer_f.candidates buf ~view)) f1)
 
 let test_buffer_idempotent () =
   let o = easy_oracle () and rng = Rng.of_seed 8L in
   let buf = Buffer_f.create () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
-  Buffer_f.add buf ~view:Window_view.genesis f;
-  Buffer_f.add buf ~view:Window_view.genesis f;
-  Alcotest.(check int) "no duplicate" 1 (Buffer_f.size buf)
+  Buffer_f.add buf f;
+  Buffer_f.add buf f;
+  Alcotest.(check int) "no duplicate" 1 (Buffer_f.size buf);
+  Alcotest.(check int) "one candidate" 1
+    (List.length (Buffer_f.candidates buf ~view:Window_view.genesis))
 
 let test_buffer_candidates_sorted () =
   let o = easy_oracle () and rng = Rng.of_seed 9L in
   let buf = Buffer_f.create () in
   for i = 0 to 9 do
-    Buffer_f.add buf ~view:Window_view.genesis
-      (mine_fruit o rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ())
+    Buffer_f.add buf (mine_fruit o rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ())
   done;
-  let hashes = List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf) in
+  let hashes =
+    List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view:Window_view.genesis)
+  in
   let sorted = List.sort Hash.compare hashes in
+  Alcotest.(check int) "all ten" 10 (List.length hashes);
   Alcotest.(check bool) "canonical order" true (List.equal Hash.equal hashes sorted)
 
-let test_buffer_advance_vs_refresh () =
-  (* After the chain grows by one block, incremental [advance] must leave
-     the candidate set identical to a full [refresh]. *)
+let test_buffer_expire_vs_prune () =
+  (* Following the chain one view at a time with [expire] must leave the
+     buffer, and F′, identical to a full [prune] against the final view. *)
   let o = easy_oracle () and rng = Rng.of_seed 10L in
   let store = Store.create () in
   let window = 2 in
@@ -229,17 +244,17 @@ let test_buffer_advance_vs_refresh () =
   let incremental = Buffer_f.create () in
   let reference = Buffer_f.create () in
   List.iter (fun f ->
-      Buffer_f.add incremental ~view:Window_view.genesis f;
-      Buffer_f.add reference ~view:Window_view.genesis f)
+      Buffer_f.add incremental f;
+      Buffer_f.add reference f)
     fruits;
   let view1 = Window_view.extend ~window Window_view.genesis b1 in
-  Buffer_f.advance incremental ~view:view1 ~block:b1;
-  Buffer_f.refresh reference ~store ~view:view1;
-  let hashes buf = List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf) in
-  Alcotest.(check int) "same candidate count"
-    (Buffer_f.candidate_count reference) (Buffer_f.candidate_count incremental);
+  Buffer_f.expire incremental ~view:view1;
+  Buffer_f.prune reference ~store ~view:view1;
+  let hashes buf view = List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view) in
+  Alcotest.(check int) "recorded fruits are not candidates" 4
+    (List.length (hashes incremental view1));
   Alcotest.(check bool) "same candidates" true
-    (List.equal Hash.equal (hashes reference) (hashes incremental));
+    (List.equal Hash.equal (hashes reference view1) (hashes incremental view1));
   (* Grow twice more so genesis-hanging fruits expire (window 2). *)
   let b2 = mine_block o rng ~parent:b1.Types.b_hash [] in
   Store.add store b2;
@@ -247,23 +262,52 @@ let test_buffer_advance_vs_refresh () =
   Store.add store b3;
   let view2 = Window_view.extend ~window view1 b2 in
   let view3 = Window_view.extend ~window view2 b3 in
-  Buffer_f.advance incremental ~view:view2 ~block:b2;
-  Buffer_f.advance incremental ~view:view3 ~block:b3;
-  Buffer_f.refresh reference ~store ~view:view3;
-  Alcotest.(check int) "expired fruits gone from both" (Buffer_f.candidate_count reference)
-    (Buffer_f.candidate_count incremental);
+  Buffer_f.expire incremental ~view:view2;
+  Buffer_f.expire incremental ~view:view3;
+  Buffer_f.prune reference ~store ~view:view3;
+  Alcotest.(check int) "expired fruits dropped by both" (Buffer_f.size reference)
+    (Buffer_f.size incremental);
+  Alcotest.(check int) "nothing left" 0 (Buffer_f.size incremental);
   Alcotest.(check bool) "still identical" true
-    (List.equal Hash.equal (hashes reference) (hashes incremental))
+    (List.equal Hash.equal (hashes reference view3) (hashes incremental view3))
 
 let test_buffer_recency_disabled () =
   let o = easy_oracle () and rng = Rng.of_seed 11L in
   let store = Store.create () in
   let buf = Buffer_f.create ~enforce_recency:false () in
   let f = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "anywhere")) () in
-  Buffer_f.add buf ~view:Window_view.genesis f;
-  Alcotest.(check int) "unknown pointer still candidate" 1 (Buffer_f.candidate_count buf);
-  Buffer_f.refresh buf ~store ~view:Window_view.genesis;
+  Buffer_f.add buf f;
+  Alcotest.(check int) "unknown pointer still candidate" 1
+    (List.length (Buffer_f.candidates buf ~view:Window_view.genesis));
+  Buffer_f.prune buf ~store ~view:Window_view.genesis;
   Alcotest.(check int) "never pruned" 1 (Buffer_f.size buf)
+
+let test_buffer_recency_disabled_settles () =
+  (* Without recency a fruit seen recorded stays out of F′ after its block
+     leaves the window, until a prune forgets what was seen. *)
+  let o = easy_oracle () and rng = Rng.of_seed 12L in
+  let store = Store.create () in
+  let window = 2 in
+  let buf = Buffer_f.create ~enforce_recency:false () in
+  let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
+  Buffer_f.add buf f;
+  let view =
+    List.fold_left
+      (fun view fruits ->
+        let b = mine_block o rng ~parent:(Window_view.head view) fruits in
+        Store.add store b;
+        let view = Window_view.extend ~window view b in
+        Buffer_f.expire buf ~view;
+        view)
+      Window_view.genesis [ [ f ]; []; [] ]
+  in
+  Alcotest.(check bool) "inclusion has left the window" false
+    (Window_view.is_included view ~fruit:f.Types.f_hash);
+  Alcotest.(check int) "still not a candidate" 0 (List.length (Buffer_f.candidates buf ~view));
+  Buffer_f.prune buf ~store ~view;
+  Alcotest.(check int) "a candidate again after a prune" 1
+    (List.length (Buffer_f.candidates buf ~view));
+  Alcotest.(check int) "never dropped" 1 (Buffer_f.size buf)
 
 (* --- Node (Figure 1) --------------------------------------------------- *)
 
@@ -597,8 +641,10 @@ let () =
           Alcotest.test_case "add and candidates" `Quick test_buffer_add_and_candidates;
           Alcotest.test_case "idempotent add" `Quick test_buffer_idempotent;
           Alcotest.test_case "canonical order" `Quick test_buffer_candidates_sorted;
-          Alcotest.test_case "advance = refresh" `Quick test_buffer_advance_vs_refresh;
+          Alcotest.test_case "expire = prune" `Quick test_buffer_expire_vs_prune;
           Alcotest.test_case "recency disabled" `Quick test_buffer_recency_disabled;
+          Alcotest.test_case "recency disabled settles" `Quick
+            test_buffer_recency_disabled_settles;
         ] );
       ( "node",
         [

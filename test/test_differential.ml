@@ -1,10 +1,11 @@
 (* Differential tests for the hot-path rewrites: the arena Store, the
-   deferred-sampling Oracle, the ring-buffer Network and the C SHA-256
-   block function (with the lean Merkle and Codec paths around it) are each
-   checked against a test-local reference copy of the naive implementation
-   it replaced (hash-table store, per-query view sampling, hashtable-of-lists
-   inboxes with a full sort per drain, pure-OCaml compression, concatenated
-   pre-images, byte-by-byte u64 encoding). The reference modules are the
+   deferred-sampling Oracle, the ring-buffer Network, the C SHA-256 block
+   function (with the lean Merkle and Codec paths around it) and the
+   hang-point fruit buffer are each checked against a test-local reference
+   copy of the naive implementation it replaced (hash-table store,
+   per-query view sampling, hashtable-of-lists inboxes with a full sort per
+   drain, pure-OCaml compression, concatenated pre-images, byte-by-byte u64
+   encoding, an eagerly maintained candidate set). The reference modules are the
    pre-rewrite code kept verbatim modulo observability plumbing; QCheck
    drives both sides with identical inputs — including the same RNG seeds,
    so the draw-for-draw equivalence of the batched oracle is pinned, not
@@ -20,6 +21,8 @@ module Merkle = Fruitchain_crypto.Merkle
 module Rng = Fruitchain_util.Rng
 module Message = Fruitchain_net.Message
 module Network = Fruitchain_net.Network
+module Window_view = Fruitchain_core.Window_view
+module Fruit_buffer = Fruitchain_core.Buffer
 
 (* ------------------------------------------------------------------ *)
 (* Reference store: the pre-arena hash-table representation.           *)
@@ -732,6 +735,253 @@ let codec_differential =
     (QCheck.make ~print:(fun (f : Types.fruit) -> Int64.to_string f.f_header.nonce) gen_fruit)
     (fun f -> String.equal (Codec.fruit_bytes f) (Ref_codec.fruit_bytes f))
 
+(* ------------------------------------------------------------------ *)
+(* Reference fruit buffer: the eager candidate-set classifier. Verbatim *)
+(* except that [Window_view.expired] now also carries the fruits.      *)
+
+module Ref_buffer = struct
+  open Fruitchain_chain
+
+  type t = {
+    enforce_recency : bool;
+    fruits : (Hash.t, Types.fruit) Hashtbl.t;  (* everything retained *)
+    candidate_set : (Hash.t, Types.fruit) Hashtbl.t;  (* recent ∧ not recorded *)
+    by_pointer : (Hash.t, Hash.t list) Hashtbl.t;  (* hang point -> fruit refs *)
+    mutable sorted : Types.fruit list;  (* cache of [candidates] *)
+    mutable dirty : bool;
+  }
+
+  let create ?(enforce_recency = true) () =
+    {
+      enforce_recency;
+      fruits = Hashtbl.create 256;
+      candidate_set = Hashtbl.create 64;
+      by_pointer = Hashtbl.create 64;
+      sorted = [];
+      dirty = false;
+    }
+
+  let size t = Hashtbl.length t.fruits
+  let mem t h = Hashtbl.mem t.fruits h
+
+  let classify t ~view (f : Types.fruit) =
+    let eligible =
+      ((not t.enforce_recency) || Window_view.is_recent view ~pointer:f.f_header.pointer)
+      && not (Window_view.is_included view ~fruit:f.f_hash)
+    in
+    if eligible then begin
+      if not (Hashtbl.mem t.candidate_set f.f_hash) then begin
+        Hashtbl.replace t.candidate_set f.f_hash f;
+        t.dirty <- true
+      end
+    end
+    else if Hashtbl.mem t.candidate_set f.f_hash then begin
+      Hashtbl.remove t.candidate_set f.f_hash;
+      t.dirty <- true
+    end
+
+  let add t ~view (f : Types.fruit) =
+    if not (Hashtbl.mem t.fruits f.f_hash) then begin
+      Hashtbl.replace t.fruits f.f_hash f;
+      let siblings =
+        Option.value ~default:[] (Hashtbl.find_opt t.by_pointer f.f_header.pointer)
+      in
+      Hashtbl.replace t.by_pointer f.f_header.pointer (f.f_hash :: siblings);
+      classify t ~view f
+    end
+
+  let drop t fruit_hash =
+    match Hashtbl.find_opt t.fruits fruit_hash with
+    | None -> ()
+    | Some f ->
+        Hashtbl.remove t.fruits fruit_hash;
+        if Hashtbl.mem t.candidate_set fruit_hash then begin
+          Hashtbl.remove t.candidate_set fruit_hash;
+          t.dirty <- true
+        end;
+        let siblings =
+          Option.value ~default:[] (Hashtbl.find_opt t.by_pointer f.f_header.pointer)
+        in
+        (match List.filter (fun h -> not (Hash.equal h fruit_hash)) siblings with
+        | [] -> Hashtbl.remove t.by_pointer f.f_header.pointer
+        | siblings -> Hashtbl.replace t.by_pointer f.f_header.pointer siblings)
+
+  let refresh t ~store ~view =
+    Hashtbl.reset t.candidate_set;
+    t.dirty <- true;
+    let stale = ref [] in
+    Hashtbl.iter
+      (fun h (f : Types.fruit) ->
+        if t.enforce_recency && Window_view.stale_pointer ~store view ~pointer:f.f_header.pointer
+        then stale := h :: !stale
+        else classify t ~view f)
+      t.fruits;
+    List.iter (drop t) !stale
+
+  let advance t ~view ~block =
+    (* The chain grew by exactly [block] and the window slid accordingly; the
+       candidate set changes only at the edges, no rescan needed. *)
+    List.iter
+      (fun (f : Types.fruit) ->
+        if Hashtbl.mem t.candidate_set f.f_hash then begin
+          Hashtbl.remove t.candidate_set f.f_hash;
+          t.dirty <- true
+        end)
+      block.Types.fruits;
+    if t.enforce_recency then begin
+      match Window_view.expired view with
+      | None -> ()
+      | Some (old_block, _) ->
+          (* Fruits hanging from the block that left the window are stale on
+             this chain forever (heights only grow). *)
+          let victims = Option.value ~default:[] (Hashtbl.find_opt t.by_pointer old_block) in
+          List.iter (drop t) victims
+    end;
+    (* Buffered fruits hanging from the new head become recent now. *)
+    let newly_recent =
+      Option.value ~default:[] (Hashtbl.find_opt t.by_pointer block.Types.b_hash)
+    in
+    List.iter
+      (fun h -> match Hashtbl.find_opt t.fruits h with Some f -> classify t ~view f | None -> ())
+      newly_recent
+
+  let candidates t =
+    if t.dirty then begin
+      let all = Hashtbl.fold (fun _ f acc -> f :: acc) t.candidate_set [] in
+      t.sorted <- List.sort (fun (a : Types.fruit) b -> Hash.compare a.f_hash b.f_hash) all;
+      t.dirty <- false
+    end;
+    t.sorted
+
+  let candidate_count t = Hashtbl.length t.candidate_set
+end
+
+(* Both buffers follow one owner through random operation sequences over
+   a shared store and view cache, the way [Node] drives its buffer: fruits
+   hang from any stored block (fork, stale or in-window) or from an unknown
+   reference; blocks record random fruits, including ones already recorded
+   and ones never buffered; the owner learns a block's fruits before
+   adopting it, walks extensions one view at a time and prunes on anything
+   else (reorgs, deep jumps, moving backwards). After every operation F′ —
+   asked twice, the second time from the memo — and the size must agree.
+   Each operation is three small ints interpreted modulo the current state,
+   so failing sequences shrink. *)
+let buffer_differential =
+  QCheck.Test.make ~name:"hang-point buffer = eager candidate set" ~count:300
+    QCheck.(
+      triple bool (int_range 1 5)
+        (list_of_size Gen.(int_range 1 150) (triple (int_bound 9) small_nat small_nat)))
+    (fun (enforce_recency, window, ops) ->
+      let store = Store.create () in
+      let views = Window_view.Cache.create ~window ~store in
+      let reference = Ref_buffer.create ~enforce_recency () in
+      let buffer = Fruit_buffer.create ~enforce_recency () in
+      let counter = ref 0 in
+      let fresh tag =
+        incr counter;
+        Hash.of_raw (Sha256.digest (Printf.sprintf "%s%d" tag !counter))
+      in
+      let blocks = ref [| Types.genesis |] and pool = ref [||] in
+      let head = ref Types.genesis.b_hash in
+      let view = ref (Window_view.Cache.view views ~head:!head) in
+      let pick arr i = arr.(i mod Array.length arr) in
+      let learn f =
+        Ref_buffer.add reference ~view:!view f;
+        Fruit_buffer.add buffer f
+      in
+      let new_block ~parent sel =
+        let fruits =
+          if Array.length !pool = 0 then []
+          else
+            List.sort_uniq
+              (fun (a : Types.fruit) b -> Hash.compare a.f_hash b.f_hash)
+              (List.filteri
+                 (fun i _ -> i < sel mod 4)
+                 [ pick !pool sel; pick !pool (sel / 3); pick !pool (sel / 7) ])
+        in
+        let header =
+          { Types.parent; pointer = parent; nonce = 0L; digest = Hash.zero; record = "" }
+        in
+        let b = { Types.b_header = header; b_hash = fresh "b"; fruits; b_prov = None } in
+        Store.add store b;
+        blocks := Array.append !blocks [| b |];
+        b
+      in
+      let adopt target =
+        let rec path_to acc h steps =
+          if Hash.equal h !head then Some acc
+          else if steps = 0 || Hash.equal h Types.genesis.b_hash then None
+          else
+            let b = Store.find_exn store h in
+            path_to (b :: acc) b.b_header.parent (steps - 1)
+        in
+        (match path_to [] target window with
+        | Some path ->
+            List.iter
+              (fun (b : Types.block) ->
+                view := Window_view.Cache.view views ~head:b.b_hash;
+                Ref_buffer.advance reference ~view:!view ~block:b;
+                Fruit_buffer.expire buffer ~view:!view)
+              path
+        | None ->
+            view := Window_view.Cache.view views ~head:target;
+            Ref_buffer.refresh reference ~store ~view:!view;
+            Fruit_buffer.prune buffer ~store ~view:!view);
+        head := target
+      in
+      let step (kind, a, b) =
+        match kind with
+        | 0 | 1 | 2 ->
+            let n = Array.length !blocks in
+            let pointer =
+              if a mod (n + 1) = n then fresh "unknown" else (pick !blocks a).b_hash
+            in
+            let header =
+              { Types.parent = !head; pointer; nonce = Int64.of_int b; digest = Hash.zero; record = "" }
+            in
+            let f = { Types.f_header = header; f_hash = fresh "f"; f_prov = None } in
+            pool := Array.append !pool [| f |];
+            (* Some fruits are never announced to the owner, only recorded. *)
+            if b mod 5 <> 0 then learn f
+        | 3 -> if Array.length !pool > 0 then learn (pick !pool a)
+        | 4 | 5 ->
+            let blk = new_block ~parent:!head b in
+            List.iter learn blk.fruits;
+            adopt blk.b_hash
+        | 6 ->
+            let blk = new_block ~parent:(pick !blocks a).b_hash b in
+            if b mod 2 = 0 then List.iter learn blk.fruits
+        | 7 -> adopt (pick !blocks a).b_hash
+        | 8 ->
+            (* Re-adopting the current head: the strategies' rescan path. *)
+            Ref_buffer.refresh reference ~store ~view:!view;
+            Fruit_buffer.prune buffer ~store ~view:!view
+        | _ ->
+            (* Extend the head without learning the block's fruits first,
+               as for a block some other party already put in the store. *)
+            let blk = new_block ~parent:!head (a * 11) in
+            adopt blk.b_hash
+      in
+      let hashes = List.map (fun (f : Types.fruit) -> Hash.to_raw f.f_hash) in
+      let agree () =
+        let expected = hashes (Ref_buffer.candidates reference) in
+        let first = Fruit_buffer.candidates buffer ~view:!view in
+        let again = Fruit_buffer.candidates buffer ~view:!view in
+        List.equal String.equal expected (hashes first)
+        && List.equal String.equal expected (hashes again)
+        && Int.equal (Ref_buffer.candidate_count reference) (List.length expected)
+        && Int.equal (Ref_buffer.size reference) (Fruit_buffer.size buffer)
+        && Array.for_all
+             (fun (f : Types.fruit) ->
+               Bool.equal (Ref_buffer.mem reference f.f_hash) (Fruit_buffer.mem buffer f.f_hash))
+             !pool
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          agree ())
+        ops)
+
 let () =
   Alcotest.run "differential"
     [
@@ -744,6 +994,8 @@ let () =
         ] );
       ( "store",
         [ QCheck_alcotest.to_alcotest store_differential ] );
+      ( "buffer",
+        [ QCheck_alcotest.to_alcotest buffer_differential ] );
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest oracle_differential;

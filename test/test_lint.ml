@@ -53,6 +53,14 @@ let test_r2_net () =
     [ (file, 2, "R2"); (file, 3, "R2"); (file, 4, "R2"); (file, 5, "R2"); (file, 6, "R2") ]
     (Lint.lint_files ~only:[ Lint.R2 ] [ file ])
 
+let test_r2_sim () =
+  (* Schedules, heads and configurations decide every golden table, so
+     lib/sim is in scope for R2 as well. *)
+  let file = fx "lib/sim/r2_bad.ml" in
+  check_diags "poly compare in lib/sim is flagged"
+    [ (file, 2, "R2"); (file, 3, "R2"); (file, 4, "R2"); (file, 5, "R2"); (file, 6, "R2") ]
+    (Lint.lint_files ~only:[ Lint.R2 ] [ file ])
+
 (* --- R3: total validation -------------------------------------------- *)
 
 let test_r3_fires () =
@@ -370,6 +378,7 @@ let () =
           Alcotest.test_case "clean" `Quick test_r2_clean;
           Alcotest.test_case "scoped" `Quick test_r2_scoped;
           Alcotest.test_case "net in scope" `Quick test_r2_net;
+          Alcotest.test_case "sim in scope" `Quick test_r2_sim;
         ] );
       ( "R3 totality",
         [

@@ -87,8 +87,8 @@ let random_chain seed ~length ~pool_size =
   let blocks = go Types.genesis_hash length [] in
   (store, blocks, pool)
 
-let qcheck_buffer_advance_equals_refresh =
-  QCheck.Test.make ~name:"buffer: advance == refresh on random chains" ~count:40
+let qcheck_buffer_expire_equals_prune =
+  QCheck.Test.make ~name:"buffer: expire == prune, random chain" ~count:40
     QCheck.(pair (int_bound 1000) (int_range 1 8))
     (fun (seed, window) ->
       let store, blocks, pool = random_chain seed ~length:10 ~pool_size:12 in
@@ -96,22 +96,25 @@ let qcheck_buffer_advance_equals_refresh =
       let reference = Buffer_f.create () in
       List.iter
         (fun f ->
-          Buffer_f.add incremental ~view:Window_view.genesis f;
-          Buffer_f.add reference ~view:Window_view.genesis f)
+          Buffer_f.add incremental f;
+          Buffer_f.add reference f)
         pool;
       let final_view =
         List.fold_left
           (fun view b ->
             let view = Window_view.extend ~window view b in
-            Buffer_f.advance incremental ~view ~block:b;
+            Buffer_f.expire incremental ~view;
             view)
           Window_view.genesis blocks
       in
-      Buffer_f.refresh reference ~store ~view:final_view;
+      Buffer_f.prune reference ~store ~view:final_view;
       let hashes buf =
-        List.map (fun (f : Types.fruit) -> Hash.to_hex f.f_hash) (Buffer_f.candidates buf)
+        List.map
+          (fun (f : Types.fruit) -> Hash.to_hex f.f_hash)
+          (Buffer_f.candidates buf ~view:final_view)
       in
-      hashes incremental = hashes reference)
+      hashes incremental = hashes reference
+      && Buffer_f.size incremental = Buffer_f.size reference)
 
 let qcheck_window_view_scan_equals_extend =
   QCheck.Test.make ~name:"window view: of_chain == extend chain" ~count:40
@@ -398,7 +401,7 @@ let () =
       ( "randomized",
         List.map QCheck_alcotest.to_alcotest
           [
-            qcheck_buffer_advance_equals_refresh;
+            qcheck_buffer_expire_equals_prune;
             qcheck_window_view_scan_equals_extend;
             qcheck_snapshot_roundtrip;
             qcheck_extract_dedup_invariants;

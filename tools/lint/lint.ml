@@ -165,9 +165,13 @@ let r1_allowlist = [ [ "lib"; "util"; "rng.ml" ]; [ "lib"; "obs"; "clock.ml" ] ]
 (* Directories where polymorphic compare on digest-bearing values is a
    correctness trap. lib/net is included because envelope ordering is the
    delivery-determinism contract: comparing whole messages structurally
-   would make it depend on payload representation. *)
+   would make it depend on payload representation. lib/sim is included
+   because it orders schedules and compares heads and configurations that
+   every golden table depends on. *)
 let r2_dirs =
-  [ [ "lib"; "chain" ]; [ "lib"; "crypto" ]; [ "lib"; "core" ]; [ "lib"; "net" ] ]
+  [
+    [ "lib"; "chain" ]; [ "lib"; "crypto" ]; [ "lib"; "core" ]; [ "lib"; "net" ]; [ "lib"; "sim" ];
+  ]
 
 (* Hot validation paths that must stay total ([result], never [raise]). *)
 let r3_files = [ [ "lib"; "chain"; "validate.ml" ]; [ "lib"; "core"; "extract.ml" ] ]
