@@ -16,6 +16,7 @@ module Pool = Fruitchain_util.Pool
 module Metrics = Fruitchain_obs.Metrics
 module Scope = Fruitchain_obs.Scope
 module Tracer = Fruitchain_obs.Tracer
+module Flight = Fruitchain_obs.Flight
 module Runs = Fruitchain_experiments.Runs
 module Config = Fruitchain_sim.Config
 module Engine = Fruitchain_sim.Engine
@@ -23,25 +24,33 @@ module Sparse = Fruitchain_sim.Sparse
 
 (* `golden_gen scenario FILE` pins the canonical re-serialization and the
    trial table; `golden_gen scenario-metrics FILE` pins the golden metric
-   dump of the same run. Both at jobs=2, like the experiment goldens. *)
-let scenario_golden ~dump file =
+   dump of the same run; `golden_gen scenario-trace FILE` pins its JSONL
+   trace, observed as the CLI observes it (metrics, tracer and flight
+   recorder). All at jobs=2, like the experiment goldens. *)
+let scenario_golden ~artifact file =
   match Loader.load file with
   | Error diags ->
       List.iter (fun d -> prerr_endline (Loader.to_string_diag d)) diags;
       exit 2
-  | Ok s ->
+  | Ok s -> (
       let registry = Metrics.create () in
-      Pool.set_scope (Scope.make ~metrics:registry ());
+      let tracer, flight =
+        match artifact with
+        | `Trace -> (Some (Tracer.buffer ()), Some (Flight.create ~prefix:"golden-flight-" ()))
+        | `Table | `Metrics -> (None, None)
+      in
+      Pool.set_scope (Scope.make ~metrics:registry ?tracer ?flight ());
       let trials =
         Fun.protect
           ~finally:(fun () -> Pool.set_scope Scope.null)
           (fun () -> Driver.run_trials s)
       in
-      if dump then print_endline (Metrics.dump registry)
-      else begin
-        print_endline (Scenario.to_string s);
-        print_string (Fruitchain_util.Table.to_string (Driver.table s trials))
-      end
+      match artifact with
+      | `Metrics -> print_endline (Metrics.dump registry)
+      | `Trace -> Option.iter (fun tr -> List.iter print_endline (Tracer.lines tr)) tracer
+      | `Table ->
+          print_endline (Scenario.to_string s);
+          print_string (Fruitchain_util.Table.to_string (Driver.table s trials)))
 
 (* `golden_gen analyze FILE` pins the fruittrace analyzer's rendering of a
    committed mini-trace: any drift in the span schema, the percentile
@@ -98,10 +107,13 @@ let () =
   | [ _; "metrics"; p ] -> sim_golden ~engine:(plane p) ~dump:true
   | [ _; "scenario"; file ] ->
       Pool.set_default_jobs 2;
-      scenario_golden ~dump:false file
+      scenario_golden ~artifact:`Table file
   | [ _; "scenario-metrics"; file ] ->
       Pool.set_default_jobs 2;
-      scenario_golden ~dump:true file
+      scenario_golden ~artifact:`Metrics file
+  | [ _; "scenario-trace"; file ] ->
+      Pool.set_default_jobs 2;
+      scenario_golden ~artifact:`Trace file
   | [ _; "analyze"; file ] -> analyze_golden file
   | [ _; id ] -> (
       Pool.set_default_jobs 2;
@@ -114,5 +126,5 @@ let () =
   | _ ->
       prerr_endline
         "usage: golden_gen EXX | golden_gen (trace|metrics) (exact|sparse) | golden_gen \
-         scenario[-metrics] FILE | golden_gen analyze FILE";
+         scenario[-metrics|-trace] FILE | golden_gen analyze FILE";
       exit 2
