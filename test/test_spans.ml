@@ -1,6 +1,6 @@
 (* fruittrace span suite.
 
-   Three contracts from the observability layer (lib/obs/span.ml +
+   Four contracts from the observability layer (lib/obs/span.ml +
    lib/sim/observe.ml, the one module both engines report through):
 
    1. Span-bearing traces are jobs-invariant. test_determinism.ml already
@@ -21,7 +21,11 @@
    3. The analyzer is a pure function of the trace bytes: summarizing the
       same lines twice is byte-identical, and `Analyze.diff` of a summary
       with itself is empty — the property the CI jobs-axis `--diff` check
-      builds on. *)
+      builds on.
+
+   4. Every minted fruit and block closes exactly one span of its own
+      entity, also when one oracle query wins both difficulties and the
+      fruit and the block share a digest. *)
 
 module Exp = Fruitchain_experiments.Exp
 module Registry = Fruitchain_experiments.Registry
@@ -35,6 +39,8 @@ module Analyze = Fruitchain_obs.Analyze
 module Config = Fruitchain_sim.Config
 module Engine = Fruitchain_sim.Engine
 module Sparse = Fruitchain_sim.Sparse
+module Loader = Fruitchain_scenario.Loader
+module Driver = Fruitchain_scenario.Driver
 
 let observe ~jobs (module E : Exp.EXPERIMENT) =
   Pool.set_default_jobs jobs;
@@ -205,6 +211,67 @@ let test_analyze_purity () =
   Alcotest.(check string) "render derives from the summary deterministically"
     (Analyze.render first) (Analyze.render second)
 
+(* --- One span per minted entity ----------------------------------------- *)
+
+(* The trace's runs, each as its (kind, hash) mints and its fruit/block
+   (entity, id) span closes. *)
+let mints_and_closes lines =
+  let runs, last =
+    List.fold_left
+      (fun (runs, ((mints, closes) as run)) line ->
+        match Json.of_string line with
+        | Error _ -> (runs, run)
+        | Ok doc -> (
+            let get key =
+              Option.value ~default:"" (Option.bind (Json.member key doc) Json.to_str)
+            in
+            match (get "ev", get "entity") with
+            | "run.start", _ -> (run :: runs, ([], []))
+            | "mint", _ -> (runs, ((get "kind", get "hash") :: mints, closes))
+            | "span.close", ("fruit" | "block") ->
+                (runs, (mints, (get "entity", get "id") :: closes))
+            | _ -> (runs, run)))
+      ([], ([], []))
+      lines
+  in
+  List.filter (fun (mints, _) -> not (List.is_empty mints)) (last :: runs)
+
+(* partition_small, trial 1: party 1 wins a fruit and a block with one
+   query at round 799, so both carry the digest 006e7cbc588c34b8. *)
+let test_one_span_per_mint () =
+  let s =
+    match Loader.load "fixtures/scenarios/partition_small.json" with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "fixture scenario must load"
+  in
+  Pool.set_default_jobs 1;
+  let tracer = Tracer.buffer () in
+  Pool.set_scope (Scope.make ~tracer ());
+  Fun.protect
+    ~finally:(fun () -> Pool.set_scope Scope.null)
+    (fun () -> ignore (Driver.run_trials s));
+  let runs = mints_and_closes (Tracer.lines tracer) in
+  Alcotest.(check int) "both trials minted" 2 (List.length runs);
+  List.iter
+    (fun (mints, closes) ->
+      Alcotest.(check int) "each (entity, id) closes once"
+        (List.length closes)
+        (List.length (List.sort_uniq compare closes));
+      List.iter
+        (fun (kind, hash) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "minted %s %s closes a %s span" kind hash kind)
+            true (List.mem (kind, hash) closes))
+        mints)
+    runs;
+  Alcotest.(check bool) "a fruit and a block share a digest" true
+    (List.exists
+       (fun (mints, _) ->
+         List.exists
+           (fun (kind, hash) -> String.equal kind "fruit" && List.mem ("block", hash) mints)
+           mints)
+       runs)
+
 let () =
   Alcotest.run "spans"
     [
@@ -220,4 +287,6 @@ let () =
         ] );
       ( "analyzer purity",
         [ Alcotest.test_case "summarize/diff/render" `Quick test_analyze_purity ] );
+      ( "entity identity",
+        [ Alcotest.test_case "one span per minted entity" `Quick test_one_span_per_mint ] );
     ]
