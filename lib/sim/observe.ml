@@ -7,6 +7,7 @@
    test_spans.ml holds the field sets equal. *)
 
 open Fruitchain_chain
+module Hash = Fruitchain_crypto.Hash
 module Oracle = Fruitchain_crypto.Oracle
 module Network = Fruitchain_net.Network
 module Message = Fruitchain_net.Message
@@ -50,7 +51,10 @@ let create ~scope ~config ~store =
     config;
     store;
     trace = Trace.create ~scope ~config ~store ();
-    spans = (if tracing then Some (Span.create ~scope ()) else None);
+    spans =
+      (if tracing then
+         Some (Span.create ~scope ~render:(fun raw -> Trace.short_hex (Hash.of_digest raw)) ())
+       else None);
     scheduled;
     watch =
       lazy
@@ -100,25 +104,15 @@ let next_scheduled t = match t.scheduled with (r, _, _) :: _ -> r | [] -> max_in
 
 (* --- Spans: every mark opens its entity lazily from provenance --------- *)
 
-let short = Trace.short_hex
+(* Span ids are raw digests; the tracker renders one, as [Trace.short_hex],
+   when its span opens. *)
+let key = Hash.to_raw
 
 let open_fruit span (f : Types.fruit) =
   match f.Types.f_prov with
   | Some pr ->
-      Span.fruit span ~id:(short f.Types.f_hash) ~round:pr.Types.round ~miner:pr.Types.miner
+      Span.fruit span ~id:(key f.Types.f_hash) ~round:pr.Types.round ~miner:pr.Types.miner
         ~honest:pr.Types.honest
-  | None -> ()
-
-let open_block t span (b : Types.block) =
-  match b.Types.b_prov with
-  | Some pr ->
-      let height =
-        match Store.find_id t.store b.Types.b_hash with
-        | Some id -> Store.height_at t.store id
-        | None -> -1
-      in
-      Span.block span ~id:(short b.Types.b_hash) ~round:pr.Types.round ~miner:pr.Types.miner
-        ~honest:pr.Types.honest ~height
   | None -> ()
 
 let reference_fruits span (b : Types.block) =
@@ -126,8 +120,27 @@ let reference_fruits span (b : Types.block) =
   List.iter
     (fun (f : Types.fruit) ->
       open_fruit span f;
-      Span.fruit_referenced span ~id:(short f.Types.f_hash) ~round:bround)
+      Span.fruit_referenced span ~id:(key f.Types.f_hash) ~round:bround)
     b.Types.fruits
+
+(* Opens the block's span and its fruits', and marks the fruits referenced
+   at the block's mint round, on the first sighting only: every later
+   sighting carries the same fruits and the same round, and marks keep the
+   earliest round. A block without provenance opens no span; its fruits
+   are opened on every sighting, which opening makes idempotent. *)
+let sight_block t span (b : Types.block) =
+  match b.Types.b_prov with
+  | Some pr ->
+      let height =
+        match Store.find_id t.store b.Types.b_hash with
+        | Some id -> Store.height_at t.store id
+        | None -> -1
+      in
+      if
+        Span.block span ~id:(key b.Types.b_hash) ~round:pr.Types.round ~miner:pr.Types.miner
+          ~honest:pr.Types.honest ~height
+      then reference_fruits span b
+  | None -> List.iter (open_fruit span) b.Types.fruits
 
 (* --- Exact plane -------------------------------------------------------- *)
 
@@ -152,12 +165,7 @@ let minted t ~round ~miner msgs =
           if not m.Message.relay then
             match m.Message.payload with
             | Message.Fruit_announce f -> open_fruit span f
-            | Message.Chain_announce { blocks; _ } ->
-                List.iter
-                  (fun b ->
-                    open_block t span b;
-                    reference_fruits span b)
-                  blocks)
+            | Message.Chain_announce { blocks; _ } -> List.iter (sight_block t span) blocks)
         msgs
 
 let incoming t ~round msgs =
@@ -169,13 +177,12 @@ let incoming t ~round msgs =
           match m.Message.payload with
           | Message.Fruit_announce f ->
               open_fruit span f;
-              Span.fruit_gossiped span ~id:(short f.Types.f_hash) ~round
+              Span.fruit_gossiped span ~id:(key f.Types.f_hash) ~round
           | Message.Chain_announce { blocks; _ } ->
               List.iter
                 (fun (b : Types.block) ->
-                  open_block t span b;
-                  Span.block_delivered span ~id:(short b.Types.b_hash) ~round ~count:1;
-                  reference_fruits span b)
+                  sight_block t span b;
+                  Span.block_delivered span ~id:(key b.Types.b_hash) ~round ~count:1)
                 blocks)
         msgs
 
@@ -215,7 +222,7 @@ let heads t ~round head =
                 [ int "round" round; int "party" i; int "depth" depth; int "height" height ]
           end;
           Option.iter
-            (fun span -> Span.block_adopted span ~id:(short (Store.hash_at store h)) ~round)
+            (fun span -> Span.block_adopted span ~id:(key (Store.hash_at store h)) ~round)
             t.spans;
           prev_head.(i) <- h;
           prev_height.(i) <- height;
@@ -239,7 +246,7 @@ let fruit_mined t (f : Types.fruit) =
   Option.iter
     (fun span ->
       open_fruit span f;
-      Span.fruit_gossiped span ~id:(short f.Types.f_hash)
+      Span.fruit_gossiped span ~id:(key f.Types.f_hash)
         ~round:(mint_round f.Types.f_prov + t.config.Config.delta))
     t.spans
 
@@ -247,12 +254,11 @@ let block_mined t ~sibling (b : Types.block) =
   record_mint t `Block b.Types.b_hash b.Types.b_prov;
   Option.iter
     (fun span ->
-      open_block t span b;
-      let id = short b.Types.b_hash and round = mint_round b.Types.b_prov in
+      sight_block t span b;
+      let id = key b.Types.b_hash and round = mint_round b.Types.b_prov in
       Span.block_delivered span ~id ~round:(round + t.config.Config.delta)
         ~count:(t.config.Config.n - 1);
-      if not sibling then Span.block_adopted span ~id ~round;
-      reference_fruits span b)
+      if not sibling then Span.block_adopted span ~id ~round)
     t.spans
 
 (* --- Both planes -------------------------------------------------------- *)
@@ -322,7 +328,7 @@ let close_spans t span =
       let chain = Array.of_list (Trace.honest_final_chain t.trace) in
       Array.iteri
         (fun h (b : Types.block) ->
-          Span.block_height span ~id:(short b.Types.b_hash) ~height:h;
+          Span.block_height span ~id:(key b.Types.b_hash) ~height:h;
           if not (List.is_empty b.Types.fruits) then begin
             let stable_round =
               if h + kappa < Array.length chain then mint_round chain.(h + kappa).Types.b_prov
@@ -332,7 +338,7 @@ let close_spans t span =
             if stable_round >= 0 then
               List.iter
                 (fun (f : Types.fruit) ->
-                  Span.fruit_stable span ~id:(short f.Types.f_hash) ~round:stable_round)
+                  Span.fruit_stable span ~id:(key f.Types.f_hash) ~round:stable_round)
                 b.Types.fruits
           end)
         chain);

@@ -1,6 +1,7 @@
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 module Vec = Fruitchain_util.Vec
+module Hex = Fruitchain_util.Hex
 module Scope = Fruitchain_obs.Scope
 module Json = Fruitchain_obs.Json
 
@@ -43,7 +44,7 @@ let scope t = t.scope
 
 (* Short hash prefix for trace lines: enough to correlate events within a
    run without 64-character lines. *)
-let short_hex h = String.sub (Hash.to_hex h) 0 16
+let short_hex h = Hex.encode (String.sub (Hash.to_raw h) 0 8)
 
 let record_event t e =
   Vec.push t.events e;

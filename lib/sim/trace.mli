@@ -33,7 +33,8 @@ val scope : t -> Fruitchain_obs.Scope.t
     tracer/metrics without threading another value. *)
 
 val short_hex : Hash.t -> string
-(** 16-hex-char prefix — the entity id used in trace events and spans. *)
+(** The first 8 bytes in hex (16 chars) — the entity id used in trace
+    events and spans. Renders only those bytes. *)
 
 (** {1 Recording (engine/strategy side)} *)
 

@@ -197,6 +197,30 @@ let test_round_loop_allocation () =
     (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 16600)" fruitchain)
     true (fruitchain < 16600.)
 
+(* The tracing share of a run's allocation: the bytes per round a
+   buffering tracer adds over a metrics-only scope on one partition_small
+   trial (spans, mints, snapshots and reorgs through a partition and its
+   heal). Rendering a span's id once, when it opens, instead of at every
+   hook, took it from ~3430 to ~1320 B/round; the bound keeps 1.5x
+   headroom over the latter. *)
+let traced_alloc_per_round () =
+  Pool.set_default_jobs 1;
+  let s = scenario_fixture () in
+  let alloc scope =
+    let before = Gc.allocated_bytes () in
+    ignore (Driver.run ~scope s);
+    Gc.allocated_bytes () -. before
+  in
+  let metrics_only = alloc (Scope.make ~metrics:(Metrics.create ()) ()) in
+  let traced = alloc (Scope.make ~metrics:(Metrics.create ()) ~tracer:(Tracer.buffer ()) ()) in
+  (traced -. metrics_only) /. float_of_int s.Scenario.rounds
+
+let test_tracing_allocation () =
+  let per_round = traced_alloc_per_round () in
+  Alcotest.(check bool)
+    (Printf.sprintf "tracer over metrics-only: %.0f B/round (bound 2000)" per_round)
+    true (per_round < 2000.)
+
 let () =
   Alcotest.run "determinism"
     [
@@ -232,5 +256,6 @@ let () =
         [
           Alcotest.test_case "100k-round sweep jobs 1 == 4" `Slow test_soak_jobs_invariance;
           Alcotest.test_case "round-loop allocation bound" `Slow test_round_loop_allocation;
+          Alcotest.test_case "tracing allocation bound" `Slow test_tracing_allocation;
         ] );
     ]
