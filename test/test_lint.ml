@@ -61,6 +61,15 @@ let test_r2_sim () =
     [ (file, 2, "R2"); (file, 3, "R2"); (file, 4, "R2"); (file, 5, "R2"); (file, 6, "R2") ]
     (Lint.lint_files ~only:[ Lint.R2 ] [ file ])
 
+let test_r2_adversary () =
+  (* Strategies mine and compare heads, heights and protocol tags on the
+     same hot path as the honest node, so lib/adversary (and lib/nakamoto)
+     are in scope for R2 too. *)
+  let file = fx "lib/adversary/r2_bad.ml" in
+  check_diags "poly compare in lib/adversary is flagged"
+    [ (file, 2, "R2"); (file, 3, "R2"); (file, 4, "R2"); (file, 5, "R2"); (file, 6, "R2") ]
+    (Lint.lint_files ~only:[ Lint.R2 ] [ file ])
+
 (* --- R3: total validation -------------------------------------------- *)
 
 let test_r3_fires () =
@@ -379,6 +388,7 @@ let () =
           Alcotest.test_case "scoped" `Quick test_r2_scoped;
           Alcotest.test_case "net in scope" `Quick test_r2_net;
           Alcotest.test_case "sim in scope" `Quick test_r2_sim;
+          Alcotest.test_case "adversary in scope" `Quick test_r2_adversary;
         ] );
       ( "R3 totality",
         [

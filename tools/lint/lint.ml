@@ -7,9 +7,10 @@
          outside lib/util/rng.ml and the allowlist — all randomness must
          flow through Fruitchain_util.Rng split streams.
      R2  no polymorphic compare/equality (=, <>, ==, !=, compare) in
-         lib/chain/, lib/crypto/, lib/core/, lib/net/ — structural compare
-         on digests and mutable state is a correctness trap (in lib/net it
-         once ordered envelopes with polymorphic compare over messages).
+         lib/chain/, lib/crypto/, lib/core/, lib/net/, lib/sim/,
+         lib/adversary/, lib/nakamoto/ — structural compare on digests
+         and mutable state is a correctness trap (in lib/net it once
+         ordered envelopes with polymorphic compare over messages).
      R3  total validation: no failwith/invalid_arg/raise/assert in
          lib/chain/validate.ml and lib/core/extract.ml — hot validation
          paths must return [result].
@@ -95,7 +96,9 @@ let rule_of_string = function
    metadata and by --help. *)
 let rule_doc = function
   | R1 -> "determinism: all randomness flows through Fruitchain_util.Rng split streams"
-  | R2 -> "no polymorphic compare/equality in lib/chain, lib/crypto, lib/core, lib/net"
+  | R2 ->
+      "no polymorphic compare/equality in lib/chain, lib/crypto, lib/core, lib/net, lib/sim, \
+       lib/adversary, lib/nakamoto"
   | R3 -> "total validation: no raise forms in lib/chain/validate.ml and lib/core/extract.ml"
   | R4 -> "interface completeness: every .ml under lib/ has a matching .mli"
   | R5 -> "concurrency confinement: Domain/Atomic/Mutex/Condition only in lib/util/pool.ml"
@@ -167,10 +170,18 @@ let r1_allowlist = [ [ "lib"; "util"; "rng.ml" ]; [ "lib"; "obs"; "clock.ml" ] ]
    delivery-determinism contract: comparing whole messages structurally
    would make it depend on payload representation. lib/sim is included
    because it orders schedules and compares heads and configurations that
-   every golden table depends on. *)
+   every golden table depends on. lib/adversary and lib/nakamoto are
+   included because they mine: they compare heads, heights and protocol
+   tags on the same hot path as lib/core's node. *)
 let r2_dirs =
   [
-    [ "lib"; "chain" ]; [ "lib"; "crypto" ]; [ "lib"; "core" ]; [ "lib"; "net" ]; [ "lib"; "sim" ];
+    [ "lib"; "chain" ];
+    [ "lib"; "crypto" ];
+    [ "lib"; "core" ];
+    [ "lib"; "net" ];
+    [ "lib"; "sim" ];
+    [ "lib"; "adversary" ];
+    [ "lib"; "nakamoto" ];
   ]
 
 (* Hot validation paths that must stay total ([result], never [raise]). *)
