@@ -84,7 +84,7 @@ module Make (P : PARAMS) : Strategy.S = struct
       | Some s ->
           (* Extend the fork; the first fork block re-confirms the whale. *)
           let record = if s.captured then "" else s.target_record in
-          let { Common.block; _ } =
+          let { Mine.block; _ } =
             Common.mine_once t.ctx ~round ~parent:s.tip ~pointer:s.tip ~fruits:(fun () -> []) ~record
           in
           (match block with
@@ -101,7 +101,7 @@ module Make (P : PARAMS) : Strategy.S = struct
       | None ->
           (* Honest mining on the public tip, confirming the current record. *)
           let record = Common.coalition_record t.ctx ~round in
-          let { Common.block; _ } =
+          let { Mine.block; _ } =
             Common.mine_once t.ctx ~round ~parent:t.pub_head ~pointer:t.pub_head ~fruits:(fun () -> [])
               ~record
           in

@@ -54,15 +54,16 @@ val ledger : t -> string list
 
 val receive : t -> Oracle.t -> Message.t -> unit
 
-type mined = {
+type mined = Mine.mined = {
   fruit : Types.fruit option;
   block : Types.block option;  (** Both set when one query won both PoWs. *)
 }
 
 val mine : t -> Oracle.t -> round:int -> record:string -> honest:bool -> mined
-(** The node's single mining query for this round. Local state (buffer,
-    chain, head) is already updated for anything returned; the caller is
-    responsible for broadcasting. *)
+(** The node's single mining query for this round: {!Mine.mine} over its
+    head, its h′ and its F′. Local state (buffer, chain, head) is already
+    updated for anything returned; the caller is responsible for
+    broadcasting. *)
 
 val step :
   t -> Oracle.t -> round:int -> record:string -> incoming:Message.t list ->

@@ -242,4 +242,3 @@ let p t = t.p
 let pf t = t.pf
 let mined_block t h = Int64.unsigned_compare (Hash.prefix64 h) t.block_limit < 0
 let mined_fruit t h = Int64.unsigned_compare (Hash.suffix64 h) t.fruit_limit < 0
-let is_sim t = match t.backend with Real -> false | Sim _ -> true

@@ -82,7 +82,10 @@ val needs_input : t -> bool
 (** Whether the oracle reads its pre-image at all: [true] for the real
     backend and for memoized simulation, [false] for plain simulation —
     in which case callers may pass [""] and skip serializing the header
-    they are mining on. *)
+    they are mining on. It has two readers: [Chain.Mine], which builds a
+    mined header before the query only when this holds, and
+    [Chain.Validate], which serializes a header for [verify] only when it
+    holds. *)
 
 val verify : t -> string -> Hash.t -> bool
 (** [H.ver]: does this input evaluate to this digest? Not counted. *)
@@ -108,10 +111,3 @@ val mined_block : t -> Hash.t -> bool
 
 val mined_fruit : t -> Hash.t -> bool
 (** [mined_fruit o h] is [Hash.meets_fruit_difficulty h ~pf:(pf o)]. *)
-
-val is_sim : t -> bool
-(** [true] for the sampling backend. Nodes use this to skip constructing the
-    full oracle pre-image (in particular the Merkle digest of the candidate
-    fruit set) when the backend ignores its input anyway; the digest is then
-    computed only for objects actually mined. This is purely a performance
-    dodge — the protocol logic is identical under both backends. *)

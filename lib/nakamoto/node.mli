@@ -42,9 +42,11 @@ val receive : t -> Oracle.t -> Message.t -> unit
 
 val mine :
   t -> Oracle.t -> round:int -> record:string -> honest:bool -> Types.block option
-(** The node's one mining query for this round. On success the block is
-    appended locally and returned for broadcast; provenance is stamped with
-    [(id, round, honest)] for the metrics layer. *)
+(** The node's one mining query for this round: {!Fruitchain_chain.Mine.mine}
+    over its head, with [pointer = parent] and no fruits (a fruit the query
+    wins is discarded). On success the block is appended locally and
+    returned for broadcast; provenance is stamped with [(id, round, honest)]
+    for the metrics layer. *)
 
 val step :
   t -> Oracle.t -> round:int -> record:string -> incoming:Message.t list ->

@@ -1,13 +1,14 @@
 (* Differential tests for the hot-path rewrites: the arena Store, the
    deferred-sampling Oracle, the ring-buffer Network, the C SHA-256 block
    function (with the lean Merkle and Codec paths around it), the
-   hang-point fruit buffer and the digest-keyed span marking are each
-   checked against a test-local reference copy of the naive implementation
-   it replaced (hash-table store, per-query view sampling,
-   hashtable-of-lists inboxes with a full sort per drain, pure-OCaml
-   compression, concatenated pre-images, byte-by-byte u64 encoding, an
-   eagerly maintained candidate set, hex-keyed spans re-marked on every
-   delivery). The reference modules are the pre-rewrite code kept verbatim
+   hang-point fruit buffer, the digest-keyed span marking and the shared
+   mining step are each checked against a test-local reference copy of
+   the implementation it replaced (hash-table store, per-query view
+   sampling, hashtable-of-lists inboxes with a full sort per drain,
+   pure-OCaml compression, concatenated pre-images, byte-by-byte u64
+   encoding, an eagerly maintained candidate set, hex-keyed spans re-marked
+   on every delivery, the coalition's own query-then-build step). The
+   reference modules are the pre-rewrite code kept verbatim
    modulo observability plumbing; QCheck drives both sides with identical
    inputs — including the same RNG seeds, so the draw-for-draw equivalence
    of the batched oracle is pinned, not just distributional agreement. *)
@@ -983,6 +984,166 @@ let buffer_differential =
           agree ())
         ops)
 
+(* --- Mining step -------------------------------------------------------- *)
+
+module Validate = Fruitchain_chain.Validate
+module Mine = Fruitchain_chain.Mine
+
+(* The coalition's query-then-build step as it stood before every miner
+   shared [Mine.mine]: [Common.mine_once] and its [finish], verbatim except
+   that the shared store add and the trace events are dropped, the strategy
+   context becomes explicit arguments, and the backend test it read from
+   the oracle (a sampler, of any kind) is passed in as [is_sim]. *)
+module Ref_mine = struct
+  type mined = { fruit : Types.fruit option; block : Types.block option }
+
+  let nothing = { fruit = None; block = None }
+
+  let finish ~miner ~round ~parent ~pointer ~nonce ~digest ~record ~fruits ~hash ~won_fruit
+      ~won_block =
+    let header = { Types.parent; pointer; nonce; digest; record } in
+    let prov = Some { Types.miner; round; honest = false } in
+    let fruit =
+      if won_fruit then begin
+        let f = { Types.f_header = header; f_hash = hash; f_prov = prov } in
+        Some f
+      end
+      else None
+    in
+    let block =
+      if won_block then begin
+        let b = { Types.b_header = header; b_hash = hash; fruits; b_prov = prov } in
+        Some b
+      end
+      else None
+    in
+    { fruit; block }
+
+  let mine_once oracle rng ~is_sim ~miner ~round ~parent ~pointer ~fruits ~record =
+    if is_sim then begin
+      Rng.draw rng;
+      let mask = Oracle.attempt oracle "" in
+      if Int.equal mask 0 then nothing
+      else begin
+        let nonce = Rng.last_bits64 rng in
+        let hash = Oracle.attempt_hash oracle in
+        let won_fruit = Oracle.attempt_won_fruit mask in
+        let won_block = Oracle.attempt_won_block mask in
+        let fruits, digest =
+          if won_block then begin
+            let fruits = fruits () in
+            (fruits, Validate.fruit_set_digest fruits)
+          end
+          else ([], Merkle.empty_root)
+        in
+        finish ~miner ~round ~parent ~pointer ~nonce ~digest ~record ~fruits ~hash ~won_fruit
+          ~won_block
+      end
+    end
+    else begin
+      let nonce = Rng.bits64 rng in
+      let fruits = fruits () in
+      let digest = Validate.fruit_set_digest fruits in
+      let header = { Types.parent; pointer; nonce; digest; record } in
+      let hash = Oracle.query oracle (Codec.header_bytes header) in
+      let won_fruit = Oracle.mined_fruit oracle hash in
+      let won_block = Oracle.mined_block oracle hash in
+      if not (won_fruit || won_block) then nothing
+      else
+        finish ~miner ~round ~parent ~pointer ~nonce ~digest ~record ~fruits ~hash ~won_fruit
+          ~won_block
+    end
+end
+
+type mining_case = {
+  seed : int;
+  real : bool; (* SHA-256 backend, else the memo-less sampler *)
+  mp : float;
+  mpf : float;
+  candidates : Types.fruit list;
+  parent : Hash.t;
+  pointer : Hash.t;
+  record : string;
+  miner : int;
+}
+
+let gen_mining_case =
+  let open QCheck.Gen in
+  let hash = string_size ~gen:char (return 32) >|= Hash.of_raw in
+  let prob = oneof [ float_range 0.0 1.0; oneofl (Array.to_list interesting_probs) ] in
+  small_nat >>= fun seed ->
+  bool >>= fun real ->
+  prob >>= fun mp ->
+  prob >>= fun mpf ->
+  list_size (int_range 0 20) gen_fruit >>= fun candidates ->
+  hash >>= fun parent ->
+  hash >>= fun pointer ->
+  string_size ~gen:char (int_range 0 40) >>= fun record ->
+  int_range (-1) 50 >|= fun miner ->
+  { seed; real; mp; mpf; candidates; parent; pointer; record; miner }
+
+let print_mining_case c =
+  Printf.sprintf "seed=%d real=%b p=%g pf=%g fruits=%d miner=%d record=%S" c.seed c.real c.mp
+    c.mpf (List.length c.candidates) c.miner c.record
+
+let same_prov =
+  Option.equal (fun (a : Types.provenance) (b : Types.provenance) ->
+      Int.equal a.miner b.miner && Int.equal a.round b.round && Bool.equal a.honest b.honest)
+
+let same_fruit (a : Types.fruit) (b : Types.fruit) =
+  String.equal (Codec.header_bytes a.f_header) (Codec.header_bytes b.f_header)
+  && Hash.equal a.f_hash b.f_hash && same_prov a.f_prov b.f_prov
+
+let same_block (a : Types.block) (b : Types.block) =
+  String.equal (Codec.header_bytes a.b_header) (Codec.header_bytes b.b_header)
+  && Hash.equal a.b_hash b.b_hash
+  && List.equal same_fruit a.fruits b.fruits
+  && same_prov a.b_prov b.b_prov
+
+(* Over the memo-less sampler and the SHA-256 backend, the shared step
+   must reproduce the old coalition step object for object, counter for
+   counter and draw for draw. The memoizing sampler is left out on
+   purpose: the old step took its deferred path there, so its lone fruits
+   committed to the empty set, while [Mine] must commit d(F′) before a
+   query the memo records. *)
+let mining_differential =
+  QCheck.Test.make ~name:"Mine.mine = reference coalition step (same seeds)" ~count:150
+    (QCheck.make ~print:print_mining_case gen_mining_case)
+    (fun c ->
+      let make_oracle () =
+        let rng = Rng.of_seed (Int64.of_int ((2 * c.seed) + 1)) in
+        let oracle =
+          if c.real then Oracle.real ~p:c.mp ~pf:c.mpf else Oracle.sim ~p:c.mp ~pf:c.mpf rng
+        in
+        (oracle, rng)
+      in
+      let ref_oracle, ref_oracle_rng = make_oracle () in
+      let oracle, oracle_rng = make_oracle () in
+      let ref_rng = Rng.of_seed (Int64.of_int (2 * c.seed)) in
+      let rng = Rng.of_seed (Int64.of_int (2 * c.seed)) in
+      let fruits () = c.candidates in
+      for round = 0 to 59 do
+        let expect =
+          Ref_mine.mine_once ref_oracle ref_rng ~is_sim:(not c.real) ~miner:c.miner ~round
+            ~parent:c.parent ~pointer:c.pointer ~fruits ~record:c.record
+        in
+        let got =
+          Mine.mine oracle rng ~miner:c.miner ~round ~honest:false ~parent:c.parent
+            ~pointer:c.pointer ~fruits ~record:c.record
+        in
+        if not (Option.equal same_fruit expect.Ref_mine.fruit got.Mine.fruit) then
+          Alcotest.failf "round %d: fruits differ" round;
+        if not (Option.equal same_block expect.Ref_mine.block got.Mine.block) then
+          Alcotest.failf "round %d: blocks differ" round
+      done;
+      Alcotest.(check int) "queries" (Oracle.queries ref_oracle) (Oracle.queries oracle);
+      Alcotest.(check int) "block wins" (Oracle.block_wins ref_oracle) (Oracle.block_wins oracle);
+      Alcotest.(check int) "fruit wins" (Oracle.fruit_wins ref_oracle) (Oracle.fruit_wins oracle);
+      Alcotest.(check int64) "miner's next draw" (Rng.bits64 ref_rng) (Rng.bits64 rng);
+      Alcotest.(check int64) "oracle's next draw" (Rng.bits64 ref_oracle_rng)
+        (Rng.bits64 oracle_rng);
+      true)
+
 (* --- Lifecycle spans ----------------------------------------------------- *)
 
 module Scope = Fruitchain_obs.Scope
@@ -1509,6 +1670,8 @@ let () =
         [ QCheck_alcotest.to_alcotest buffer_differential ] );
       ( "spans",
         [ QCheck_alcotest.to_alcotest span_differential ] );
+      ( "mining",
+        [ QCheck_alcotest.to_alcotest mining_differential ] );
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest oracle_differential;
