@@ -26,8 +26,14 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
   let scope = match scope with Some s -> s | None -> Pool.current_scope () in
   let master = Rng.of_seed config.Config.seed in
   let store = Store.create () in
-  let window = Params.recency_window config.Config.params in
-  let views = Window_view.Cache.create ~window ~store in
+  let params = config.Config.params in
+  (* Without the recency rule any fruit the chain does not record is
+     includable, so F′ needs the whole chain's view. *)
+  let views =
+    if params.Params.enforce_recency then
+      Window_view.Cache.create ~window:(Params.recency_window params) ~store
+    else Window_view.Cache.whole_chain ~store
+  in
   let network =
     Network.create ~scope ?policy:net_policy ~n:config.Config.n
       ~delta:config.Config.delta ()

@@ -171,6 +171,38 @@ let test_withholder_floods_without_recency () =
     (Printf.sprintf "worst window %.3f spikes above 2x rho" worst)
     true (worst > 0.6)
 
+(* --- Every fruit recorded once ------------------------------------------ *)
+
+(* Figure 1 puts into F′ only the fruits "not yet recorded in the chain", so
+   no honest final chain records a fruit twice — with the recency rule or
+   without it, under every strategy that reorgs the honest parties or
+   re-points its own head. Without the rule, "recorded" means anywhere on
+   the chain, not only inside the window. *)
+let test_fruits_recorded_once strategy ~enforce_recency () =
+  let trace = run ~rounds:6_000 ~seed:9L ~enforce_recency ~strategy () in
+  let chain = Trace.honest_final_chain trace in
+  let references = List.fold_left (fun n (b : Types.block) -> n + List.length b.fruits) 0 chain in
+  let distinct = List.length (Extract.fruits_of_chain chain) in
+  Alcotest.(check bool) "the chain records fruits" true (distinct > 100);
+  Alcotest.(check int) "fruit references = distinct fruits" distinct references
+
+let recorded_once_cases =
+  List.concat_map
+    (fun (name, strategy) ->
+      List.map
+        (fun enforce_recency ->
+          Alcotest.test_case
+            (Printf.sprintf "%s, recency %s" name (if enforce_recency then "on" else "off"))
+            `Quick
+            (test_fruits_recorded_once strategy ~enforce_recency))
+        [ true; false ])
+    [
+      ("null", (module Adv.Delays.Null_max : Fruitchain_sim.Strategy.S));
+      ("honest coalition", (module Adv.Honest_coalition.M));
+      ("selfish", selfish 0.5);
+      ("withholder", Fruitchain_experiments.Runs.withholder ~release_interval:4_000);
+    ]
+
 (* --- Fee sniping ---------------------------------------------------------- *)
 
 let test_fee_sniper_steals_whales () =
@@ -225,6 +257,7 @@ let () =
           Alcotest.test_case "floods without recency" `Quick
             test_withholder_floods_without_recency;
         ] );
+      ("recorded once", recorded_once_cases);
       ( "fee-snipe",
         [ Alcotest.test_case "steals whales" `Slow test_fee_sniper_steals_whales ] );
     ]

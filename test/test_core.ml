@@ -282,31 +282,39 @@ let test_buffer_recency_disabled () =
   Buffer_f.prune buf ~store ~view:Window_view.genesis;
   Alcotest.(check int) "never pruned" 1 (Buffer_f.size buf)
 
-let test_buffer_recency_disabled_settles () =
-  (* Without recency a fruit seen recorded stays out of F′ after its block
-     leaves the window, until a prune forgets what was seen. *)
+let test_buffer_recency_disabled_remembers_chain () =
+  (* Without recency "not yet recorded" means on the whole chain: a
+     recorded fruit stays out of F′ however far its block sinks and across
+     prunes, and comes back only when a reorg orphans its block. *)
   let o = easy_oracle () and rng = Rng.of_seed 12L in
   let store = Store.create () in
-  let window = 2 in
+  let views = Window_view.Cache.whole_chain ~store in
   let buf = Buffer_f.create ~enforce_recency:false () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   Buffer_f.add buf f;
-  let view =
+  let grow head fruits_per_block =
     List.fold_left
-      (fun view fruits ->
-        let b = mine_block o rng ~parent:(Window_view.head view) fruits in
+      (fun head fruits ->
+        let b = mine_block o rng ~parent:head fruits in
         Store.add store b;
-        let view = Window_view.extend ~window view b in
+        let view = Window_view.Cache.view views ~head:b.Types.b_hash in
         Buffer_f.expire buf ~view;
-        view)
-      Window_view.genesis [ [ f ]; []; [] ]
+        b.Types.b_hash)
+      head fruits_per_block
   in
-  Alcotest.(check bool) "inclusion has left the window" false
+  let candidates head =
+    List.length (Buffer_f.candidates buf ~view:(Window_view.Cache.view views ~head))
+  in
+  let head = grow Types.genesis_hash [ [ f ]; []; []; []; [] ] in
+  let view = Window_view.Cache.view views ~head in
+  Alcotest.(check bool) "recorded five blocks down" true
     (Window_view.is_included view ~fruit:f.Types.f_hash);
-  Alcotest.(check int) "still not a candidate" 0 (List.length (Buffer_f.candidates buf ~view));
+  Alcotest.(check int) "not a candidate" 0 (candidates head);
   Buffer_f.prune buf ~store ~view;
-  Alcotest.(check int) "a candidate again after a prune" 1
-    (List.length (Buffer_f.candidates buf ~view));
+  Alcotest.(check int) "not a candidate after a prune" 0 (candidates head);
+  let fork = grow Types.genesis_hash [ []; []; []; []; []; [] ] in
+  Buffer_f.prune buf ~store ~view:(Window_view.Cache.view views ~head:fork);
+  Alcotest.(check int) "a candidate again once its block is orphaned" 1 (candidates fork);
   Alcotest.(check int) "never dropped" 1 (Buffer_f.size buf)
 
 (* --- Node (Figure 1) --------------------------------------------------- *)
@@ -643,8 +651,8 @@ let () =
           Alcotest.test_case "canonical order" `Quick test_buffer_candidates_sorted;
           Alcotest.test_case "expire = prune" `Quick test_buffer_expire_vs_prune;
           Alcotest.test_case "recency disabled" `Quick test_buffer_recency_disabled;
-          Alcotest.test_case "recency disabled settles" `Quick
-            test_buffer_recency_disabled_settles;
+          Alcotest.test_case "recency disabled remembers the chain" `Quick
+            test_buffer_recency_disabled_remembers_chain;
         ] );
       ( "node",
         [
