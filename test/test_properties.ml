@@ -137,6 +137,36 @@ let qcheck_window_view_scan_equals_extend =
              = Window_view.is_included by_scan ~fruit:f.f_hash)
            pool)
 
+(* [fold_newest view k] visits exactly the newest [min k window] blocks of
+   every view along a chain, windowed (every span layout a window passes
+   through) or whole-chain. *)
+let qcheck_window_view_fold_newest =
+  QCheck.Test.make ~name:"window view: fold_newest = the newest k blocks" ~count:40
+    QCheck.(pair (int_bound 1000) (int_range 1 6))
+    (fun (seed, window) ->
+      let store, blocks, _ = random_chain seed ~length:14 ~pool_size:4 in
+      let whole = Window_view.Cache.whole_chain ~store in
+      let sorted l = List.sort Hash.compare l in
+      let newest view ~reach chain =
+        List.for_all
+          (fun k ->
+            let expected = List.filteri (fun i _ -> i < min k reach) chain in
+            let got = Window_view.fold_newest view k ~init:[] ~f:(fun acc h -> h :: acc) in
+            List.equal Hash.equal (sorted expected) (sorted got))
+          (List.init (window + 3) Fun.id)
+      in
+      let rec go view chain = function
+        | [] -> true
+        | (b : Types.block) :: rest ->
+            let view = Window_view.extend ~window view b in
+            let chain = b.b_hash :: chain in
+            newest view ~reach:window chain
+            && newest (Window_view.Cache.view whole ~head:b.b_hash) ~reach:max_int chain
+            && go view chain rest
+      in
+      newest Window_view.genesis ~reach:window [ Types.genesis_hash ]
+      && go Window_view.genesis [ Types.genesis_hash ] blocks)
+
 let qcheck_snapshot_roundtrip =
   QCheck.Test.make ~name:"snapshot: roundtrip on random chains" ~count:30
     (QCheck.int_bound 1000) (fun seed ->
@@ -402,6 +432,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_buffer_expire_equals_prune;
+            qcheck_window_view_fold_newest;
             qcheck_window_view_scan_equals_extend;
             qcheck_snapshot_roundtrip;
             qcheck_extract_dedup_invariants;
