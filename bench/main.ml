@@ -27,6 +27,7 @@ module Metrics = Fruitchain_obs.Metrics
 module Tracer = Fruitchain_obs.Tracer
 module Scope = Fruitchain_obs.Scope
 module Json = Fruitchain_obs.Json
+module Sha256 = Fruitchain_crypto.Sha256
 
 (* --- The reproduction tables ---------------------------------------------- *)
 
@@ -117,6 +118,9 @@ let bench_json ~scale ~jobs ~timings ~total ~engines ~registry ~tracer =
       ("schema", Json.Str "fruitchains-bench/1");
       ("scale", Json.Str (match scale with Exp.Full -> "full" | Exp.Quick -> "quick"));
       ("jobs", Json.Int jobs);
+      (* Wall times from hosts with and without the SHA extensions differ
+         by the block function alone; say which one ran. *)
+      ("sha256_block", Json.Str (if Sha256.accelerated then "sha-ext" else "portable"));
       ("total_wall_s", Json.Float total);
       ( "experiments",
         Json.List

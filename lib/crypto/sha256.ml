@@ -1,12 +1,27 @@
-(* SHA-256 per FIPS 180-4. The block function is C (sha256_stubs.c); this
-   module does buffering and padding. The chaining state is a 32-byte
-   [Bytes.t] holding H0..H7 big-endian, so the final state is the digest. *)
+(* SHA-256 per FIPS 180-4. The block functions are C (sha256_stubs.c);
+   this module picks one and does buffering and padding. The chaining
+   state is a 32-byte [Bytes.t] holding H0..H7 big-endian, so the final
+   state is the digest. *)
 
-(* [compress state data pos] absorbs the 64-byte block of [data] at [pos].
-   It reads those bytes unchecked: every call site below proves them in
-   bounds. *)
-external compress : Bytes.t -> Bytes.t -> int -> unit = "fruitchain_sha256_compress"
+(* [compress_* state data pos] absorbs the 64-byte block of [data] at
+   [pos]: portable C, or the x86 SHA extensions. Both read those bytes
+   unchecked: every call site below proves them in bounds. *)
+external compress_portable : Bytes.t -> Bytes.t -> int -> unit = "fruitchain_sha256_compress"
 [@@noalloc]
+
+external compress_sha_ext : Bytes.t -> Bytes.t -> int -> unit
+  = "fruitchain_sha256_compress_sha_ext"
+[@@noalloc]
+
+(* CPUID: does this CPU have the SHA extensions and the SSSE3/SSE4.1 the
+   accelerated block function also uses? False off x86-64. *)
+external sha_ext_available : unit -> bool = "fruitchain_sha256_sha_ext_available" [@@noalloc]
+
+(* Asked once; nothing can override it. *)
+let accelerated = sha_ext_available ()
+
+let compress ~accel h data pos =
+  if accel then compress_sha_ext h data pos else compress_portable h data pos
 
 (* H0..H7 of FIPS 180-4 §5.3.3, big-endian. *)
 let iv =
@@ -24,8 +39,9 @@ let init () = { h = Bytes.of_string iv; buf = Bytes.create 64; buf_len = 0; tota
 
 let update_bytes ctx data ~pos ~len =
   (* Bounds guard for the public ~pos/~len API; [update] passes
-     [0, length] and cannot trip it. *)
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
+     [0, length] and cannot trip it. No [pos + len]: it wraps for a huge
+     [len], and both block functions read unchecked. *)
+  if pos < 0 || len < 0 || len > Bytes.length data - pos then
     (* fruitlint: allow R10 *)
     invalid_arg "Sha256.update_bytes: out of bounds";
   ctx.total <- ctx.total + len;
@@ -38,13 +54,13 @@ let update_bytes ctx data ~pos ~len =
     offset := !offset + take;
     remaining := !remaining - take;
     if Int.equal ctx.buf_len 64 then begin
-      compress ctx.h ctx.buf 0;
+      compress ~accel:accelerated ctx.h ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
   while !remaining >= 64 do
-    compress ctx.h data !offset;
+    compress ~accel:accelerated ctx.h data !offset;
     offset := !offset + 64;
     remaining := !remaining - 64
   done;
@@ -59,31 +75,34 @@ let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(Stri
    padding of a [total]-byte message: 0x80, zeros, the 64-bit big-endian bit
    length — one block if [rem] leaves room for the 9 padding bytes, else
    two. *)
-let finish h src pos rem total =
+let finish ~accel h src pos rem total =
   let n = if rem < 56 then 64 else 128 in
   let tail = Bytes.make n '\000' in
   Bytes.blit src pos tail 0 rem;
   Bytes.set tail rem '\x80';
   Bytes.set_int64_be tail (n - 8) (Int64.mul (Int64.of_int total) 8L);
-  compress h tail 0;
-  if Int.equal n 128 then compress h tail 64
+  compress ~accel h tail 0;
+  if Int.equal n 128 then compress ~accel h tail 64
 
 let finalize ctx =
-  finish ctx.h ctx.buf 0 ctx.buf_len ctx.total;
+  finish ~accel:accelerated ctx.h ctx.buf 0 ctx.buf_len ctx.total;
   Bytes.to_string ctx.h
 
-let digest s =
+let one_shot ~accel s =
   let data = Bytes.unsafe_of_string s in
   let len = String.length s in
   let whole = len land lnot 63 in
   let h = Bytes.of_string iv in
   let pos = ref 0 in
   while !pos < whole do
-    compress h data !pos;
+    compress ~accel h data !pos;
     pos := !pos + 64
   done;
-  finish h data whole (len - whole) len;
+  finish ~accel h data whole (len - whole) len;
   Bytes.unsafe_to_string h
+
+let digest s = one_shot ~accel:accelerated s
+let digest_portable s = one_shot ~accel:false s
 
 let hmac ~key msg =
   let block = 64 in

@@ -126,11 +126,19 @@ let get name j = Option.value ~default:Json.Null (Json.member name j)
 
 let render_bench j =
   let buf = Buffer.create 256 in
+  (* Which SHA-256 block function the timings came from; documents written
+     before the field existed render without it. *)
+  let block =
+    match Json.member "sha256_block" j with
+    | Some b -> fmt "  sha256_block: %s" (str_of b)
+    | None -> ""
+  in
   Buffer.add_string buf
-    (fmt "schema: %s  scale: %s  jobs: %d\n"
+    (fmt "schema: %s  scale: %s  jobs: %d%s\n"
        (str_of (get "schema" j))
        (str_of (get "scale" j))
-       (int_of (get "jobs" j)));
+       (int_of (get "jobs" j))
+       block);
   Buffer.add_string buf
     (fmt "total: %.2fs wall, %d events (%.0f events/s)\n"
        (float_of (get "total_wall_s" j))

@@ -9,33 +9,33 @@ module Oracle = Fruitchain_crypto.Oracle
 module Hex = Fruitchain_util.Hex
 module Rng = Fruitchain_util.Rng
 
-let hexdigest s = Hex.encode (Sha256.digest s)
-
 (* --- SHA-256 --------------------------------------------------------- *)
 
+(* Each FIPS vector goes through both block functions: [digest] runs the
+   SHA-extension one wherever [Sha256.accelerated] holds, and
+   [digest_portable] the portable one on every host. *)
+let check_vector name expected msg =
+  Alcotest.(check string) name expected (Hex.encode (Sha256.digest msg));
+  Alcotest.(check string) (name ^ ", portable") expected (Hex.encode (Sha256.digest_portable msg))
+
 let test_sha256_empty () =
-  Alcotest.(check string) "FIPS empty"
-    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" (hexdigest "")
+  check_vector "FIPS empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" ""
 
 let test_sha256_abc () =
-  Alcotest.(check string) "FIPS abc"
-    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" (hexdigest "abc")
+  check_vector "FIPS abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" "abc"
 
 let test_sha256_448bits () =
-  Alcotest.(check string) "FIPS two-block"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (hexdigest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+  check_vector "FIPS two-block" "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
 
 let test_sha256_896bits () =
-  Alcotest.(check string) "FIPS four-block"
+  check_vector "FIPS four-block"
     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (hexdigest
-       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
+    "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
 
 let test_sha256_million_a () =
-  Alcotest.(check string) "FIPS 1M x a"
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (hexdigest (String.make 1_000_000 'a'))
+  check_vector "FIPS 1M x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (String.make 1_000_000 'a')
 
 let test_sha256_incremental_chunks () =
   (* Absorbing in arbitrary chunks must equal one-shot hashing. *)
@@ -70,6 +70,55 @@ let test_sha256_boundary_lengths () =
         (Hex.encode (Sha256.digest msg))
         (Hex.encode (Sha256.finalize ctx)))
     [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+
+let test_update_bytes_bounds () =
+  (* [pos + len] wraps negative for a huge [len]; the guard must not add. *)
+  let data = Bytes.make 8 'a' in
+  let out_of_bounds = Invalid_argument "Sha256.update_bytes: out of bounds" in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises (Printf.sprintf "pos=%d len=%d" pos len) out_of_bounds (fun () ->
+          Sha256.update_bytes (Sha256.init ()) data ~pos ~len))
+    [ (1, max_int); (9, 0); (-1, 1); (0, -1); (0, 9) ];
+  (* The in-bounds edge: the empty slice at the end. *)
+  let ctx = Sha256.init () in
+  Sha256.update_bytes ctx data ~pos:8 ~len:0;
+  Alcotest.(check string) "pos=8 len=0 absorbs nothing"
+    (Hex.encode (Sha256.digest ""))
+    (Hex.encode (Sha256.finalize ctx))
+
+(* The flags of the first CPU in /proc/cpuinfo, or [None] where there is no
+   [flags] line (not Linux, or not x86). *)
+let cpuinfo_flags () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let rec scan () =
+            match input_line ic with
+            | exception End_of_file -> None
+            | line -> (
+                match String.index_opt line ':' with
+                | Some i when String.equal (String.trim (String.sub line 0 i)) "flags" ->
+                    let rest = String.sub line (i + 1) (String.length line - i - 1) in
+                    Some (String.split_on_char ' ' rest |> List.filter (fun f -> f <> ""))
+                | Some _ | None -> scan ())
+          in
+          scan ())
+
+let test_probe_matches_cpuinfo () =
+  (* Both block functions give the same bytes, so no digest can tell which
+     one runs: a probe that never picks the SHA extensions loses the speed
+     silently, one that picks them on a CPU without them dies with SIGILL. *)
+  match cpuinfo_flags () with
+  | None -> print_endline "no flags line in /proc/cpuinfo: the CPU probe is not checked here"
+  | Some flags ->
+      let has f = List.mem f flags in
+      Alcotest.(check bool) "accelerated iff sha_ni, ssse3 and sse4_1 are listed"
+        (has "sha_ni" && has "ssse3" && has "sse4_1")
+        Sha256.accelerated
 
 let test_hmac_rfc4231_case1 () =
   let key = String.make 20 '\x0b' in
@@ -273,6 +322,8 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental chunks" `Quick test_sha256_incremental_chunks;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_boundary_lengths;
+          Alcotest.test_case "update_bytes bounds" `Quick test_update_bytes_bounds;
+          Alcotest.test_case "probe agrees with cpuinfo" `Quick test_probe_matches_cpuinfo;
           Alcotest.test_case "hmac rfc4231 #1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "hmac rfc4231 #2" `Quick test_hmac_rfc4231_case2;
           Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;

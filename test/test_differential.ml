@@ -1,6 +1,6 @@
 (* Differential tests for the hot-path rewrites: the arena Store, the
-   deferred-sampling Oracle, the ring-buffer Network, the C SHA-256 block
-   function (with the lean Merkle and Codec paths around it), the
+   deferred-sampling Oracle, the ring-buffer Network, both C SHA-256 block
+   functions (with the lean Merkle and Codec paths around them), the
    hang-point fruit buffer, the digest-keyed span marking and the shared
    mining step are each checked against a test-local reference copy of
    the implementation it replaced (hash-table store, per-query view
@@ -681,14 +681,20 @@ let gen_message =
 
 let print_message s = Printf.sprintf "len=%d %S" (String.length s) s
 
+(* [Sha256.digest] runs the SHA-extension block function wherever
+   [Sha256.accelerated] holds, [Sha256.digest_portable] the portable one on
+   every host; each is held to the reference. *)
 let sha256_differential =
   QCheck.Test.make ~name:"C SHA-256 = pure-OCaml reference" ~count:1000
     (QCheck.make ~print:print_message gen_message)
-    (fun s -> String.equal (Sha256.digest s) (Ref_sha256.digest s))
+    (fun s ->
+      let expect = Ref_sha256.digest s in
+      String.equal (Sha256.digest s) expect && String.equal (Sha256.digest_portable s) expect)
 
 let sha256_split_points =
   (* Feed one buffer through [update_bytes] in random pieces, at non-zero
-     offsets, and compare with the one-shot path. *)
+     offsets, and compare with the one-shot path over either block
+     function. *)
   let gen =
     let open QCheck.Gen in
     gen_message >>= fun s ->
@@ -711,7 +717,8 @@ let sha256_split_points =
           0 cuts
       in
       Sha256.update_bytes ctx data ~pos:last ~len:(String.length s - last);
-      String.equal (Sha256.finalize ctx) (Sha256.digest s))
+      let got = Sha256.finalize ctx in
+      String.equal got (Sha256.digest s) && String.equal got (Sha256.digest_portable s))
 
 let merkle_differential =
   QCheck.Test.make ~name:"Merkle.root = concatenation-based reference root" ~count:200

@@ -410,7 +410,23 @@ let test_report_summarize () =
     go 0
   in
   let trace = check_ok "{\"ev\":\"a\",\"round\":1}\n{\"ev\":\"a\",\"round\":9}\n" in
-  Alcotest.(check bool) "trace mentions span" true (contains trace "1..9")
+  Alcotest.(check bool) "trace mentions span" true (contains trace "1..9");
+  (* BENCH.json's header names the SHA-256 block function when the
+     document records it, and reads as before when it does not. *)
+  let bench block =
+    check_ok
+      (Printf.sprintf
+         {|{"schema":"fruitchains-bench/1","scale":"quick","jobs":2,%s"total_wall_s":1.5,"events":10,"events_per_sec":6.5}|}
+         block)
+  in
+  Alcotest.(check string) "bench header with sha256_block"
+    "[bench]\nschema: fruitchains-bench/1  scale: quick  jobs: 2  sha256_block: sha-ext\n\
+     total: 1.50s wall, 10 events (6 events/s)\n"
+    (bench {|"sha256_block":"sha-ext",|});
+  Alcotest.(check string) "bench header without sha256_block"
+    "[bench]\nschema: fruitchains-bench/1  scale: quick  jobs: 2\n\
+     total: 1.50s wall, 10 events (6 events/s)\n"
+    (bench "")
 
 let () =
   Alcotest.run "obs"

@@ -225,9 +225,10 @@ let r7_applies path =
   contains_sublist [ "lib" ] cs
   && not (List.exists (fun a -> contains_sublist a cs) r7_allowlist)
 
-(* Foreign-code confinement: the SHA-256 block function is the one C
-   primitive, and the effect analysis cannot see inside C, so every
-   [external] is pinned to the module that declares it. *)
+(* Foreign-code confinement: the SHA-256 block functions and their CPUID
+   probe are the only C primitives, and the effect analysis cannot see
+   inside C, so every [external] is pinned to the module that declares
+   them. *)
 let r11_allowlist = [ [ "lib"; "crypto"; "sha256.ml" ] ]
 
 let r11_applies path =
