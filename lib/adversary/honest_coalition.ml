@@ -37,14 +37,13 @@ module M : Strategy.S = struct
     Buffer_f.prune t.buffer ~store:t.ctx.store ~view:t.view
 
   let learn_fruits t (msgs : Message.t list) =
+    let learn f = ignore (Buffer_f.add t.buffer f : bool) in
     List.iter
       (fun (m : Message.t) ->
         match m.payload with
-        | Message.Fruit_announce f -> Buffer_f.add t.buffer f
+        | Message.Fruit_announce f -> learn f
         | Message.Chain_announce { blocks; _ } ->
-            List.iter
-              (fun (b : Types.block) -> List.iter (Buffer_f.add t.buffer) b.fruits)
-              blocks)
+            List.iter (fun (b : Types.block) -> List.iter learn b.fruits) blocks)
       msgs
 
   let act t ~round ~honest_broadcasts =
@@ -69,7 +68,7 @@ module M : Strategy.S = struct
       in
       (match fruit with
       | Some f when fruitchain ->
-          Buffer_f.add t.buffer f;
+          ignore (Buffer_f.add t.buffer f : bool);
           Common.broadcast_fruit t.ctx ~round f
       | Some _ | None -> ());
       match block with

@@ -181,7 +181,7 @@ module Make (P : PARAMS) : Strategy.S = struct
       in
       (match fruit with
       | Some f when fruitchain ->
-          Buffer_f.add t.buffer f;
+          ignore (Buffer_f.add t.buffer f : bool);
           if P.broadcast_fruits then Common.broadcast_fruit t.ctx ~round f
       | Some _ | None -> ());
       match block with

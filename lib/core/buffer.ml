@@ -1,15 +1,22 @@
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 
-(* The fruits hanging from one block, newest first. A group only grows at
-   the front, so the fruits that arrived since the last F′ walked it are
-   its first [fresh]. *)
-type group = { mutable fruits : Types.fruit list; mutable fresh : int }
+(* The fruits hanging from one block, newest first, and how many. A group
+   only grows at the front, so the fruits that arrived since the last F′
+   walked it are its first [fresh]. Membership is a scan of [fruits] until
+   the group outgrows [scan_limit]; from then on [index] holds every
+   fruit's hash. *)
+type group = {
+  mutable fruits : Types.fruit list;
+  mutable count : int;
+  mutable fresh : int;
+  mutable index : unit Hash.Tbl.t option;
+}
 
 type t = {
   enforce_recency : bool;
   groups : group Hash.Tbl.t; (* hang point -> the fruits hanging there *)
-  members : unit Hash.Tbl.t; (* every retained fruit *)
+  mutable size : int;
   mutable mutations : int;
   (* The last F′, over the view of [memo_head] at [memo_height]. *)
   mutable memo_head : Hash.t;
@@ -18,11 +25,15 @@ type t = {
   mutable memo : Types.fruit list;
 }
 
+(* Most groups hold about p_f/p fruits and a scan beats a table there, in
+   time and memory; groups past this size (q in the hundreds) get one. *)
+let scan_limit = 64
+
 let create ?(enforce_recency = true) () =
   {
     enforce_recency;
     groups = Hash.Tbl.create 64;
-    members = Hash.Tbl.create 256;
+    size = 0;
     mutations = 0;
     memo_head = Hash.zero;
     memo_height = 0;
@@ -30,28 +41,53 @@ let create ?(enforce_recency = true) () =
     memo = [];
   }
 
-let size t = Hash.Tbl.length t.members
-let mem t h = Hash.Tbl.mem t.members h
+let size t = t.size
 let touch t = t.mutations <- t.mutations + 1
 
+let rec scan h = function
+  | [] -> false
+  | (f : Types.fruit) :: rest -> Hash.equal f.f_hash h || scan h rest
+
+let in_group g h =
+  match g.index with Some index -> Hash.Tbl.mem index h | None -> scan h g.fruits
+
+let mem t (f : Types.fruit) =
+  match Hash.Tbl.find_opt t.groups f.f_header.pointer with
+  | Some g -> in_group g f.f_hash
+  | None -> false
+
 let add t (f : Types.fruit) =
-  if not (Hash.Tbl.mem t.members f.f_hash) then begin
-    Hash.Tbl.replace t.members f.f_hash ();
-    let pointer = f.f_header.pointer in
-    (match Hash.Tbl.find_opt t.groups pointer with
-    | Some g ->
-        g.fruits <- f :: g.fruits;
-        g.fresh <- g.fresh + 1
-    | None -> Hash.Tbl.replace t.groups pointer { fruits = [ f ]; fresh = 1 });
-    touch t
+  let g =
+    match Hash.Tbl.find_opt t.groups f.f_header.pointer with
+    | Some g -> g
+    | None ->
+        let g = { fruits = []; count = 0; fresh = 0; index = None } in
+        Hash.Tbl.replace t.groups f.f_header.pointer g;
+        g
+  in
+  if in_group g f.f_hash then false
+  else begin
+    g.fruits <- f :: g.fruits;
+    g.count <- g.count + 1;
+    g.fresh <- g.fresh + 1;
+    (match g.index with
+    | Some index -> Hash.Tbl.replace index f.f_hash ()
+    | None when g.count > scan_limit ->
+        let index = Hash.Tbl.create (2 * g.count) in
+        List.iter (fun (f : Types.fruit) -> Hash.Tbl.replace index f.f_hash ()) g.fruits;
+        g.index <- Some index
+    | None -> ());
+    t.size <- t.size + 1;
+    touch t;
+    true
   end
 
 let drop_group t pointer =
   match Hash.Tbl.find_opt t.groups pointer with
   | None -> ()
   | Some g ->
-      List.iter (fun (f : Types.fruit) -> Hash.Tbl.remove t.members f.f_hash) g.fruits;
       Hash.Tbl.remove t.groups pointer;
+      t.size <- t.size - g.count;
       touch t
 
 let expire t ~view =
@@ -121,7 +157,7 @@ let candidates t ~view =
       else Window_view.fold_window view ~init:[] ~f:(walk_at ~all:true)
     in
     let still_candidate (f : Types.fruit) =
-      mem t f.f_hash
+      mem t f
       && ((not t.enforce_recency) || Window_view.is_recent view ~pointer:f.f_header.pointer)
       && not (Window_view.is_included view ~fruit:f.f_hash)
     in

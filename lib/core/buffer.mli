@@ -11,10 +11,28 @@
     The buffer stores fruits grouped by hang point and keeps nothing per
     fruit up to date: a player needs F′ only when it mines a block, so
     {!candidates} derives it on demand, from the previous F′ where it can.
-    Arrivals are one insertion and one counter bump; a block leaving the
-    window drops its whole group; a reorg prunes whole groups. Fruits whose
-    hang point has dropped below the recency window can never be recorded
-    again and are pruned.
+    Arrivals are one group lookup, a membership test inside that group and
+    one counter bump; a block leaving the window drops its whole group in
+    O(1); a reorg prunes whole groups. Fruits whose hang point has dropped
+    below the recency window can never be recorded again and are pruned.
+
+    {b Membership is decided per group.} There is no buffer-wide set of
+    fruits: a fruit is looked up in its hang point's group, which {!add}
+    finds anyway. A group holds about p_f/p fruits. While it holds at most
+    {!scan_limit} of them, a membership test scans it; the arrival that
+    takes it past the limit builds a table of the group's hashes once, and
+    every later arrival updates it. Only the group's size selects the path;
+    nothing configures it. Scanning alone makes each arrival linear in its
+    group, which at q in the hundreds (E07, E14) made whole experiments
+    about 5× slower; a table on every group costs memory in each of the
+    n − 1 buffers that keep a copy of every fruit.
+
+    {b Identity.} A fruit is identified by its hash within its hang point:
+    two fruits with one hash and different pointers would both be kept. A
+    fruit's hash commits to its header, pointer included — the real and
+    memoizing oracles check that binding, and the sampling oracle's hashes
+    are 256-bit draws — so for every fruit the simulator makes this is the
+    same as identity by hash.
 
     All views passed to one buffer must come from one {!Window_view.Cache}:
     a windowed one ({!Window_view.Cache.create}) when recency is enforced, a
@@ -31,18 +49,26 @@ val create : ?enforce_recency:bool -> unit -> t
     "not yet recorded" means not recorded anywhere on the chain, which the
     whole-chain views answer. *)
 
+val scan_limit : int
+(** The group size past which a group's membership goes through its own
+    table instead of a scan: 64, a constant. *)
+
 val size : t -> int
-(** Fruits currently retained. *)
+(** Fruits currently retained. O(1). *)
 
-val mem : t -> Hash.t -> bool
+val mem : t -> Types.fruit -> bool
+(** Whether the fruit is retained: a lookup of its hang point's group and a
+    membership test inside it. *)
 
-val add : t -> Types.fruit -> unit
-(** Insert a fruit into its hang point's group (idempotent). *)
+val add : t -> Types.fruit -> bool
+(** Insert a fruit into its hang point's group. Returns [true] if it was
+    new, [false] (and changes nothing) if it was already retained; one
+    group lookup either way, so callers test membership through it. *)
 
 val expire : t -> view:Window_view.t -> unit
 (** The owner's chain grew by one block and [view] is the extended view:
     drops every fruit hanging from {!Window_view.expired}, which is stale on
-    this chain forever. O(that group). A buffer that follows its chain must
+    this chain forever. O(1). A buffer that follows its chain must
     see each extended view in turn; anything else goes through {!prune}. *)
 
 val prune : t -> store:Store.t -> view:Window_view.t -> unit

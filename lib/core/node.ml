@@ -86,13 +86,11 @@ let adopt t new_id =
 let receive t oracle (msg : Message.t) =
   match msg.payload with
   | Message.Fruit_announce f ->
-      if Validate.valid_fruit oracle f && not (Buffer.mem t.buffer f.f_hash) then begin
-        Buffer.add t.buffer f;
-        if t.gossip then
-          t.pending_relays <-
-            Message.fruit_announce ~sender:t.id ~sent_at:msg.sent_at ~relay:true f
-            :: t.pending_relays
-      end
+      (* [add] is the membership test: only a fruit new to the buffer is relayed. *)
+      if Validate.valid_fruit oracle f && Buffer.add t.buffer f && t.gossip then
+        t.pending_relays <-
+          Message.fruit_announce ~sender:t.id ~sent_at:msg.sent_at ~relay:true f
+          :: t.pending_relays
   | Message.Chain_announce { blocks; head } ->
       let rec insert = function
         | [] -> true
@@ -102,7 +100,7 @@ let receive t oracle (msg : Message.t) =
               match Validate.valid_extension oracle t.store ~recency:(recency t) b with
               | Ok () ->
                   Store.add t.store b;
-                  List.iter (Buffer.add t.buffer) b.fruits;
+                  List.iter (fun f -> ignore (Buffer.add t.buffer f : bool)) b.fruits;
                   insert rest
               | Error _ -> false
             end
@@ -132,7 +130,7 @@ let mine t oracle ~round ~record ~honest =
     Mine.mine oracle t.rng ~miner:t.id ~round ~honest ~parent:(head t) ~pointer:t.pointer
       ~fruits:t.candidates ~record
   in
-  (match mined.fruit with Some f -> Buffer.add t.buffer f | None -> ());
+  (match mined.fruit with Some f -> ignore (Buffer.add t.buffer f : bool) | None -> ());
   (match mined.block with Some b -> adopt t (Store.add_id t.store b) | None -> ());
   mined
 

@@ -199,8 +199,8 @@ let test_buffer_add_and_candidates () =
   let view = Window_view.genesis in
   let f1 = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let f2 = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "elsewhere")) () in
-  Buffer_f.add buf f1;
-  Buffer_f.add buf f2;
+  Alcotest.(check bool) "f1 new" true (Buffer_f.add buf f1);
+  Alcotest.(check bool) "f2 new" true (Buffer_f.add buf f2);
   Alcotest.(check int) "both retained" 2 (Buffer_f.size buf);
   Alcotest.(check int) "only recent one a candidate" 1
     (List.length (Buffer_f.candidates buf ~view));
@@ -211,8 +211,9 @@ let test_buffer_idempotent () =
   let o = easy_oracle () and rng = Rng.of_seed 8L in
   let buf = Buffer_f.create () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
-  Buffer_f.add buf f;
-  Buffer_f.add buf f;
+  Alcotest.(check bool) "first add is new" true (Buffer_f.add buf f);
+  Alcotest.(check bool) "second add is not" false (Buffer_f.add buf f);
+  Alcotest.(check bool) "member" true (Buffer_f.mem buf f);
   Alcotest.(check int) "no duplicate" 1 (Buffer_f.size buf);
   Alcotest.(check int) "one candidate" 1
     (List.length (Buffer_f.candidates buf ~view:Window_view.genesis))
@@ -221,7 +222,8 @@ let test_buffer_candidates_sorted () =
   let o = easy_oracle () and rng = Rng.of_seed 9L in
   let buf = Buffer_f.create () in
   for i = 0 to 9 do
-    Buffer_f.add buf (mine_fruit o rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ())
+    ignore
+      (Buffer_f.add buf (mine_fruit o rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ()))
   done;
   let hashes =
     List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view:Window_view.genesis)
@@ -244,8 +246,8 @@ let test_buffer_expire_vs_prune () =
   let incremental = Buffer_f.create () in
   let reference = Buffer_f.create () in
   List.iter (fun f ->
-      Buffer_f.add incremental f;
-      Buffer_f.add reference f)
+      ignore (Buffer_f.add incremental f : bool);
+      ignore (Buffer_f.add reference f : bool))
     fruits;
   let view1 = Window_view.extend ~window Window_view.genesis b1 in
   Buffer_f.expire incremental ~view:view1;
@@ -276,7 +278,7 @@ let test_buffer_recency_disabled () =
   let store = Store.create () in
   let buf = Buffer_f.create ~enforce_recency:false () in
   let f = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "anywhere")) () in
-  Buffer_f.add buf f;
+  ignore (Buffer_f.add buf f : bool);
   Alcotest.(check int) "unknown pointer still candidate" 1
     (List.length (Buffer_f.candidates buf ~view:Window_view.genesis));
   Buffer_f.prune buf ~store ~view:Window_view.genesis;
@@ -291,7 +293,7 @@ let test_buffer_recency_disabled_remembers_chain () =
   let views = Window_view.Cache.whole_chain ~store in
   let buf = Buffer_f.create ~enforce_recency:false () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
-  Buffer_f.add buf f;
+  ignore (Buffer_f.add buf f : bool);
   let grow head fruits_per_block =
     List.fold_left
       (fun head fruits ->
@@ -599,6 +601,33 @@ let test_gossip_spreads_targeted_delivery () =
   ignore (Node.step nodes.(2) oracle ~round:3 ~record:"" ~incoming:out1);
   Alcotest.(check bool) "node 2 has it" true (has nodes.(2))
 
+let test_gossip_relays_once_in_large_group () =
+  (* More fruits on one pointer than a buffer group scans, so the group
+     switches to its index part-way through; the first fruit (indexed when
+     the group switched) and the last (indexed since) delivered again must
+     still be known. Block mining is off (p ~ 0). *)
+  let params = Params.make ~p:1e-12 ~pf:0.5 ~kappa:2 ~recency_r:2 () in
+  let oracle = Oracle.real ~p:params.Params.p ~pf:params.Params.pf in
+  let store = Store.create () in
+  let views = Window_view.Cache.create ~window:(Params.recency_window params) ~store in
+  let node = Node.create ~gossip:true ~id:0 ~params ~store ~views ~rng:(Rng.of_seed 3L) () in
+  let rng = Rng.of_seed 93L in
+  let fruits =
+    List.init (Buffer_f.scan_limit + 8) (fun i ->
+        mine_fruit oracle rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ())
+  in
+  let deliver round fs =
+    let incoming = List.map (Message.fruit_announce ~sender:7 ~sent_at:(round - 1)) fs in
+    List.filter_map
+      (fun (m : Message.t) ->
+        match m.payload with Message.Fruit_announce f when m.relay -> Some f | _ -> None)
+      (Node.step node oracle ~round ~record:"" ~incoming)
+  in
+  Alcotest.(check bool) "each relayed once, in arrival order" true
+    (List.equal Types.fruit_equal fruits (deliver 1 fruits));
+  Alcotest.(check int) "first and last not relayed again" 0
+    (List.length (deliver 2 [ List.hd fruits; List.nth fruits (List.length fruits - 1) ]))
+
 (* --- Extract ----------------------------------------------------------- *)
 
 let test_extract_order_and_dedup () =
@@ -673,6 +702,8 @@ let () =
           Alcotest.test_case "off by default" `Quick test_gossip_off_by_default;
           Alcotest.test_case "spreads targeted delivery" `Quick
             test_gossip_spreads_targeted_delivery;
+          Alcotest.test_case "relays once past the scan limit" `Quick
+            test_gossip_relays_once_in_large_group;
         ] );
       ( "extract",
         [

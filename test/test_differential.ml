@@ -891,14 +891,26 @@ end
    time from the memo. The gap form asks for F′ only after about one
    operation in four (and at the end), so arrivals, extensions, expiries
    and prunes pile up between two F′ and the buffer must derive the new F′
-   from a memo several steps old. Each operation is small ints interpreted
-   modulo the current state, so failing sequences shrink. *)
-let buffer_property ~name ~at_gaps =
-  QCheck.Test.make ~name ~count:300
+   from a memo several steps old. The crowded form runs longer, mostly
+   announces fruits and hangs them from the two oldest blocks, so most
+   of its cases push a group past [Fruit_buffer.scan_limit] and take the
+   group's indexed membership path, before and after the switch. In every
+   form [add] must report a fruit new exactly when the reference did not
+   hold it. Each operation is small ints interpreted modulo the current
+   state, so failing sequences shrink. *)
+let buffer_cases = ref 0
+let buffer_cases_crossed = ref 0
+
+let buffer_property ?(crowded = false) ~name ~at_gaps () =
+  let kind, length, count =
+    if crowded then QCheck.(frequency [ (20, int_bound 3); (1, int_bound 9) ], (200, 400), 100)
+    else (QCheck.int_bound 9, (1, 150), 300)
+  in
+  QCheck.Test.make ~name ~count
     QCheck.(
       triple bool (int_range 1 5)
-        (list_of_size Gen.(int_range 1 150)
-           (quad (int_bound 9) small_nat small_nat (int_bound 3))))
+        (list_of_size Gen.(int_range (fst length) (snd length))
+           (quad kind small_nat small_nat (int_bound 3))))
     (fun (enforce_recency, window, ops) ->
       let store = Store.create () in
       let views =
@@ -916,9 +928,13 @@ let buffer_property ~name ~at_gaps =
       let head = ref Types.genesis.b_hash in
       let view = ref (Window_view.Cache.view views ~head:!head) in
       let pick arr i = arr.(i mod Array.length arr) in
-      let learn f =
+      let added_agrees = ref true and crossed = ref false in
+      let learn (f : Types.fruit) =
+        let unheld = not (Ref_buffer.mem reference f.f_hash) in
         Ref_buffer.add reference ~view:!view f;
-        Fruit_buffer.add buffer f
+        if not (Bool.equal unheld (Fruit_buffer.add buffer f)) then added_agrees := false;
+        let group = Hashtbl.find reference.by_pointer f.f_header.pointer in
+        if List.length group > Fruit_buffer.scan_limit then crossed := true
       in
       let new_block ~parent sel =
         let fruits =
@@ -965,7 +981,10 @@ let buffer_property ~name ~at_gaps =
         | 0 | 1 | 2 ->
             let n = Array.length !blocks in
             let pointer =
-              if a mod (n + 1) = n then fresh "unknown" else (pick !blocks a).b_hash
+              if crowded then
+                if a mod 16 = 15 then fresh "unknown" else (pick !blocks (a mod 2)).b_hash
+              else if a mod (n + 1) = n then fresh "unknown"
+              else (pick !blocks a).b_hash
             in
             let header =
               { Types.parent = !head; pointer; nonce = Int64.of_int b; digest = Hash.zero; record = "" }
@@ -1006,21 +1025,48 @@ let buffer_property ~name ~at_gaps =
         Int.equal (Ref_buffer.size reference) (Fruit_buffer.size buffer)
         && Array.for_all
              (fun (f : Types.fruit) ->
-               Bool.equal (Ref_buffer.mem reference f.f_hash) (Fruit_buffer.mem buffer f.f_hash))
+               Bool.equal (Ref_buffer.mem reference f.f_hash) (Fruit_buffer.mem buffer f))
              !pool
       in
-      List.for_all
-        (fun (kind, a, b, gap) ->
-          step (kind, a, b);
-          same_contents () && ((at_gaps && gap > 0) || same_candidates ()))
-        ops
-      && same_candidates ())
+      let agree =
+        List.for_all
+          (fun (kind, a, b, gap) ->
+            step (kind, a, b);
+            !added_agrees && same_contents () && ((at_gaps && gap > 0) || same_candidates ()))
+          ops
+        && same_candidates ()
+      in
+      incr buffer_cases;
+      if !crossed then incr buffer_cases_crossed;
+      agree)
+
+(* Runs one form and prints the share of its cases that pushed a group past
+   the scan limit; [min_share], when given, is a floor on that share. *)
+let buffer_case ?min_share test =
+  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  ( name,
+    speed,
+    fun () ->
+      buffer_cases := 0;
+      buffer_cases_crossed := 0;
+      run ();
+      Printf.printf "%d of %d cases pushed a group past the scan limit (%d)\n"
+        !buffer_cases_crossed !buffer_cases Fruit_buffer.scan_limit;
+      Option.iter
+        (fun share ->
+          Alcotest.(check bool) "share of cases past the scan limit" true
+            (float_of_int !buffer_cases_crossed >= share *. float_of_int !buffer_cases))
+        min_share )
 
 let buffer_differential =
-  buffer_property ~name:"hang-point buffer = eager candidate set" ~at_gaps:false
+  buffer_property ~name:"hang-point buffer = eager candidate set" ~at_gaps:false ()
 
 let buffer_gap_differential =
-  buffer_property ~name:"hang-point buffer = eager candidate set, asked at gaps" ~at_gaps:true
+  buffer_property ~name:"hang-point buffer = eager candidate set, asked at gaps" ~at_gaps:true ()
+
+let buffer_crowded_differential =
+  buffer_property ~crowded:true
+    ~name:"hang-point buffer = eager candidate set, crowded groups" ~at_gaps:true ()
 
 (* --- Mining step -------------------------------------------------------- *)
 
@@ -1706,8 +1752,9 @@ let () =
         [ QCheck_alcotest.to_alcotest store_differential ] );
       ( "buffer",
         [
-          QCheck_alcotest.to_alcotest buffer_differential;
-          QCheck_alcotest.to_alcotest buffer_gap_differential;
+          buffer_case buffer_differential;
+          buffer_case buffer_gap_differential;
+          buffer_case ~min_share:0.5 buffer_crowded_differential;
         ] );
       ( "spans",
         [ QCheck_alcotest.to_alcotest span_differential ] );

@@ -96,8 +96,8 @@ let qcheck_buffer_expire_equals_prune =
       let reference = Buffer_f.create () in
       List.iter
         (fun f ->
-          Buffer_f.add incremental f;
-          Buffer_f.add reference f)
+          ignore (Buffer_f.add incremental f : bool);
+          ignore (Buffer_f.add reference f : bool))
         pool;
       let final_view =
         List.fold_left
