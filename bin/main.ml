@@ -221,12 +221,20 @@ let sim_cmd =
            honest (or use --engine exact)\n";
         exit 2
     | Config.Sparse, `Honest | Config.Exact, _ -> ());
-    with_observability obs @@ fun () ->
-    let params = Params.make ~p ~pf:(p *. q) ~kappa () in
+    (* An out-of-range option is a usage error, like the combination
+       above: report the first one and exit 2. *)
     let config =
-      Config.make ~protocol ~engine ~n ~rho ~delta ~rounds ~seed
-        ~probe_interval:(rounds / 50) ~params ()
+      match
+        Config.make ~protocol ~engine ~n ~rho ~delta ~rounds ~seed ~probe_interval:(rounds / 50)
+          ~params:(Params.make ~p ~pf:(p *. q) ~kappa ())
+          ()
+      with
+      | config -> config
+      | exception Invalid_argument msg ->
+          Printf.eprintf "sim: %s\n" msg;
+          exit 2
     in
+    with_observability obs @@ fun () ->
     let strategy =
       match strategy with
       | `Selfish -> Runs.selfish ~gamma

@@ -3,8 +3,6 @@ module Hash = Fruitchain_crypto.Hash
 module Message = Fruitchain_net.Message
 module Network = Fruitchain_net.Network
 module Strategy = Fruitchain_sim.Strategy
-module Config = Fruitchain_sim.Config
-module Params = Fruitchain_core.Params
 module Window_view = Fruitchain_core.Window_view
 module Buffer_f = Fruitchain_core.Buffer
 
@@ -22,9 +20,7 @@ module M : Strategy.S = struct
     let view = Window_view.Cache.view ctx.views ~head:Types.genesis.b_hash in
     {
       ctx;
-      buffer =
-        Buffer_f.create
-          ~enforce_recency:ctx.config.Config.params.Params.enforce_recency ();
+      buffer = Buffer_f.create ();
       head = Types.genesis.b_hash;
       view;
     }

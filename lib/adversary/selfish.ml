@@ -2,8 +2,6 @@ open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 module Network = Fruitchain_net.Network
 module Strategy = Fruitchain_sim.Strategy
-module Config = Fruitchain_sim.Config
-module Params = Fruitchain_core.Params
 module Window_view = Fruitchain_core.Window_view
 module Buffer_f = Fruitchain_core.Buffer
 module Trace = Fruitchain_sim.Trace
@@ -48,9 +46,7 @@ module Make (P : PARAMS) : Strategy.S = struct
   let create (ctx : Strategy.ctx) =
     {
       ctx;
-      buffer =
-        Buffer_f.create
-          ~enforce_recency:ctx.config.Config.params.Params.enforce_recency ();
+      buffer = Buffer_f.create ();
       priv = Types.genesis.b_hash;
       withheld = [];
       pub_head = Types.genesis.b_hash;

@@ -14,7 +14,6 @@ type group = {
 }
 
 type t = {
-  enforce_recency : bool;
   groups : group Hash.Tbl.t; (* hang point -> the fruits hanging there *)
   mutable size : int;
   mutable mutations : int;
@@ -29,9 +28,8 @@ type t = {
    time and memory; groups past this size (q in the hundreds) get one. *)
 let scan_limit = 64
 
-let create ?(enforce_recency = true) () =
+let create () =
   {
-    enforce_recency;
     groups = Hash.Tbl.create 64;
     size = 0;
     mutations = 0;
@@ -91,17 +89,14 @@ let drop_group t pointer =
       touch t
 
 let expire t ~view =
-  match Window_view.expired view with
-  | Some (block, _) when t.enforce_recency -> drop_group t block
-  | Some _ | None -> ()
+  match Window_view.expired view with Some (block, _) -> drop_group t block | None -> ()
 
 let prune t ~store ~view =
-  if t.enforce_recency then
-    Hash.Tbl.fold
-      (fun pointer _ stale ->
-        if Window_view.stale_pointer ~store view ~pointer then pointer :: stale else stale)
-      t.groups []
-    |> List.iter (drop_group t)
+  Hash.Tbl.fold
+    (fun pointer _ stale ->
+      if Window_view.stale_pointer ~store view ~pointer then pointer :: stale else stale)
+    t.groups []
+  |> List.iter (drop_group t)
 
 let by_hash (a : Types.fruit) (b : Types.fruit) = Hash.compare a.f_hash b.f_hash
 
@@ -127,7 +122,7 @@ let merge xs ys =
    walked. Either way each walked group's [fresh] drops to zero, so it
    counts arrivals since this F′. *)
 let candidates t ~view =
-  let head = Window_view.head view in
+  let head = Window_view.head view and recency = Window_view.enforces_recency view in
   if not (Int.equal t.memo_mutations t.mutations && Hash.equal t.memo_head head) then begin
     let warm = Window_view.is_recent view ~pointer:t.memo_head in
     let walk ~all acc g =
@@ -145,7 +140,7 @@ let candidates t ~view =
       match Hash.Tbl.find_opt t.groups pointer with Some g -> walk ~all acc g | None -> acc
     in
     let unseen =
-      if not t.enforce_recency then
+      if not recency then
         Hash.Tbl.fold (fun _ g acc -> walk ~all:(not warm) acc g) t.groups []
       else if warm then
         (* The entering groups are walked whole first, which zeroes their
@@ -158,7 +153,7 @@ let candidates t ~view =
     in
     let still_candidate (f : Types.fruit) =
       mem t f
-      && ((not t.enforce_recency) || Window_view.is_recent view ~pointer:f.f_header.pointer)
+      && ((not recency) || Window_view.is_recent view ~pointer:f.f_header.pointer)
       && not (Window_view.is_included view ~fruit:f.f_hash)
     in
     let kept = if warm then List.filter still_candidate t.memo else [] in

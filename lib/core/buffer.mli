@@ -34,20 +34,21 @@
     are 256-bit draws — so for every fruit the simulator makes this is the
     same as identity by hash.
 
-    All views passed to one buffer must come from one {!Window_view.Cache}:
-    a windowed one ({!Window_view.Cache.create}) when recency is enforced, a
-    whole-chain one ({!Window_view.Cache.whole_chain}) when it is not. *)
+    {b Recency} is the view's: a buffer fed windowed views
+    ({!Window_view.Cache.create}) enforces it, one fed whole-chain views
+    ({!Window_view.Cache.whole_chain}) does not
+    ({!Window_view.enforces_recency}). All views passed to one buffer must
+    come from one {!Window_view.Cache}. *)
 
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 
 type t
 
-val create : ?enforce_recency:bool -> unit -> t
-(** [enforce_recency] (default [true]) mirrors {!Params.t.enforce_recency}:
-    when off, fruits are never ruled out (or pruned) by pointer age, and
-    "not yet recorded" means not recorded anywhere on the chain, which the
-    whole-chain views answer. *)
+val create : unit -> t
+(** An empty buffer. Without recency (whole-chain views) fruits are never
+    ruled out, expired or pruned by pointer age, and "not yet recorded"
+    means not recorded anywhere on the chain, which those views answer. *)
 
 val scan_limit : int
 (** The group size past which a group's membership goes through its own
@@ -73,8 +74,8 @@ val expire : t -> view:Window_view.t -> unit
 
 val prune : t -> store:Store.t -> view:Window_view.t -> unit
 (** The reorg path: drops every group whose hang point is stale w.r.t.
-    [view] ({!Window_view.stale_pointer}). O(groups). Nothing is stale when
-    recency is off. *)
+    [view] ({!Window_view.stale_pointer}). O(groups). Nothing is stale in a
+    whole-chain view. *)
 
 val candidates : t -> view:Window_view.t -> Types.fruit list
 (** F′ for [view]: buffered fruits hanging from a block in the window (any

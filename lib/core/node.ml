@@ -20,7 +20,7 @@ type t = {
 }
 
 let create ?(gossip = false) ~id ~params ~store ~views ~rng () =
-  let buffer = Buffer.create ~enforce_recency:params.Params.enforce_recency () in
+  let buffer = Buffer.create () in
   let view = Window_view.Cache.view views ~head:Types.genesis.b_hash in
   let rec t =
     {

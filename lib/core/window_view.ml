@@ -1,158 +1,164 @@
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 
-module Hmap = Map.Make (struct
-  type t = Hash.t
-
-  let compare = Hash.compare
-end)
-
-(* Persistent FIFO of the blocks currently inside the window, oldest first:
-   (block reference, its fruits' references). *)
-module Span = struct
-  type elt = Hash.t * Hash.t list
-  type t = { front : elt list; back : elt list; length : int }
-
-  let empty = { front = []; back = []; length = 0 }
-  let push t elt = { t with back = elt :: t.back; length = t.length + 1 }
-
-  let pop t =
-    match t.front with
-    | x :: front -> (x, { t with front; length = t.length - 1 })
-    | [] -> (
-        match List.rev t.back with
-        | [] -> invalid_arg "Window_view.Span.pop: empty"
-        | x :: front -> (x, { front; back = []; length = t.length - 1 }))
-
-  let length t = t.length
-
-  let fold t ~init ~f = List.fold_left f (List.fold_left f init t.front) t.back
-
-  (* The newest [k] elements: the first of [back] (newest first), then, if
-     [back] runs out, the last of [front] (oldest first). *)
-  let fold_newest t k ~init ~f =
-    let rec take acc k = function
-      | x :: rest when k > 0 -> take (f acc x) (k - 1) rest
-      | _ -> (acc, k)
-    in
-    let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l in
-    let acc, left = take init k t.back in
-    if left <= 0 then acc
-    else
-      let front_length = t.length - (k - left) in
-      fst (take acc left (drop (front_length - left) t.front))
-end
-
-(* How far back a view reaches: the last [n] blocks (the recency window), or
-   the whole chain, for runs without the recency rule, whose F′ must know
-   every fruit the chain records. *)
-type reach = Last of int | Whole_chain
+(* The block ids of one chain by height: [ids.(k - base)] is the block at
+   height [k], for [base <= k < top]. The views of one chain share it, each
+   reading only the heights up to its own, so an entry is written once and
+   never changed: a view whose head is the top extends the vector in place,
+   and any other extension (a fork) copies what its window needs. *)
+type chain = { base : int; mutable ids : Store.id array; mutable top : int }
 
 type t = {
+  store : Store.t;
+  recorders : Store.id list Hash.Tbl.t; (* the cache's fruit index *)
+  recency : bool;
   head : Hash.t;
   height : int;
-  hangs : int Hmap.t;
-  included : int Hmap.t;
-  span : Span.t;
-  expired : Span.elt option; (* block that left the window when this view was made *)
+  low : int; (* lowest height in the window *)
+  chain : chain; (* holds every height from [max 0 (height - window)] up *)
+  expired : (Hash.t * Hash.t list) option;
 }
 
-let genesis =
-  let h = Types.genesis.b_hash in
-  {
-    head = h;
-    height = 0;
-    hangs = Hmap.singleton h 0;
-    included = Hmap.empty;
-    span = Span.push Span.empty (h, []);
-    expired = None;
-  }
+let head t = t.head
+let height t = t.height
+let enforces_recency t = t.recency
+let expired t = t.expired
+let id_at chain k = chain.ids.(k - chain.base)
 
-let extend_to reach view (block : Types.block) =
-  if not (Hash.equal block.b_header.parent view.head) then
-    invalid_arg "Window_view.extend: block does not extend the view's head";
-  let height = view.height + 1 in
-  let fruit_hashes = List.map (fun (f : Types.fruit) -> f.f_hash) block.fruits in
-  let hangs = Hmap.add block.b_hash height view.hangs in
-  let included =
-    List.fold_left (fun acc fh -> Hmap.add fh height acc) view.included fruit_hashes
-  in
-  let span = Span.push view.span (block.b_hash, fruit_hashes) in
-  (* Expire the block that fell below the window, if any. A fruit entry is
-     only removed when its recorded height is the expiring one — a later
-     duplicate inclusion (possible for adversarial chains) keeps the newer
-     entry alive. *)
-  let hangs, included, span, expired =
-    match reach with
-    | Last window when Span.length span > window && height - window >= 0 ->
-        let expired_height = height - window in
-        let ((old_hash, old_fruits) as old), span = Span.pop span in
-        let hangs =
-          match Hmap.find_opt old_hash hangs with
-          | Some h when Int.equal h expired_height -> Hmap.remove old_hash hangs
-          | _ -> hangs
-        in
-        let included =
-          List.fold_left
-            (fun acc fh ->
-              match Hmap.find_opt fh acc with
-              | Some h when Int.equal h expired_height -> Hmap.remove fh acc
-              | _ -> acc)
-            included old_fruits
-        in
-        (hangs, included, span, Some old)
-    | Last _ | Whole_chain -> (hangs, included, span, None)
-  in
-  { head = block.b_hash; height; hangs; included; span; expired }
+let in_window t id =
+  let k = Store.height_at t.store id in
+  k >= t.low && k <= t.height && Store.id_equal (id_at t.chain k) id
 
-let extend ~window = extend_to (Last window)
+let is_recent t ~pointer =
+  match Store.find_id t.store pointer with Some id -> in_window t id | None -> false
 
-let of_chain ~window ~store ~head =
-  let blocks = Store.last_n store ~head (window + 1) in
-  match blocks with
-  | [] -> genesis
-  | oldest :: _ ->
-      let base_height = Store.height store oldest.Types.b_hash in
-      let start =
-        {
-          head = oldest.Types.b_hash;
-          height = base_height;
-          hangs = Hmap.singleton oldest.Types.b_hash base_height;
-          included =
-            List.fold_left
-              (fun acc (f : Types.fruit) -> Hmap.add f.f_hash base_height acc)
-              Hmap.empty oldest.Types.fruits;
-          span =
-            Span.push Span.empty
-              (oldest.Types.b_hash, List.map (fun (f : Types.fruit) -> f.f_hash) oldest.Types.fruits);
-          expired = None;
-        }
-      in
-      List.fold_left (fun view b -> extend ~window view b) start (List.tl blocks)
+let rec any_in_window t = function
+  | [] -> false
+  | id :: rest -> in_window t id || any_in_window t rest
 
-let fold_window view ~init ~f = Span.fold view.span ~init ~f:(fun acc (h, _) -> f acc h)
-let fold_newest view k ~init ~f = Span.fold_newest view.span k ~init ~f:(fun acc (h, _) -> f acc h)
-let is_recent view ~pointer = Hmap.mem pointer view.hangs
-let is_included view ~fruit = Hmap.mem fruit view.included
-
-let stale_pointer ~store view ~pointer =
-  (* A pointer is stale when the block it names sits strictly below the
-     current window — heights only grow, so it can never be in-window
-     again. *)
-  (not (is_recent view ~pointer))
-  &&
-  match Store.find store pointer with
+let is_included t ~fruit =
+  match Hash.Tbl.find_opt t.recorders fruit with
+  | Some ids -> any_in_window t ids
   | None -> false
-  | Some b -> Store.height store b.Types.b_hash < view.height - (Span.length view.span - 1)
+
+(* Nothing lies below height 0: while the window reaches genesis, as a
+   whole-chain view's always does, no pointer is stale and no lookup is
+   needed, which keeps a whole-chain prune to a walk over the groups. *)
+let stale_pointer ~store t ~pointer =
+  t.low > 0
+  &&
+  match Store.find_id store pointer with
+  | Some id -> Store.height_at store id < t.low
+  | None -> false
+
+let fold_from t from ~init ~f =
+  let rec go acc k =
+    if k > t.height then acc else go (f acc (Store.hash_at t.store (id_at t.chain k))) (k + 1)
+  in
+  go init from
+
+let fold_window t ~init ~f = fold_from t t.low ~init ~f
+let fold_newest t k ~init ~f = fold_from t (max t.low (t.height - k + 1)) ~init ~f
 
 module Cache = struct
   type view = t
-  type nonrec t = { reach : reach; store : Store.t; views : view Hash.Tbl.t }
+
+  (* How far back a view reaches: the last [n] blocks (the recency window),
+     or the whole chain, for runs without the recency rule, whose F′ must
+     know every fruit the chain records. *)
+  type reach = Last of int | Whole_chain
+
+  type nonrec t = {
+    reach : reach;
+    store : Store.t;
+    recorders : Store.id list Hash.Tbl.t; (* fruit -> the blocks recording it *)
+    views : view Hash.Tbl.t;
+  }
+
+  (* Adds the block's fruits to the index. Idempotent: a rebuild meets
+     blocks that earlier views indexed, and a block a rebuild indexed may
+     later get a view of its own. *)
+  let index t id =
+    List.iter
+      (fun (f : Types.fruit) ->
+        match Hash.Tbl.find_opt t.recorders f.f_hash with
+        | None -> Hash.Tbl.add t.recorders f.f_hash [ id ]
+        | Some ids ->
+            if not (List.exists (Store.id_equal id) ids) then
+              Hash.Tbl.replace t.recorders f.f_hash (id :: ids))
+      (Store.block_at t.store id).fruits
+
+  (* The lowest height a view at [height] reads: its window, and the block
+     just below it, which the view reports as expired. *)
+  let base t height = match t.reach with Last window -> max 0 (height - window) | Whole_chain -> 0
+
+  let make_view t chain ~head ~height =
+    let low, expired =
+      match t.reach with
+      | Last window when height >= window ->
+          let b = Store.block_at t.store (id_at chain (height - window)) in
+          let fruits = List.map (fun (f : Types.fruit) -> f.f_hash) b.fruits in
+          (height - window + 1, Some (b.b_hash, fruits))
+      | Last _ | Whole_chain -> (0, None)
+    in
+    let recency = match t.reach with Last _ -> true | Whole_chain -> false in
+    let store = t.store and recorders = t.recorders in
+    ({ store; recorders; recency; head; height; low; chain; expired } : view)
+
+  let push chain id =
+    let i = chain.top - chain.base in
+    if Int.equal i (Array.length chain.ids) then begin
+      let ids = Array.make (2 * i) Store.genesis_id in
+      Array.blit chain.ids 0 ids 0 i;
+      chain.ids <- ids
+    end;
+    chain.ids.(i) <- id;
+    chain.top <- chain.top + 1
+
+  (* The view of block [id], a child of [parent]'s head. *)
+  let extend t (parent : view) id =
+    let height = parent.height + 1 in
+    let chain =
+      if Int.equal parent.chain.top height then parent.chain
+      else begin
+        (* Another child already extended the parent's vector: fork it,
+           copying the heights the new view reads below its head. *)
+        let base = base t height in
+        let n = height - base in
+        let ids = Array.make (n + 1) Store.genesis_id in
+        Array.blit parent.chain.ids (base - parent.chain.base) ids 0 n;
+        { base; ids; top = height }
+      end
+    in
+    push chain id;
+    index t id;
+    make_view t chain ~head:(Store.hash_at t.store id) ~height
+
+  (* The view of [id] from the store alone, for a windowed cache with no
+     cached ancestor within the window. *)
+  let rebuild t id =
+    let height = Store.height_at t.store id in
+    let base = base t height in
+    let n = height - base + 1 in
+    let ids = Array.make (n + 1) Store.genesis_id in
+    let rec fill k i =
+      ids.(k - base) <- i;
+      if k > base then fill (k - 1) (Store.parent_id t.store i)
+    in
+    fill height id;
+    let chain = { base; ids; top = height + 1 } in
+    let view = make_view t chain ~head:(Store.hash_at t.store id) ~height in
+    for k = view.low to height do
+      index t (id_at chain k)
+    done;
+    view
 
   let make reach ~store =
-    let views = Hash.Tbl.create 1024 in
-    Hash.Tbl.replace views Types.genesis.b_hash genesis;
-    { reach; store; views }
+    let genesis = Types.genesis.b_hash in
+    let t = { reach; store; recorders = Hash.Tbl.create 1024; views = Hash.Tbl.create 1024 } in
+    let chain = { base = 0; ids = Array.make 64 Store.genesis_id; top = 1 } in
+    Hash.Tbl.replace t.views genesis (make_view t chain ~head:genesis ~height:0);
+    t
 
   let create ~window ~store = make (Last window) ~store
   let whole_chain ~store = make Whole_chain ~store
@@ -164,30 +170,20 @@ module Cache = struct
         (* Walk up to the nearest cached ancestor. A windowed cache gives up
            after [window] steps and rebuilds (deep reorg or cold cache); a
            whole-chain cache always reaches one, genesis at the latest. *)
-        let rec ancestors acc h depth =
-          match (Hash.Tbl.find_opt t.views h, t.reach) with
-          | Some v, _ -> `Extend (v, acc)
-          | None, Last window when depth > window -> `Rebuild window
+        let rec ancestors path id depth =
+          match (Hash.Tbl.find_opt t.views (Store.hash_at t.store id), t.reach) with
+          | Some v, _ -> `Extend (v, path)
+          | None, Last window when depth > window -> `Rebuild
           | None, (Last _ | Whole_chain) ->
-              let block = Store.find_exn t.store h in
-              if Hash.equal h Types.genesis.b_hash then `Extend (genesis, acc)
-              else ancestors (block :: acc) block.Types.b_header.parent (depth + 1)
+              ancestors (id :: path) (Store.parent_id t.store id) (depth + 1)
         in
-        let v =
-          match ancestors [] head 0 with
-          | `Extend (base, blocks) ->
-              List.fold_left
-                (fun view b ->
-                  let view = extend_to t.reach view b in
-                  Hash.Tbl.replace t.views view.head view;
-                  view)
-                base blocks
-          | `Rebuild window -> of_chain ~window ~store:t.store ~head
+        let memo (v : view) =
+          Hash.Tbl.replace t.views v.head v;
+          v
         in
-        Hash.Tbl.replace t.views head v;
-        v
+        let head_id = Store.id t.store head in
+        match ancestors [ head_id ] (Store.parent_id t.store head_id) 1 with
+        | `Extend (base, path) ->
+            List.fold_left (fun parent id -> memo (extend t parent id)) base path
+        | `Rebuild -> memo (rebuild t head_id)
 end
-
-let head t = t.head
-let height t = t.height
-let expired t = t.expired

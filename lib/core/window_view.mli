@@ -4,35 +4,44 @@
     about the last [window] blocks of a chain: which block references a
     fruit may legally hang from, and which fruits are already recorded
     there. Recomputing these by scanning the window on every round is what
-    makes a naive simulator quadratic; this module maintains them as
-    persistent maps derived in O((1 + |fruits|)·log window) when a chain is
-    extended by one block, with a from-scratch rebuild only on reorgs.
+    makes a naive simulator quadratic. Here a view is a small record over
+    the arena {!Store}: its head, its height and a vector of the chain's
+    block ids by height, shared by the views of one chain. Its {!Cache}
+    keeps one index from each fruit to the blocks that record it, built
+    once per block when the block first enters a view. {!is_recent} is a
+    store lookup and one vector read; {!is_included} an index lookup and
+    one vector read per recording block. Extending a chain by one block
+    appends to its vector in place; a fork, or a rebuild after a reorg
+    deeper than the window, copies at most the window into a new vector.
+    A new view is O(1) amortized.
 
     A view is immutable and keyed by its head, so all nodes currently on the
     same head share one view through {!Cache}.
 
     Runs without the recency rule use whole-chain views
     ({!Cache.whole_chain}): their window is the entire chain, so
-    {!is_included} answers for every block and nothing ever expires. *)
+    {!is_included} answers for every block and nothing ever expires. Their
+    forks copy the whole prefix. *)
 
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 
 type t
 
-val genesis : t
-(** The view of the genesis-only chain. *)
-
 val head : t -> Hash.t
 val height : t -> int
 
+val enforces_recency : t -> bool
+(** [false] for whole-chain views ({!Cache.whole_chain}), whose window is
+    the entire chain: fruits may hang from anywhere and never go stale. *)
+
 val expired : t -> (Hash.t * Hash.t list) option
-(** The block that fell out of the window when this view was made — its
-    reference and the references of the fruits it records — or [None] while
-    the chain is still shorter than the window. A view rebuilt by
-    {!of_chain} reports the same block as one derived by {!extend}, so
-    buffers that follow a chain one view at a time see every block leave,
-    exactly once, and can expire what hangs from it. *)
+(** The block that left the window when the chain reached this view's head
+    — the block at height [height − window], with the references of the
+    fruits it records — or [None] while the chain is shorter than that, and
+    always for whole-chain views. A view depends on its head alone, however
+    it was built, so buffers that follow a chain one view at a time see
+    every block leave, exactly once, and can expire what hangs from it. *)
 
 val fold_window : t -> init:'a -> f:('a -> Hash.t -> 'a) -> 'a
 (** Folds over the references of the blocks in the window — exactly the
@@ -41,30 +50,25 @@ val fold_window : t -> init:'a -> f:('a -> Hash.t -> 'a) -> 'a
 val fold_newest : t -> int -> init:'a -> f:('a -> Hash.t -> 'a) -> 'a
 (** [fold_newest view k] folds over the references of the newest [k] blocks
     of the window (all of them when [k] exceeds it), in an unspecified
-    order. O(k) at best, O(window) at worst. *)
-
-val extend : window:int -> t -> Types.block -> t
-(** [extend ~window view block] where [block.parent] is the view's head.
-    Raises [Invalid_argument] otherwise. Entries that fall below the window
-    are expired. *)
-
-val of_chain : window:int -> store:Store.t -> head:Hash.t -> t
-(** Rebuild by scanning the last [window] blocks — the reorg path. *)
+    order. O(k). *)
 
 val is_recent : t -> pointer:Hash.t -> bool
 (** May a fruit with this hang pointer still go into the {e next} block of
     this chain? True iff the pointer references one of the last [window]
-    blocks (§4.1's recency). *)
+    blocks (§4.1's recency): heights [max 0 (height − window + 1)] to
+    [height], genesis included while the chain is shorter than the window. *)
 
 val is_included : t -> fruit:Hash.t -> bool
 (** Is this fruit already recorded within the window? For recency-respecting
     chains this is a complete duplicate test: an in-window hang point forces
-    every legal inclusion to be in-window too. *)
+    every legal inclusion to be in-window too. A fruit recorded twice on one
+    chain stays included while either recording block is in the window. *)
 
 val stale_pointer : store:Store.t -> t -> pointer:Hash.t -> bool
 (** [true] when the pointer names a stored block whose height is already
     below the window. Such a fruit can never again be recorded on this chain
-    — heights only grow — so buffers may prune it. *)
+    — heights only grow — so buffers may prune it. Never [true] for a
+    whole-chain view. *)
 
 module Cache : sig
   type view = t
@@ -80,6 +84,7 @@ module Cache : sig
   val view : t -> head:Hash.t -> view
   (** The view for any stored head: derived from the nearest cached
       ancestor's view when one exists within [window] steps (at any depth
-      for a whole-chain cache), rebuilt by scanning otherwise; memoized
-      either way. *)
+      for a whole-chain cache), rebuilt from the store otherwise; memoized
+      either way, so the same head returns the same view. Raises
+      [Not_found] for a head the store does not hold. *)
 end

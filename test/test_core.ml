@@ -87,13 +87,26 @@ let build_chain oracle rng store ~len ~fruits_at =
   in
   go [] Types.genesis_hash 1
 
+(* Views are read through a cache, as every caller does: following a chain
+   one head at a time takes the extension path; asking a fresh cache for a
+   head deeper than its window takes the rebuild path. *)
+let views_along cache blocks =
+  List.map (fun (b : Types.block) -> Window_view.Cache.view cache ~head:b.b_hash) blocks
+
+let last l = List.nth l (List.length l - 1)
+
+let genesis_view () =
+  let cache = Window_view.Cache.create ~window:4 ~store:(Store.create ()) in
+  Window_view.Cache.view cache ~head:Types.genesis_hash
+
 let test_view_genesis () =
-  let v = Window_view.genesis in
+  let v = genesis_view () in
   Alcotest.(check int) "height 0" 0 (Window_view.height v);
   Alcotest.(check bool) "genesis recent" true
     (Window_view.is_recent v ~pointer:Types.genesis_hash);
   Alcotest.(check bool) "nothing included" false
-    (Window_view.is_included v ~fruit:Types.genesis_hash)
+    (Window_view.is_included v ~fruit:Types.genesis_hash);
+  Alcotest.(check bool) "nothing expired" true (Option.is_none (Window_view.expired v))
 
 let test_view_extend_tracks_window () =
   let o = easy_oracle () and rng = Rng.of_seed 1L in
@@ -101,9 +114,7 @@ let test_view_extend_tracks_window () =
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let blocks = build_chain o rng store ~len:5 ~fruits_at:(fun i -> if i = 2 then [ f ] else []) in
   let window = 3 in
-  let view =
-    List.fold_left (fun v b -> Window_view.extend ~window v b) Window_view.genesis blocks
-  in
+  let view = last (views_along (Window_view.Cache.create ~window ~store) blocks) in
   Alcotest.(check int) "height 5" 5 (Window_view.height view);
   (* Window covers heights 3..5: block at height 2 (holding f) expired. *)
   Alcotest.(check bool) "recent head" true
@@ -124,22 +135,19 @@ let test_view_inclusion_visible () =
   let store = Store.create () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let blocks = build_chain o rng store ~len:2 ~fruits_at:(fun i -> if i = 2 then [ f ] else []) in
-  let view =
-    List.fold_left (fun v b -> Window_view.extend ~window:4 v b) Window_view.genesis blocks
-  in
+  let view = last (views_along (Window_view.Cache.create ~window:4 ~store) blocks) in
   Alcotest.(check bool) "included" true (Window_view.is_included view ~fruit:f.Types.f_hash)
 
-let test_view_of_chain_matches_extend () =
+let test_view_rebuilt_matches_extended () =
   let o = easy_oracle () and rng = Rng.of_seed 3L in
   let store = Store.create () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let blocks = build_chain o rng store ~len:6 ~fruits_at:(fun i -> if i = 4 then [ f ] else []) in
   let head = (List.nth blocks 5).Types.b_hash in
   let window = 3 in
-  let by_extend =
-    List.fold_left (fun v b -> Window_view.extend ~window v b) Window_view.genesis blocks
-  in
-  let by_scan = Window_view.of_chain ~window ~store ~head in
+  let by_extend = last (views_along (Window_view.Cache.create ~window ~store) blocks) in
+  (* Six blocks above genesis, the only cached view: past the window. *)
+  let by_scan = Window_view.Cache.view (Window_view.Cache.create ~window ~store) ~head in
   Alcotest.(check int) "same height" (Window_view.height by_extend) (Window_view.height by_scan);
   List.iter
     (fun (b : Types.block) ->
@@ -151,6 +159,8 @@ let test_view_of_chain_matches_extend () =
   Alcotest.(check bool) "inclusion agrees"
     (Window_view.is_included by_extend ~fruit:f.Types.f_hash)
     (Window_view.is_included by_scan ~fruit:f.Types.f_hash);
+  Alcotest.(check bool) "rebuilt view sees the inclusion" true
+    (Window_view.is_included by_scan ~fruit:f.Types.f_hash);
   let expired v = Option.map fst (Window_view.expired v) in
   Alcotest.(check bool) "rebuilt view reports the same expired block" true
     (Option.equal Hash.equal (expired by_extend) (expired by_scan)
@@ -159,13 +169,6 @@ let test_view_of_chain_matches_extend () =
   Alcotest.(check bool) "same window blocks" true
     (List.equal Hash.equal (window_of by_extend) (window_of by_scan));
   Alcotest.(check int) "window holds [window] blocks" window (List.length (window_of by_scan))
-
-let test_view_extend_wrong_parent () =
-  let o = easy_oracle () and rng = Rng.of_seed 4L in
-  let orphan = mine_block o rng ~parent:(Hash.of_raw (Sha256.digest "x")) [] in
-  Alcotest.check_raises "wrong parent"
-    (Invalid_argument "Window_view.extend: block does not extend the view's head") (fun () ->
-      ignore (Window_view.extend ~window:2 Window_view.genesis orphan))
 
 let test_view_cache_reuses () =
   let o = easy_oracle () and rng = Rng.of_seed 5L in
@@ -183,20 +186,25 @@ let test_view_stale_pointer () =
   let store = Store.create () in
   let blocks = build_chain o rng store ~len:6 ~fruits_at:(fun _ -> []) in
   let head = (List.nth blocks 5).Types.b_hash in
-  let view = Window_view.of_chain ~window:2 ~store ~head in
+  let view = Window_view.Cache.view (Window_view.Cache.create ~window:2 ~store) ~head in
   Alcotest.(check bool) "deep block stale" true
     (Window_view.stale_pointer ~store view ~pointer:(List.nth blocks 0).Types.b_hash);
   Alcotest.(check bool) "unknown pointer not stale" false
     (Window_view.stale_pointer ~store view ~pointer:(Hash.of_raw (Sha256.digest "unknown")));
   Alcotest.(check bool) "in-window not stale" false
-    (Window_view.stale_pointer ~store view ~pointer:head)
+    (Window_view.stale_pointer ~store view ~pointer:head);
+  let whole = Window_view.Cache.view (Window_view.Cache.whole_chain ~store) ~head in
+  Alcotest.(check bool) "nothing stale in a whole-chain view" false
+    (List.exists
+       (fun (b : Types.block) -> Window_view.stale_pointer ~store whole ~pointer:b.b_hash)
+       blocks)
 
 (* --- Buffer ----------------------------------------------------------- *)
 
 let test_buffer_add_and_candidates () =
   let o = easy_oracle () and rng = Rng.of_seed 7L in
   let buf = Buffer_f.create () in
-  let view = Window_view.genesis in
+  let view = genesis_view () in
   let f1 = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let f2 = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "elsewhere")) () in
   Alcotest.(check bool) "f1 new" true (Buffer_f.add buf f1);
@@ -216,7 +224,7 @@ let test_buffer_idempotent () =
   Alcotest.(check bool) "member" true (Buffer_f.mem buf f);
   Alcotest.(check int) "no duplicate" 1 (Buffer_f.size buf);
   Alcotest.(check int) "one candidate" 1
-    (List.length (Buffer_f.candidates buf ~view:Window_view.genesis))
+    (List.length (Buffer_f.candidates buf ~view:(genesis_view ())))
 
 let test_buffer_candidates_sorted () =
   let o = easy_oracle () and rng = Rng.of_seed 9L in
@@ -226,7 +234,7 @@ let test_buffer_candidates_sorted () =
       (Buffer_f.add buf (mine_fruit o rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ()))
   done;
   let hashes =
-    List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view:Window_view.genesis)
+    List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view:(genesis_view ()))
   in
   let sorted = List.sort Hash.compare hashes in
   Alcotest.(check int) "all ten" 10 (List.length hashes);
@@ -249,7 +257,8 @@ let test_buffer_expire_vs_prune () =
       ignore (Buffer_f.add incremental f : bool);
       ignore (Buffer_f.add reference f : bool))
     fruits;
-  let view1 = Window_view.extend ~window Window_view.genesis b1 in
+  let views = Window_view.Cache.create ~window ~store in
+  let view1 = Window_view.Cache.view views ~head:b1.Types.b_hash in
   Buffer_f.expire incremental ~view:view1;
   Buffer_f.prune reference ~store ~view:view1;
   let hashes buf view = List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view) in
@@ -262,8 +271,8 @@ let test_buffer_expire_vs_prune () =
   Store.add store b2;
   let b3 = mine_block o rng ~parent:b2.Types.b_hash [] in
   Store.add store b3;
-  let view2 = Window_view.extend ~window view1 b2 in
-  let view3 = Window_view.extend ~window view2 b3 in
+  let view2 = Window_view.Cache.view views ~head:b2.Types.b_hash in
+  let view3 = Window_view.Cache.view views ~head:b3.Types.b_hash in
   Buffer_f.expire incremental ~view:view2;
   Buffer_f.expire incremental ~view:view3;
   Buffer_f.prune reference ~store ~view:view3;
@@ -276,12 +285,14 @@ let test_buffer_expire_vs_prune () =
 let test_buffer_recency_disabled () =
   let o = easy_oracle () and rng = Rng.of_seed 11L in
   let store = Store.create () in
-  let buf = Buffer_f.create ~enforce_recency:false () in
+  let buf = Buffer_f.create () in
+  let views = Window_view.Cache.whole_chain ~store in
+  let view = Window_view.Cache.view views ~head:Types.genesis_hash in
   let f = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "anywhere")) () in
   ignore (Buffer_f.add buf f : bool);
   Alcotest.(check int) "unknown pointer still candidate" 1
-    (List.length (Buffer_f.candidates buf ~view:Window_view.genesis));
-  Buffer_f.prune buf ~store ~view:Window_view.genesis;
+    (List.length (Buffer_f.candidates buf ~view));
+  Buffer_f.prune buf ~store ~view;
   Alcotest.(check int) "never pruned" 1 (Buffer_f.size buf)
 
 let test_buffer_recency_disabled_remembers_chain () =
@@ -291,7 +302,7 @@ let test_buffer_recency_disabled_remembers_chain () =
   let o = easy_oracle () and rng = Rng.of_seed 12L in
   let store = Store.create () in
   let views = Window_view.Cache.whole_chain ~store in
-  let buf = Buffer_f.create ~enforce_recency:false () in
+  let buf = Buffer_f.create () in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   ignore (Buffer_f.add buf f : bool);
   let grow head fruits_per_block =
@@ -668,8 +679,7 @@ let () =
           Alcotest.test_case "genesis view" `Quick test_view_genesis;
           Alcotest.test_case "extend tracks window" `Quick test_view_extend_tracks_window;
           Alcotest.test_case "inclusion visible" `Quick test_view_inclusion_visible;
-          Alcotest.test_case "of_chain = extend" `Quick test_view_of_chain_matches_extend;
-          Alcotest.test_case "extend wrong parent" `Quick test_view_extend_wrong_parent;
+          Alcotest.test_case "rebuilt = extended" `Quick test_view_rebuilt_matches_extended;
           Alcotest.test_case "cache reuses" `Quick test_view_cache_reuses;
           Alcotest.test_case "stale pointer" `Quick test_view_stale_pointer;
         ] );

@@ -918,7 +918,7 @@ let buffer_property ?(crowded = false) ~name ~at_gaps () =
         else Window_view.Cache.whole_chain ~store
       in
       let reference = Ref_buffer.create ~enforce_recency () in
-      let buffer = Fruit_buffer.create ~enforce_recency () in
+      let buffer = Fruit_buffer.create () in
       let counter = ref 0 in
       let fresh tag =
         incr counter;
@@ -1067,6 +1067,325 @@ let buffer_gap_differential =
 let buffer_crowded_differential =
   buffer_property ~crowded:true
     ~name:"hang-point buffer = eager candidate set, crowded groups" ~at_gaps:true ()
+
+(* ------------------------------------------------------------------ *)
+(* Reference window view: the persistent-map views (a map of the       *)
+(* window's hang points, a map of its recorded fruits and a FIFO of    *)
+(* its blocks, each view derived from its parent's), verbatim.         *)
+
+module Ref_view = struct
+  open Fruitchain_chain
+  module Hash = Fruitchain_crypto.Hash
+
+  module Hmap = Map.Make (struct
+    type t = Hash.t
+
+    let compare = Hash.compare
+  end)
+
+  (* Persistent FIFO of the blocks currently inside the window, oldest first:
+     (block reference, its fruits' references). *)
+  module Span = struct
+    type elt = Hash.t * Hash.t list
+    type t = { front : elt list; back : elt list; length : int }
+
+    let empty = { front = []; back = []; length = 0 }
+    let push t elt = { t with back = elt :: t.back; length = t.length + 1 }
+
+    let pop t =
+      match t.front with
+      | x :: front -> (x, { t with front; length = t.length - 1 })
+      | [] -> (
+          match List.rev t.back with
+          | [] -> invalid_arg "Window_view.Span.pop: empty"
+          | x :: front -> (x, { front; back = []; length = t.length - 1 }))
+
+    let length t = t.length
+
+    let fold t ~init ~f = List.fold_left f (List.fold_left f init t.front) t.back
+
+    (* The newest [k] elements: the first of [back] (newest first), then, if
+       [back] runs out, the last of [front] (oldest first). *)
+    let fold_newest t k ~init ~f =
+      let rec take acc k = function
+        | x :: rest when k > 0 -> take (f acc x) (k - 1) rest
+        | _ -> (acc, k)
+      in
+      let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l in
+      let acc, left = take init k t.back in
+      if left <= 0 then acc
+      else
+        let front_length = t.length - (k - left) in
+        fst (take acc left (drop (front_length - left) t.front))
+  end
+
+  (* How far back a view reaches: the last [n] blocks (the recency window), or
+     the whole chain, for runs without the recency rule, whose F′ must know
+     every fruit the chain records. *)
+  type reach = Last of int | Whole_chain
+
+  type t = {
+    head : Hash.t;
+    height : int;
+    hangs : int Hmap.t;
+    included : int Hmap.t;
+    span : Span.t;
+    expired : Span.elt option; (* block that left the window when this view was made *)
+  }
+
+  let genesis =
+    let h = Types.genesis.b_hash in
+    {
+      head = h;
+      height = 0;
+      hangs = Hmap.singleton h 0;
+      included = Hmap.empty;
+      span = Span.push Span.empty (h, []);
+      expired = None;
+    }
+
+  let extend_to reach view (block : Types.block) =
+    if not (Hash.equal block.b_header.parent view.head) then
+      invalid_arg "Window_view.extend: block does not extend the view's head";
+    let height = view.height + 1 in
+    let fruit_hashes = List.map (fun (f : Types.fruit) -> f.f_hash) block.fruits in
+    let hangs = Hmap.add block.b_hash height view.hangs in
+    let included =
+      List.fold_left (fun acc fh -> Hmap.add fh height acc) view.included fruit_hashes
+    in
+    let span = Span.push view.span (block.b_hash, fruit_hashes) in
+    (* Expire the block that fell below the window, if any. A fruit entry is
+       only removed when its recorded height is the expiring one — a later
+       duplicate inclusion (possible for adversarial chains) keeps the newer
+       entry alive. *)
+    let hangs, included, span, expired =
+      match reach with
+      | Last window when Span.length span > window && height - window >= 0 ->
+          let expired_height = height - window in
+          let ((old_hash, old_fruits) as old), span = Span.pop span in
+          let hangs =
+            match Hmap.find_opt old_hash hangs with
+            | Some h when Int.equal h expired_height -> Hmap.remove old_hash hangs
+            | _ -> hangs
+          in
+          let included =
+            List.fold_left
+              (fun acc fh ->
+                match Hmap.find_opt fh acc with
+                | Some h when Int.equal h expired_height -> Hmap.remove fh acc
+                | _ -> acc)
+              included old_fruits
+          in
+          (hangs, included, span, Some old)
+      | Last _ | Whole_chain -> (hangs, included, span, None)
+    in
+    { head = block.b_hash; height; hangs; included; span; expired }
+
+  let extend ~window = extend_to (Last window)
+
+  let of_chain ~window ~store ~head =
+    let blocks = Store.last_n store ~head (window + 1) in
+    match blocks with
+    | [] -> genesis
+    | oldest :: _ ->
+        let base_height = Store.height store oldest.Types.b_hash in
+        let start =
+          {
+            head = oldest.Types.b_hash;
+            height = base_height;
+            hangs = Hmap.singleton oldest.Types.b_hash base_height;
+            included =
+              List.fold_left
+                (fun acc (f : Types.fruit) -> Hmap.add f.f_hash base_height acc)
+                Hmap.empty oldest.Types.fruits;
+            span =
+              Span.push Span.empty
+                (oldest.Types.b_hash, List.map (fun (f : Types.fruit) -> f.f_hash) oldest.Types.fruits);
+            expired = None;
+          }
+        in
+        List.fold_left (fun view b -> extend ~window view b) start (List.tl blocks)
+
+  let fold_window view ~init ~f = Span.fold view.span ~init ~f:(fun acc (h, _) -> f acc h)
+  let fold_newest view k ~init ~f = Span.fold_newest view.span k ~init ~f:(fun acc (h, _) -> f acc h)
+  let is_recent view ~pointer = Hmap.mem pointer view.hangs
+  let is_included view ~fruit = Hmap.mem fruit view.included
+
+  let stale_pointer ~store view ~pointer =
+    (* A pointer is stale when the block it names sits strictly below the
+       current window — heights only grow, so it can never be in-window
+       again. *)
+    (not (is_recent view ~pointer))
+    &&
+    match Store.find store pointer with
+    | None -> false
+    | Some b -> Store.height store b.Types.b_hash < view.height - (Span.length view.span - 1)
+
+  module Cache = struct
+    type view = t
+    type nonrec t = { reach : reach; store : Store.t; views : view Hash.Tbl.t }
+
+    let make reach ~store =
+      let views = Hash.Tbl.create 1024 in
+      Hash.Tbl.replace views Types.genesis.b_hash genesis;
+      { reach; store; views }
+
+    let create ~window ~store = make (Last window) ~store
+    let whole_chain ~store = make Whole_chain ~store
+
+    let view t ~head =
+      match Hash.Tbl.find_opt t.views head with
+      | Some v -> v
+      | None ->
+          (* Walk up to the nearest cached ancestor. A windowed cache gives up
+             after [window] steps and rebuilds (deep reorg or cold cache); a
+             whole-chain cache always reaches one, genesis at the latest. *)
+          let rec ancestors acc h depth =
+            match (Hash.Tbl.find_opt t.views h, t.reach) with
+            | Some v, _ -> `Extend (v, acc)
+            | None, Last window when depth > window -> `Rebuild window
+            | None, (Last _ | Whole_chain) ->
+                let block = Store.find_exn t.store h in
+                if Hash.equal h Types.genesis.b_hash then `Extend (genesis, acc)
+                else ancestors (block :: acc) block.Types.b_header.parent (depth + 1)
+          in
+          let v =
+            match ancestors [] head 0 with
+            | `Extend (base, blocks) ->
+                List.fold_left
+                  (fun view b ->
+                    let view = extend_to t.reach view b in
+                    Hash.Tbl.replace t.views view.head view;
+                    view)
+                  base blocks
+            | `Rebuild window -> of_chain ~window ~store:t.store ~head
+          in
+          Hash.Tbl.replace t.views head v;
+          v
+  end
+
+  let head t = t.head
+  let height t = t.height
+  let expired t = t.expired
+end
+
+(* Views of random block trees, read through both implementations. Each
+   case draws a window and grows a tree: most blocks extend the newest
+   block, some hang from a random one (forks, and, once a branch off an
+   old block grows, reorgs deeper than the window). A block records 0 to
+   4 fruits drawn from a small pool, so one chain often records a fruit
+   twice. Between blocks, random heads are compared: their height, their
+   expired block with its fruits, the blocks of [fold_window] and of
+   [fold_newest k], [is_recent] for every block, [is_included] for every
+   fruit and [stale_pointer] for every block, each also for a hash no
+   block or fruit has. The caches live through the case, so views made
+   early are compared again after other views have extended and forked
+   their vectors. At the end every stored head is compared, in store
+   order in the case's caches and newest first in fresh ones, which
+   rebuilds wherever the window allows. Each case runs a windowed and a
+   whole-chain cache. *)
+let view_differential =
+  QCheck.Test.make ~name:"window view = map-based reference view (random trees)" ~count:200
+    QCheck.(
+      pair (int_range 1 5)
+        (list_of_size Gen.(int_range 1 100) (triple (int_bound 9) small_nat small_nat)))
+    (fun (window, ops) ->
+      let store = Store.create () in
+      let counter = ref 0 in
+      let fresh tag =
+        incr counter;
+        Hash.of_raw (Sha256.digest (Printf.sprintf "view-%s%d" tag !counter))
+      in
+      let unknown = fresh "unknown" in
+      let blocks = ref [| Types.genesis |] and pool = ref [||] in
+      let new_fruit () =
+        let header =
+          { Types.parent = Types.genesis.b_hash; pointer = Types.genesis.b_hash; nonce = 0L;
+            digest = Hash.zero; record = "" }
+        in
+        pool := Array.append !pool [| { Types.f_header = header; f_hash = fresh "f"; f_prov = None } |]
+      in
+      List.iter (fun _ -> new_fruit ()) [ 1; 2; 3 ];
+      let pick arr i = arr.(i mod Array.length arr) in
+      let new_block ~parent sel =
+        let fruits =
+          List.sort_uniq
+            (fun (a : Types.fruit) b -> Hash.compare a.f_hash b.f_hash)
+            (List.filteri
+               (fun i _ -> i < sel mod 5)
+               [ pick !pool sel; pick !pool (sel / 5); pick !pool (sel / 25); pick !pool (sel / 125) ])
+        in
+        let header =
+          { Types.parent; pointer = parent; nonce = 0L; digest = Hash.zero; record = "" }
+        in
+        let b = { Types.b_header = header; b_hash = fresh "b"; fruits; b_prov = None } in
+        Store.add store b;
+        blocks := Array.append !blocks [| b |]
+      in
+      let sorted_fold fold = List.sort Hash.compare (fold ~init:[] ~f:(fun acc h -> h :: acc)) in
+      let agree ~recency view reference k =
+        let pointers = unknown :: Array.to_list (Array.map (fun (b : Types.block) -> b.b_hash) !blocks) in
+        let fruits = unknown :: Array.to_list (Array.map (fun (f : Types.fruit) -> f.f_hash) !pool) in
+        let same_expired (b, fs) (b', fs') = Hash.equal b b' && List.equal Hash.equal fs fs' in
+        Hash.equal (Window_view.head view) (Ref_view.head reference)
+        && Int.equal (Window_view.height view) (Ref_view.height reference)
+        && Bool.equal (Window_view.enforces_recency view) recency
+        && Option.equal same_expired (Window_view.expired view) (Ref_view.expired reference)
+        && List.equal Hash.equal
+             (sorted_fold (Window_view.fold_window view))
+             (sorted_fold (Ref_view.fold_window reference))
+        && List.equal Hash.equal
+             (sorted_fold (Window_view.fold_newest view k))
+             (sorted_fold (Ref_view.fold_newest reference k))
+        && List.for_all
+             (fun pointer ->
+               Bool.equal (Window_view.is_recent view ~pointer) (Ref_view.is_recent reference ~pointer)
+               && Bool.equal
+                    (Window_view.stale_pointer ~store view ~pointer)
+                    (Ref_view.stale_pointer ~store reference ~pointer))
+             pointers
+        && List.for_all
+             (fun fruit ->
+               Bool.equal (Window_view.is_included view ~fruit) (Ref_view.is_included reference ~fruit))
+             fruits
+      in
+      (* A windowed and a whole-chain pair of caches, compared at [head]. *)
+      let caches () =
+        [
+          (true, Window_view.Cache.create ~window ~store, Ref_view.Cache.create ~window ~store);
+          (false, Window_view.Cache.whole_chain ~store, Ref_view.Cache.whole_chain ~store);
+        ]
+      in
+      let compare_at caches ~head k =
+        List.for_all
+          (fun (recency, cache, ref_cache) ->
+            agree ~recency (Window_view.Cache.view cache ~head) (Ref_view.Cache.view ref_cache ~head) k)
+          caches
+      in
+      let live = caches () in
+      let newest () = !blocks.(Array.length !blocks - 1) in
+      let step (kind, a, b) =
+        match kind with
+        | 0 | 1 | 2 | 3 ->
+            new_block ~parent:(newest ()).b_hash a;
+            true
+        | 4 ->
+            new_block ~parent:(pick !blocks a).b_hash b;
+            true
+        | 5 ->
+            new_fruit ();
+            true
+        | 9 -> compare_at live ~head:(newest ()).b_hash b
+        | _ -> compare_at live ~head:(pick !blocks a).b_hash b
+      in
+      List.for_all step ops
+      &&
+      let heads = Array.to_list (Array.map (fun (b : Types.block) -> b.b_hash) !blocks) in
+      let k = List.length ops mod (window + 3) in
+      List.for_all (fun head -> compare_at live ~head k) heads
+      &&
+      let fresh_caches = caches () in
+      List.for_all (fun head -> compare_at fresh_caches ~head k) (List.rev heads))
 
 (* --- Mining step -------------------------------------------------------- *)
 
@@ -1756,6 +2075,8 @@ let () =
           buffer_case buffer_gap_differential;
           buffer_case ~min_share:0.5 buffer_crowded_differential;
         ] );
+      ( "views",
+        [ QCheck_alcotest.to_alcotest view_differential ] );
       ( "spans",
         [ QCheck_alcotest.to_alcotest span_differential ] );
       ( "mining",

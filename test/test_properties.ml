@@ -99,13 +99,15 @@ let qcheck_buffer_expire_equals_prune =
           ignore (Buffer_f.add incremental f : bool);
           ignore (Buffer_f.add reference f : bool))
         pool;
+      let views = Window_view.Cache.create ~window ~store in
       let final_view =
         List.fold_left
-          (fun view b ->
-            let view = Window_view.extend ~window view b in
+          (fun _ (b : Types.block) ->
+            let view = Window_view.Cache.view views ~head:b.b_hash in
             Buffer_f.expire incremental ~view;
             view)
-          Window_view.genesis blocks
+          (Window_view.Cache.view views ~head:Types.genesis_hash)
+          blocks
       in
       Buffer_f.prune reference ~store ~view:final_view;
       let hashes buf =
@@ -116,16 +118,21 @@ let qcheck_buffer_expire_equals_prune =
       hashes incremental = hashes reference
       && Buffer_f.size incremental = Buffer_f.size reference)
 
-let qcheck_window_view_scan_equals_extend =
-  QCheck.Test.make ~name:"window view: of_chain == extend chain" ~count:40
+(* A view reached by extension, one head at a time, equals the view a fresh
+   cache rebuilds from the store for a head eight blocks above genesis, its
+   only cached view: past every window drawn. *)
+let qcheck_window_view_rebuilt_equals_extended =
+  QCheck.Test.make ~name:"window view: rebuilt == extended chain" ~count:40
     QCheck.(pair (int_bound 1000) (int_range 1 6))
     (fun (seed, window) ->
       let store, blocks, pool = random_chain seed ~length:8 ~pool_size:10 in
       let head = (List.nth blocks 7).Types.b_hash in
-      let by_extend =
-        List.fold_left (fun v b -> Window_view.extend ~window v b) Window_view.genesis blocks
-      in
-      let by_scan = Window_view.of_chain ~window ~store ~head in
+      let extended = Window_view.Cache.create ~window ~store in
+      List.iter
+        (fun (b : Types.block) -> ignore (Window_view.Cache.view extended ~head:b.b_hash))
+        blocks;
+      let by_extend = Window_view.Cache.view extended ~head in
+      let by_scan = Window_view.Cache.view (Window_view.Cache.create ~window ~store) ~head in
       List.for_all
         (fun (b : Types.block) ->
           Window_view.is_recent by_extend ~pointer:b.b_hash
@@ -138,8 +145,8 @@ let qcheck_window_view_scan_equals_extend =
            pool)
 
 (* [fold_newest view k] visits exactly the newest [min k window] blocks of
-   every view along a chain, windowed (every span layout a window passes
-   through) or whole-chain. *)
+   every view along a chain, windowed (while the window still reaches
+   genesis and after) or whole-chain. *)
 let qcheck_window_view_fold_newest =
   QCheck.Test.make ~name:"window view: fold_newest = the newest k blocks" ~count:40
     QCheck.(pair (int_bound 1000) (int_range 1 6))
@@ -155,17 +162,18 @@ let qcheck_window_view_fold_newest =
             List.equal Hash.equal (sorted expected) (sorted got))
           (List.init (window + 3) Fun.id)
       in
-      let rec go view chain = function
+      let windowed = Window_view.Cache.create ~window ~store in
+      let rec go chain = function
         | [] -> true
         | (b : Types.block) :: rest ->
-            let view = Window_view.extend ~window view b in
             let chain = b.b_hash :: chain in
-            newest view ~reach:window chain
+            newest (Window_view.Cache.view windowed ~head:b.b_hash) ~reach:window chain
             && newest (Window_view.Cache.view whole ~head:b.b_hash) ~reach:max_int chain
-            && go view chain rest
+            && go chain rest
       in
-      newest Window_view.genesis ~reach:window [ Types.genesis_hash ]
-      && go Window_view.genesis [ Types.genesis_hash ] blocks)
+      newest (Window_view.Cache.view windowed ~head:Types.genesis_hash) ~reach:window
+        [ Types.genesis_hash ]
+      && go [ Types.genesis_hash ] blocks)
 
 let qcheck_snapshot_roundtrip =
   QCheck.Test.make ~name:"snapshot: roundtrip on random chains" ~count:30
@@ -433,7 +441,7 @@ let () =
           [
             qcheck_buffer_expire_equals_prune;
             qcheck_window_view_fold_newest;
-            qcheck_window_view_scan_equals_extend;
+            qcheck_window_view_rebuilt_equals_extended;
             qcheck_snapshot_roundtrip;
             qcheck_extract_dedup_invariants;
             qcheck_lamport_random_messages;
