@@ -13,53 +13,99 @@ type t =
    fixed float formatting, \uXXXX for control characters) is part of the
    determinism contract. *)
 
+(* The bytes that take an escape: '"', '\\' and the control bytes below
+   0x20. Every other byte, 0x7f and multi-byte UTF-8 included, is copied. *)
+let needs_escape c = Char.code c < 0x20 || Char.equal c '"' || Char.equal c '\\'
+
+let hex_digits = "0123456789abcdef"
+
+let add_escape b c =
+  match c with
+  | '"' -> Buffer.add_string b "\\\""
+  | '\\' -> Buffer.add_string b "\\\\"
+  | '\n' -> Buffer.add_string b "\\n"
+  | '\r' -> Buffer.add_string b "\\r"
+  | '\t' -> Buffer.add_string b "\\t"
+  | c ->
+      Buffer.add_string b "\\u00";
+      Buffer.add_char b hex_digits.[Char.code c lsr 4];
+      Buffer.add_char b hex_digits.[Char.code c land 0xf]
+
+(* Runs of bytes that need no escape are copied whole, so a string without
+   any (every key, and nearly every value, of a trace line) is one copy. *)
 let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring b s start (n - start)
+    else if needs_escape (String.unsafe_get s i) then begin
+      Buffer.add_substring b s start (i - start);
+      add_escape b (String.unsafe_get s i);
+      go (i + 1) (i + 1)
+    end
+    else go start (i + 1)
+  in
+  go 0 0
+
+(* Decimal digits written in place of [string_of_int]'s string. They are
+   computed on the non-positive side, where every int, [min_int] included,
+   has a value: negating [min_int] would overflow. *)
+let add_int b i =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.chr (Char.code '0' - (n mod 10)))
+  in
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    digits i
+  end
+  else digits (-i)
 
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
 
+let add_quoted b s =
+  Buffer.add_char b '"';
+  add_escaped b s;
+  Buffer.add_char b '"'
+
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> add_int b i
   | Float f -> Buffer.add_string b (float_repr f)
-  | Str s ->
-      Buffer.add_char b '"';
-      add_escaped b s;
-      Buffer.add_char b '"'
+  | Str s -> add_quoted b s
   | List items ->
       Buffer.add_char b '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char b ',';
-          write b item)
-        items;
+      write_items b items;
       Buffer.add_char b ']'
   | Obj fields ->
       Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          add_escaped b k;
-          Buffer.add_string b "\":";
-          write b v)
-        fields;
+      write_fields b fields;
       Buffer.add_char b '}'
+
+(* Explicit recursion rather than [List.iteri]: no closure per container. *)
+and write_items b = function
+  | [] -> ()
+  | [ item ] -> write b item
+  | item :: rest ->
+      write b item;
+      Buffer.add_char b ',';
+      write_items b rest
+
+and write_fields b = function
+  | [] -> ()
+  | [ field ] -> write_field b field
+  | field :: rest ->
+      write_field b field;
+      Buffer.add_char b ',';
+      write_fields b rest
+
+and write_field b (k, v) =
+  add_quoted b k;
+  Buffer.add_char b ':';
+  write b v
 
 let to_string v =
   let b = Buffer.create 128 in

@@ -21,7 +21,9 @@ val to_string : t -> string
 
 val write : Buffer.t -> t -> unit
 (** [to_string] into a caller-owned buffer; the tracer's hot path reuses
-    one scratch buffer per sink instead of allocating a string per line. *)
+    one scratch buffer per sink instead of allocating a string per line.
+    A string with no byte to escape is copied in one piece, and an int
+    is written digit by digit, with no intermediate string. *)
 
 val of_string : string -> (t, string) result
 (** Parses a complete JSON document; [Error msg] carries an offset. *)

@@ -14,7 +14,9 @@
 
 type t
 (** A registry. Not thread-safe: one registry per execution context; the
-    worker pool forks one per work unit and merges after the join. *)
+    worker pool forks one per work unit and merges each back, in
+    unit-index order, once its unit and every lower-indexed one have
+    finished. *)
 
 type counter
 type gauge

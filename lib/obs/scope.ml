@@ -4,18 +4,22 @@
    to.
 
    Fork/join: a parallel work unit gets [fork parent] — a fresh registry
-   plus a buffering tracer — and the pool applies [merge_child] in
-   unit-index order after the join.  Because counter/histogram merge is
-   addition and gauge merge is last-writer-in-index-order, the merged
-   parent is byte-identical to what a sequential run of the same units
-   would have accumulated directly.
+   plus whatever keeps its events — and the pool applies [merge_child]
+   in unit-index order, each child as soon as it and every lower-indexed
+   unit have finished.  Because counter/histogram merge is addition and
+   gauge merge is last-writer-in-index-order, the merged parent is
+   byte-identical to what a sequential run of the same units would have
+   accumulated directly.
 
-   The flight recorder lives only on the parent scope: a child cannot
-   write dump files without racing its siblings, so [anomaly] in a child
-   just emits an "anomaly" event into the child's buffer, and
-   [merge_child] — which runs sequentially, in unit-index order —
-   recognizes those lines while folding the buffer back and triggers the
-   dump there.  Dump artifacts are thereby byte-identical at any
+   A child cannot write dump files without racing its siblings, so the
+   flight recorder's dumps are written only by the parent, at merge
+   time.  With a user tracer attached, the child buffers every rendered
+   line (the tracer must write them all), and [merge_child] recognizes
+   the "anomaly" lines while folding the buffer back and dumps there.
+   With the recorder alone, the child gets a {!Flight.fork} instead: a
+   ring of the parent's capacity that keeps a copy of itself at each
+   anomaly, which [merge_child] turns into the dump the sequential run
+   would have written.  Dump artifacts are thereby byte-identical at any
    worker count. *)
 
 type t = {
@@ -41,17 +45,18 @@ let emit t name fields =
   match t.flight with
   | None -> (
       match t.tracer with Some tr -> Tracer.emit tr name fields | None -> ())
-  | Some fl ->
-      (* Render once, feed both sinks. *)
-      let line = Json.to_string (Json.Obj (("ev", Json.Str name) :: fields)) in
-      Flight.record fl line;
-      (match t.tracer with Some tr -> Tracer.append_line tr line | None -> ())
+  | Some fl -> (
+      match t.tracer with
+      | Some tr when Tracer.enabled tr ->
+          (* Render once, feed both sinks. *)
+          let line = Tracer.render tr name fields in
+          Tracer.append_line tr line;
+          Flight.record_line fl line
+      | Some _ | None -> Flight.record fl name fields)
 
 let anomaly t ~reason fields =
   emit t "anomaly" (("reason", Json.Str reason) :: fields);
-  match t.flight with
-  | Some fl -> ignore (Flight.dump ?metrics:t.metrics fl ~reason ())
-  | None -> ()
+  Option.iter (fun fl -> Flight.anomaly ?metrics:t.metrics fl ~reason) t.flight
 
 let incr ?by ?golden t name =
   match t.metrics with
@@ -66,24 +71,16 @@ let set_gauge ?golden t name v =
 let fork t =
   if not (enabled t) then null
   else
-    {
-      metrics = Option.map (fun _ -> Metrics.create ()) t.metrics;
-      (* A flight-bearing parent needs every child event buffered even
-         when no user tracer is attached: the ring and the anomaly scan
-         happen at merge time. *)
-      tracer =
-        (match t.tracer with
-        | Some tr when Tracer.enabled tr -> Some (Tracer.buffer ())
-        | Some _ -> if Option.is_some t.flight then Some (Tracer.buffer ()) else Some Tracer.null
-        | None -> if Option.is_some t.flight then Some (Tracer.buffer ()) else None);
-      flight = None;
-    }
+    let metrics = Option.map (fun _ -> Metrics.create ()) t.metrics in
+    match t.tracer with
+    | Some tr when Tracer.enabled tr ->
+        (* A user tracer must write every line, so the child keeps them
+           all; [merge_child] feeds them to the flight ring too. *)
+        { metrics; tracer = Some (Tracer.buffer ()); flight = None }
+    | tracer -> { metrics; tracer; flight = Option.map Flight.fork t.flight }
 
 let anomaly_prefix = {|{"ev":"anomaly",|}
-
-let is_anomaly_line line =
-  String.length line >= String.length anomaly_prefix
-  && String.sub line 0 (String.length anomaly_prefix) = anomaly_prefix
+let is_anomaly_line line = String.starts_with ~prefix:anomaly_prefix line
 
 let anomaly_reason line =
   match Json.of_string line with
@@ -99,9 +96,9 @@ let merge_child t ~child =
   (match (t.metrics, child.metrics) with
   | Some dst, Some src -> Metrics.merge_into ~dst src
   | (Some _ | None), _ -> ());
-  match child.tracer with
-  | None -> ()
-  | Some src ->
+  match (child.flight, child.tracer) with
+  | Some src, _ -> Option.iter (fun fl -> Flight.merge ?metrics:t.metrics fl ~child:src) t.flight
+  | None, Some src ->
       List.iter
         (fun line ->
           (match t.tracer with
@@ -110,9 +107,8 @@ let merge_child t ~child =
           match t.flight with
           | None -> ()
           | Some fl ->
-              Flight.record fl line;
+              Flight.record_line fl line;
               if is_anomaly_line line then
-                ignore
-                  (Flight.dump ?metrics:t.metrics fl
-                     ~reason:(anomaly_reason line) ()))
+                Flight.anomaly ?metrics:t.metrics fl ~reason:(anomaly_reason line))
         (Tracer.lines src)
+  | None, None -> ()

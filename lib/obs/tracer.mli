@@ -17,7 +17,10 @@ val to_file : string -> t
 (** [to_channel (open_out path)]. *)
 
 val ring : int -> t
-(** Keep the most recent [n] events in memory; read with {!lines}. *)
+(** Keep the most recent [n] lines in memory, in slots that later lines
+    overwrite: an appended line is kept as given, an emitted one is
+    rendered into bytes its slot reuses. Read with {!lines} or
+    {!latest}. *)
 
 val buffer : unit -> t
 (** Keep every event in memory — the fork/join vehicle for parallel work
@@ -30,6 +33,10 @@ val emitted : t -> int
 val emit : t -> string -> (string * Json.t) list -> unit
 (** [emit t name fields] appends [{"ev":name, ...fields}]. *)
 
+val render : t -> string -> (string * Json.t) list -> string
+(** The line {!emit} would append, rendered in the tracer's own scratch
+    buffer; it is not appended. *)
+
 val append_line : t -> string -> unit
 (** Append an already-rendered line (no trailing newline) — used when
     merging a child buffer into a parent sink. *)
@@ -37,6 +44,10 @@ val append_line : t -> string -> unit
 val lines : t -> string list
 (** Contents of a ring or buffer sink, oldest first; [[]] for null and
     channel sinks. *)
+
+val latest : t -> int -> string array
+(** The [k] most recent lines of a ring (all of them if it holds fewer),
+    oldest first; [[||]] for the other sinks. *)
 
 val close : t -> unit
 (** Flush and close a channel sink; idempotent, no-op for the others. *)

@@ -17,9 +17,19 @@ module Metrics = Fruitchain_obs.Metrics
 module Span = Fruitchain_obs.Span
 module Json = Fruitchain_obs.Json
 
-(* Last seen head per party, for the head watch. Allocated on first use:
-   only the exact plane watches heads, and the sparse plane runs at n = 10^5. *)
-type watch = { prev_head : Store.id array; prev_height : int array; prev_change : int array }
+(* Last seen head per party, for the head watch, and the watch's
+   instruments. Allocated on first use: only the exact plane watches heads,
+   and the sparse plane runs at n = 10^5. Each instrument is looked up by
+   name once, when first counted: registering it earlier would put a zero
+   in the dump of a run without head changes. *)
+type watch = {
+  prev_head : Store.id array;
+  prev_height : int array;
+  prev_change : int array;
+  extends : Metrics.counter option Lazy.t;
+  switches : Metrics.counter option Lazy.t;
+  reorg_depth : Metrics.histogram option Lazy.t;
+}
 
 type t = {
   scope : Scope.t;
@@ -30,6 +40,11 @@ type t = {
   mutable scheduled : (int * string * (string * Json.t) list) list;  (* pending, by round *)
   watch : watch Lazy.t;
 }
+
+(* Reorg depths: a switch of depth d means the party abandoned the last d
+   blocks of its previous chain. Depth 1 (sibling tip) dominates under
+   honest churn; the tail is what the common-prefix property bounds. *)
+let reorg_buckets = [| 1; 2; 3; 4; 6; 8; 12; 16; 24; 32 |]
 
 let int key v = (key, Json.Int v)
 
@@ -58,11 +73,16 @@ let create ~scope ~config ~store =
     scheduled;
     watch =
       lazy
-        {
-          prev_head = Array.make n Store.genesis_id;
-          prev_height = Array.make n 0;
-          prev_change = Array.make n 0;
-        };
+        (let instrument make = lazy (Option.map make (Scope.metrics scope)) in
+         {
+           prev_head = Array.make n Store.genesis_id;
+           prev_height = Array.make n 0;
+           prev_change = Array.make n 0;
+           extends = instrument (fun m -> Metrics.counter m "sim.head_extends");
+           switches = instrument (fun m -> Metrics.counter m "sim.head_switches");
+           reorg_depth =
+             instrument (fun m -> Metrics.histogram m ~buckets:reorg_buckets "sim.reorg_depth");
+         });
   }
 
 let trace t = t.trace
@@ -115,6 +135,14 @@ let open_fruit span (f : Types.fruit) =
         ~honest:pr.Types.honest
   | None -> ()
 
+(* A fruit without provenance never has a span, so its mark would drop. *)
+let gossip_fruit span (f : Types.fruit) ~round =
+  match f.Types.f_prov with
+  | Some pr ->
+      Span.fruit_gossiped span ~id:(key f.Types.f_hash) ~mined:pr.Types.round
+        ~miner:pr.Types.miner ~honest:pr.Types.honest ~round
+  | None -> ()
+
 let reference_fruits span (b : Types.block) =
   let bround = match b.Types.b_prov with Some pr -> pr.Types.round | None -> -1 in
   List.iter
@@ -144,40 +172,43 @@ let sight_block t span (b : Types.block) =
 
 (* --- Exact plane -------------------------------------------------------- *)
 
+(* The empty-list returns come before the [List.iter] closures are built:
+   most parties mint nothing and receive nothing in most rounds. *)
 let minted t ~round ~miner msgs =
-  List.iter
-    (fun (m : Message.t) ->
-      if not m.Message.relay then
-        match m.Message.payload with
-        | Message.Fruit_announce f ->
-            Trace.record_event t.trace
-              { Trace.round; miner; honest = true; kind = `Fruit; hash = f.Types.f_hash }
-        | Message.Chain_announce { blocks = [ b ]; _ } ->
-            Trace.record_event t.trace
-              { Trace.round; miner; honest = true; kind = `Block; hash = b.Types.b_hash }
-        | Message.Chain_announce _ -> ())
-    msgs;
-  match t.spans with
-  | None -> ()
-  | Some span ->
+  match msgs with
+  | [] -> ()
+  | _ :: _ -> (
       List.iter
         (fun (m : Message.t) ->
           if not m.Message.relay then
             match m.Message.payload with
-            | Message.Fruit_announce f -> open_fruit span f
-            | Message.Chain_announce { blocks; _ } -> List.iter (sight_block t span) blocks)
-        msgs
+            | Message.Fruit_announce f ->
+                Trace.record_event t.trace
+                  { Trace.round; miner; honest = true; kind = `Fruit; hash = f.Types.f_hash }
+            | Message.Chain_announce { blocks = [ b ]; _ } ->
+                Trace.record_event t.trace
+                  { Trace.round; miner; honest = true; kind = `Block; hash = b.Types.b_hash }
+            | Message.Chain_announce _ -> ())
+        msgs;
+      match t.spans with
+      | None -> ()
+      | Some span ->
+          List.iter
+            (fun (m : Message.t) ->
+              if not m.Message.relay then
+                match m.Message.payload with
+                | Message.Fruit_announce f -> open_fruit span f
+                | Message.Chain_announce { blocks; _ } -> List.iter (sight_block t span) blocks)
+            msgs)
 
 let incoming t ~round msgs =
-  match t.spans with
-  | None -> ()
-  | Some span ->
+  match (t.spans, msgs) with
+  | None, _ | _, [] -> ()
+  | Some span, _ :: _ ->
       List.iter
         (fun (m : Message.t) ->
           match m.Message.payload with
-          | Message.Fruit_announce f ->
-              open_fruit span f;
-              Span.fruit_gossiped span ~id:(key f.Types.f_hash) ~round
+          | Message.Fruit_announce f -> gossip_fruit span f ~round
           | Message.Chain_announce { blocks; _ } ->
               List.iter
                 (fun (b : Types.block) ->
@@ -186,33 +217,28 @@ let incoming t ~round msgs =
                 blocks)
         msgs
 
-(* Reorg depths: a switch of depth d means the party abandoned the last d
-   blocks of its previous chain. Depth 1 (sibling tip) dominates under
-   honest churn; the tail is what the common-prefix property bounds. *)
-let reorg_buckets = [| 1; 2; 3; 4; 6; 8; 12; 16; 24; 32 |]
-
 (* Extensions walk [new height - old height] parent links; switches
    additionally walk to the fork point. *)
 let heads t ~round head =
   if Scope.enabled t.scope then begin
-    let { prev_head; prev_height; prev_change } = Lazy.force t.watch and store = t.store in
+    let { prev_head; prev_height; prev_change; extends; switches; reorg_depth } =
+      Lazy.force t.watch
+    and store = t.store in
+    let bump counter = Option.iter (fun c -> Metrics.incr c) (Lazy.force counter) in
     for i = 0 to t.config.Config.n - 1 do
       match head i with
       | Some h when not (Store.id_equal h prev_head.(i)) ->
           let height = Store.height_at store h in
-          let extends =
+          let extended =
             match Store.ancestor_id_at_height store ~head:h ~height:prev_height.(i) with
             | Some a -> Store.id_equal a prev_head.(i)
             | None -> false
           in
-          if extends then Scope.incr t.scope "sim.head_extends"
+          if extended then bump extends
           else begin
             let depth = prev_height.(i) - Store.common_prefix_height_id store h prev_head.(i) in
-            Scope.incr t.scope "sim.head_switches";
-            Option.iter
-              (fun m ->
-                Metrics.observe (Metrics.histogram m ~buckets:reorg_buckets "sim.reorg_depth") depth)
-              (Scope.metrics t.scope);
+            bump switches;
+            Option.iter (fun hist -> Metrics.observe hist depth) (Lazy.force reorg_depth);
             Option.iter
               (fun span ->
                 Span.reorg span ~party:i ~round ~depth ~duration:(round - prev_change.(i)))
@@ -244,10 +270,7 @@ let mint_round = function Some (pr : Types.provenance) -> pr.Types.round | None 
 let fruit_mined t (f : Types.fruit) =
   record_mint t `Fruit f.Types.f_hash f.Types.f_prov;
   Option.iter
-    (fun span ->
-      open_fruit span f;
-      Span.fruit_gossiped span ~id:(key f.Types.f_hash)
-        ~round:(mint_round f.Types.f_prov + t.config.Config.delta))
+    (fun span -> gossip_fruit span f ~round:(mint_round f.Types.f_prov + t.config.Config.delta))
     t.spans
 
 let block_mined t ~sibling (b : Types.block) =

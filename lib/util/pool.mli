@@ -21,9 +21,11 @@
 
     The pool also owns the {e ambient observability scope}
     ({!Fruitchain_obs.Scope}): the CLI installs one with {!set_scope},
-    every parallel unit runs under a fork of it, and after the join the
-    forks are merged back in unit-index order — so metric dumps and trace
-    files, like results, are byte-identical at any worker count. *)
+    every parallel unit runs under a fork of it, and each fork is merged
+    back in unit-index order as soon as its unit and every lower-indexed
+    one have finished — so metric dumps and trace files, like results,
+    are byte-identical at any worker count, and a finished fork is not
+    kept until the join. *)
 
 val available : unit -> int
 (** [Domain.recommended_domain_count ()]: how many domains the hardware
@@ -58,7 +60,10 @@ val map : ?jobs:int -> int -> f:(int -> 'a) -> 'a array
     with other units (reading shared immutable data is fine). If any unit
     raises, the exception of the {e lowest-indexed} failing unit is
     re-raised after all workers have drained — so failures, too, are
-    deterministic under scheduling.
+    deterministic under scheduling; a failed unit's scope is still
+    merged. If merging a unit's scope raises (a flight dump that cannot
+    be written), no later scope is merged and that exception is re-raised
+    after all workers have drained, ahead of any unit's.
 
     With [jobs = 1] (or [n <= 1]) the units run in the calling domain, in
     index order, with no concurrency machinery at all — exactly the

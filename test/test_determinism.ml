@@ -119,6 +119,173 @@ let test_scenario_repeat_stability () =
   let second = observe_scenario ~jobs:4 s in
   Alcotest.(check bool) "two jobs=4 scenario runs are identical" true (first = second)
 
+(* --- Flight recorder -----------------------------------------------------
+
+   Flight dumps carry the same contract as traces: the set of dump files
+   (how many, their names, their bytes) is a function of the work, not of
+   the worker count, with a user tracer attached or not. Without one, a
+   pool unit records into a bounded fork of the recorder, and the parent
+   rebuilds each dump from its own ring's newest lines and the fork's
+   copy of its ring at the anomaly. *)
+
+module Flight = Fruitchain_obs.Flight
+module Json = Fruitchain_obs.Json
+
+let flight_prefix = "flight-test-"
+
+(* The dump files a recorder wrote, in order, as (name, bytes); each is
+   removed once read, so the next run starts from none. *)
+let take_dumps flight =
+  let read i =
+    let path = Printf.sprintf "%s%04d.json" flight_prefix i in
+    let ic = open_in_bin path in
+    let bytes =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    Sys.remove path;
+    (path, bytes)
+  in
+  let dumps = List.init (Flight.dumps flight) read in
+  Alcotest.(check bool)
+    "no dump file past the recorder's count" false
+    (Sys.file_exists (Printf.sprintf "%s%04d.json" flight_prefix (Flight.dumps flight)));
+  dumps
+
+(* Runs [work] under a scope with metrics, a flight recorder of
+   [capacity] and, if [traced], a user tracer; returns what [work]
+   returned, the dumps, and the trace. *)
+let with_flight ?capacity ~jobs ~traced work =
+  Pool.set_default_jobs jobs;
+  let flight = Flight.create ?capacity ~prefix:flight_prefix () in
+  let tracer = if traced then Some (Tracer.buffer ()) else None in
+  Pool.set_scope (Scope.make ~metrics:(Metrics.create ()) ?tracer ~flight ());
+  let result = Fun.protect ~finally:(fun () -> Pool.set_scope Scope.null) work in
+  (result, take_dumps flight, Option.fold ~none:[] ~some:Tracer.lines tracer)
+
+let dumps = Alcotest.(list (pair string string))
+
+let flight_fixture () =
+  match Loader.load "fixtures/scenarios/flight_small.json" with
+  | Ok s -> s
+  | Error _ -> Alcotest.fail "flight fixture scenario must load"
+
+let test_flight_scenario () =
+  let s = flight_fixture () in
+  let run ~jobs ~traced =
+    let trials, dumps, _ = with_flight ~jobs ~traced (fun () -> Driver.run_trials s) in
+    Alcotest.(check int)
+      "every trial violates kappa" s.Scenario.trials
+      (List.length (List.filter (fun (t : Driver.trial) -> t.consistency_violation) trials));
+    dumps
+  in
+  let reference = run ~jobs:1 ~traced:false in
+  Alcotest.(check int) "one dump per trial" s.Scenario.trials (List.length reference);
+  List.iter
+    (fun (jobs, traced) ->
+      Alcotest.check dumps
+        (Printf.sprintf "dumps at --jobs %d %s equal --jobs 1 without" jobs
+           (if traced then "with a tracer" else "without a tracer"))
+        reference (run ~jobs ~traced))
+    [ (1, true); (2, false); (2, true); (4, false); (4, true) ]
+
+(* Synthetic units on a ring of 8 lines, so every case crosses the ring's
+   edge: each unit emits lines, raises anomalies and may raise, through
+   the ambient scope, as pool units do. A last anomaly after the map dumps
+   the parent's final ring. Each unit bumps a counter before anything
+   else: a dump embeds the registry with its unit wholly merged, so a
+   count taken after a unit's anomaly would differ from --jobs 1. *)
+type step = Emit of int | Anomaly | Raise
+
+let run_units ~jobs ~traced units =
+  let units = Array.of_list units in
+  let raised, dumps, lines =
+    with_flight ~capacity:8 ~jobs ~traced (fun () ->
+        let raised =
+          match
+            Pool.map (Array.length units) ~f:(fun u ->
+                let scope = Pool.current_scope () in
+                Scope.incr scope "units";
+                List.iteri
+                  (fun k step ->
+                    match step with
+                    | Emit lines ->
+                        for line = 1 to lines do
+                          Scope.emit scope "line"
+                            [ ("unit", Json.Int u); ("step", Json.Int k); ("line", Json.Int line) ]
+                        done
+                    | Anomaly ->
+                        Scope.anomaly scope ~reason:(Printf.sprintf "unit %d" u)
+                          [ ("step", Json.Int k) ]
+                    | Raise -> failwith (Printf.sprintf "unit %d" u))
+                  units.(u))
+          with
+          | _ -> None
+          | exception Failure msg -> Some msg
+        in
+        Scope.anomaly (Pool.current_scope ()) ~reason:"after the map" [];
+        raised)
+  in
+  (raised, dumps, lines)
+
+let flight_case units () =
+  List.iter
+    (fun traced ->
+      let raised, reference, lines = run_units ~jobs:1 ~traced units in
+      List.iter
+        (fun jobs ->
+          let raised', dumps', lines' = run_units ~jobs ~traced units in
+          let at = Printf.sprintf "--jobs %d%s" jobs (if traced then ", traced" else "") in
+          Alcotest.(check (option string)) ("the same failure at " ^ at) raised raised';
+          Alcotest.check dumps ("the same dumps at " ^ at) reference dumps';
+          Alcotest.(check (list string)) ("the same trace at " ^ at) lines lines')
+        [ 2; 4 ])
+    [ false; true ]
+
+let flight_cases =
+  [
+    ( "a unit short of the ring takes the parent's tail",
+      [ [ Emit 12 ]; [ Emit 3; Anomaly; Emit 2 ]; [ Emit 5 ] ] );
+    ( "a unit with two anomalies",
+      [ [ Emit 5 ]; [ Emit 10; Anomaly; Emit 4; Anomaly; Emit 1 ]; [ Emit 1; Anomaly ] ] );
+    ("a unit that emits nothing", [ [ Emit 6 ]; []; [ Emit 1; Anomaly ] ]);
+    ("a unit that raises", [ [ Emit 9 ]; [ Emit 2; Anomaly ]; [ Emit 2; Anomaly; Emit 1; Raise ] ]);
+  ]
+
+(* A dump that cannot be written raises from [Pool.map] at any worker
+   count, and no unit's scope after the one that raised it is merged: at
+   --jobs 1 the later units never run. *)
+let test_flight_unwritable () =
+  let run jobs =
+    Pool.set_default_jobs jobs;
+    let registry = Metrics.create () in
+    let flight = Flight.create ~prefix:"/nonexistent/dir/flight-" () in
+    Pool.set_scope (Scope.make ~metrics:registry ~flight ());
+    let raised =
+      Fun.protect
+        ~finally:(fun () -> Pool.set_scope Scope.null)
+        (fun () ->
+          match
+            Pool.map 3 ~f:(fun u ->
+                let scope = Pool.current_scope () in
+                Scope.incr scope "units";
+                Scope.anomaly scope ~reason:"unwritable" [ ("unit", Json.Int u) ])
+          with
+          | _ -> false
+          | exception Sys_error _ -> true)
+    in
+    (raised, Metrics.dump registry)
+  in
+  let reference = run 1 in
+  Alcotest.(check bool) "the failed dump raises at --jobs 1" true (fst reference);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (pair bool string))
+        (Printf.sprintf "the same failure and registry at --jobs %d" jobs)
+        reference (run jobs))
+    [ 2; 4 ]
+
 (* --- Hot-path soak ----------------------------------------------------
 
    The arena store / deferred oracle / ring network rewrites must hold the
@@ -175,14 +342,17 @@ let test_soak_jobs_invariance () =
    steady-state allocation to ~4.2 KB/round (Nakamoto) and ~11.1 KB/round
    (FruitChain) at quick-scale parameters — dominated by message delivery
    and trace events, with mining queries allocation-free on the miss path.
-   Runs are seeded and sequential, so the measurement is deterministic;
-   the 1.5x headroom covers code drift, not noise. Reintroducing per-query
-   boxing (the pre-rewrite oracle allocated ~200 B per query per party)
-   blows these bounds. *)
+   Runs are seeded and sequential, and each measurement starts from a
+   full major collection — [Gc.allocated_bytes] read over a heap left in
+   any other state varied several-fold between identical runs — so the
+   measurement is deterministic; the 1.5x headroom covers code drift, not
+   noise. Reintroducing per-query boxing (the pre-rewrite oracle allocated
+   ~200 B per query per party) blows these bounds. *)
 let alloc_per_round protocol =
   Pool.set_default_jobs 1;
   let params = Exp.default_params () in
   let config = Runs.config ~protocol ~rho:0.25 ~rounds:20_000 ~params ~seed:7L () in
+  Gc.full_major ();
   let before = Gc.allocated_bytes () in
   ignore (Runs.run config ~strategy:Runs.honest_coalition ());
   (Gc.allocated_bytes () -. before) /. 20_000.
@@ -207,6 +377,7 @@ let traced_alloc_per_round () =
   Pool.set_default_jobs 1;
   let s = scenario_fixture () in
   let alloc scope =
+    Gc.full_major ();
     let before = Gc.allocated_bytes () in
     ignore (Driver.run ~scope s);
     Gc.allocated_bytes () -. before
@@ -252,6 +423,12 @@ let () =
           Alcotest.test_case "partition_small repeat stability" `Slow
             test_scenario_repeat_stability;
         ] );
+      ( "flight recorder",
+        Alcotest.test_case "flight_small dumps at --jobs 1, 2, 4" `Slow test_flight_scenario
+        :: Alcotest.test_case "a dump that cannot be written" `Quick test_flight_unwritable
+        :: List.map
+             (fun (name, units) -> Alcotest.test_case name `Quick (flight_case units))
+             flight_cases );
       ( "hot-path soak (PR 5)",
         [
           Alcotest.test_case "100k-round sweep jobs 1 == 4" `Slow test_soak_jobs_invariance;

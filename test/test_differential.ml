@@ -2057,6 +2057,148 @@ let span_differential =
       Ref_observe.finish reference ~oracle;
       List.equal String.equal (Tracer.lines ref_tracer) (Tracer.lines tracer))
 
+(* ------------------------------------------------------------------ *)
+(* Reference renderer: the printing half of Json before the fast paths
+   (a closure per escaped character, [string_of_int], [List.iteri]).    *)
+
+module Ref_json = struct
+  open Json
+
+  let add_escaped b s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+  let float_repr f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.12g" f
+
+  let rec write b = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (if v then "true" else "false")
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Float f -> Buffer.add_string b (float_repr f)
+    | Str s ->
+        Buffer.add_char b '"';
+        add_escaped b s;
+        Buffer.add_char b '"'
+    | List items ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char b ',';
+            write b item)
+          items;
+        Buffer.add_char b ']'
+    | Obj fields ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_char b '"';
+            add_escaped b k;
+            Buffer.add_string b "\":";
+            write b v)
+          fields;
+        Buffer.add_char b '}'
+
+  let to_string v =
+    let b = Buffer.create 128 in
+    write b v;
+    Buffer.contents b
+end
+
+(* Random trees whose strings draw every byte, weighted toward the ones
+   the renderer treats specially: '"', '\\', control bytes, 0x7f and the
+   bytes of multi-byte UTF-8; ints and floats weighted toward their edges
+   (min_int, max_int, 0, nan, infinities, the 1e15 switch of format). *)
+let gen_json_string =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, map (String.make 1) (map Char.chr (int_range 0 255)));
+        (2, map (String.make 1) (oneofl [ '"'; '\\'; '\x7f'; '/' ]));
+        (2, map (String.make 1) (map Char.chr (int_range 0 0x1f)));
+        (2, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\xc3"; "\xa9" ]);
+        (4, string_size ~gen:(char_range 'a' 'z') (int_range 1 6));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 8) piece)
+
+let gen_json_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ min_int; max_int; 0; -1; min_int + 1; max_int - 1; 9; 10; -10 ]);
+        (3, int);
+        (3, int_range (-1000) 1000);
+      ])
+
+let gen_json_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1e15; -1e15;
+              1e15 -. 1.0; 1e15 +. 2.0; 999_999_999_999_999.0; 0.1; 1e-7; 123456.5;
+            ] );
+        (2, float);
+        (2, map float_of_int (int_range (-100_000) 100_000));
+      ])
+
+let gen_json =
+  let open QCheck.Gen in
+  sized
+  @@ fix (fun self size ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) gen_json_int;
+               map (fun f -> Json.Float f) gen_json_float;
+               map (fun s -> Json.Str s) gen_json_string;
+             ]
+         in
+         if size <= 1 then leaf
+         else
+           let sub = self (size / 3) in
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) sub));
+               ( 2,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 5) (pair gen_json_string sub)) );
+             ])
+
+(* [to_string], and [write] into a buffer that already holds bytes, equal
+   the reference rendering. *)
+let json_differential =
+  QCheck.Test.make ~name:"Json.to_string and Json.write = reference renderer" ~count:1000
+    (QCheck.make ~print:Ref_json.to_string gen_json)
+    (fun v ->
+      let expected = Ref_json.to_string v in
+      let b = Buffer.create 4 in
+      Buffer.add_string b "prefix,";
+      Json.write b v;
+      String.equal (Json.to_string v) expected
+      && String.equal (Buffer.contents b) ("prefix," ^ expected))
+
 let () =
   Alcotest.run "differential"
     [
@@ -2081,6 +2223,8 @@ let () =
         [ QCheck_alcotest.to_alcotest span_differential ] );
       ( "mining",
         [ QCheck_alcotest.to_alcotest mining_differential ] );
+      ( "json",
+        [ QCheck_alcotest.to_alcotest json_differential ] );
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest oracle_differential;
