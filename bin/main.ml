@@ -274,11 +274,18 @@ let sim_cmd =
     Format.printf "config: %a@." Config.pp config;
     Format.printf "chain blocks: %d, ledger fruits: %d@." (List.length chain)
       (List.length fruits);
-    Format.printf "adversarial block share: %.4f@."
-      (Quality.adversarial_fraction (Quality.block_shares chain));
+    (* A share of nothing is not a number: a run whose honest chain holds
+       no block after genesis (or whose ledger holds no fruit) says so
+       instead of printing nan. *)
+    let print_share unit ~empty shares =
+      if Quality.total shares = 0 then
+        Format.printf "adversarial %s share: n/a (%s)@." unit empty
+      else
+        Format.printf "adversarial %s share: %.4f@." unit (Quality.adversarial_fraction shares)
+    in
+    print_share "block" ~empty:"no blocks after genesis" (Quality.block_shares chain);
     if protocol = Config.Fruitchain then
-      Format.printf "adversarial fruit share: %.4f@."
-        (Quality.adversarial_fraction (Quality.fruit_shares fruits));
+      print_share "fruit" ~empty:"no fruits in the ledger" (Quality.fruit_shares fruits);
     let g = Growth.measure trace ~span_rounds:(max 1_000 (rounds / 20)) in
     Format.printf "block growth: mean %.5f, window min %.5f max %.5f per round@."
       g.Growth.mean_rate g.Growth.min_window_rate g.Growth.max_window_rate;

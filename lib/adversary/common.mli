@@ -9,10 +9,6 @@ module Network = Fruitchain_net.Network
 module Strategy = Fruitchain_sim.Strategy
 module Trace = Fruitchain_sim.Trace
 
-val coalition_miner : Strategy.ctx -> int
-(** Representative miner id stamped on the coalition's provenance: the first
-    corrupt party, or -1 when there is none. *)
-
 val mine_once :
   Strategy.ctx -> round:int -> parent:Hash.t -> pointer:Hash.t ->
   fruits:(unit -> Types.fruit list) -> record:string -> Mine.mined

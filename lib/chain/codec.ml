@@ -102,12 +102,6 @@ let get_fruit r =
 let finished r =
   if not (Int.equal r.pos (String.length r.data)) then invalid_arg "Codec: trailing bytes"
 
-let fruit_of_bytes s =
-  let r = { data = s; pos = 0 } in
-  let f = get_fruit r in
-  finished r;
-  f
-
 let block_of_bytes s =
   let r = { data = s; pos = 0 } in
   let b_header = get_header r in

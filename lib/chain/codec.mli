@@ -20,11 +20,9 @@ val fruit_bytes : fruit -> string
 val block_bytes : block -> string
 (** Full wire encoding of a block: header, reference, fruit count, fruits. *)
 
-val fruit_of_bytes : string -> fruit
-(** Raises [Invalid_argument] on malformed input. Provenance is not encoded
-    and comes back as [None]. *)
-
 val block_of_bytes : string -> block
+(** Raises [Invalid_argument] on malformed input. Provenance (the block's
+    and its fruits') is not encoded and comes back as [None]. *)
 
 val fruit_wire_size : fruit -> int
 val block_wire_size : block -> int

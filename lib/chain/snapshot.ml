@@ -78,12 +78,3 @@ let load_chain ~path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> chain_of_bytes (really_input_string ic (in_channel_length ic)))
-
-let store_to_bytes store ~head = chain_to_bytes (Store.to_list store ~head)
-
-let load_into_store store data =
-  let chain = chain_of_bytes data in
-  List.iter (fun b -> if not (block_equal b genesis) then Store.add store b) chain;
-  match List.rev chain with
-  | head :: _ -> head.b_hash
-  | [] -> genesis.b_hash

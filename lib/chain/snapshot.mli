@@ -1,5 +1,4 @@
-(** Chain persistence: serialize a chain (or a whole store) to bytes or
-    disk and load it back.
+(** Chain persistence: save a chain to disk and load it back.
 
     The format is a small envelope over {!Codec}: a magic string, a format
     version, a block count, then each block's wire encoding behind a 32-bit
@@ -11,24 +10,12 @@
     {!Validate.valid_chain} with the appropriate oracle. *)
 
 open Types
-module Hash = Fruitchain_crypto.Hash
-
-val magic : string
-
-val chain_to_bytes : block list -> string
-(** Serialize a genesis-first chain. The genesis block itself is skipped
-    (it is a protocol constant). Raises [Invalid_argument] if the list does
-    not start at genesis or does not link. *)
-
-val chain_of_bytes : string -> block list
-(** Inverse; returns the chain including the genesis constant. Raises
-    [Invalid_argument] on bad magic, version, truncation or broken links. *)
 
 val save_chain : path:string -> block list -> unit
+(** Serialize a genesis-first chain to [path]. The genesis block itself is
+    skipped (it is a protocol constant). Raises [Invalid_argument] if the
+    list does not start at genesis or does not link. *)
+
 val load_chain : path:string -> block list
-
-val store_to_bytes : Store.t -> head:Hash.t -> string
-(** Serialize the chain ending at [head] from a store. *)
-
-val load_into_store : Store.t -> string -> Hash.t
-(** Insert all blocks into the store (idempotent) and return the head. *)
+(** Inverse; returns the chain including the genesis constant. Raises
+    [Invalid_argument] on bad magic, version, truncation or broken links. *)

@@ -45,10 +45,8 @@ let height_at t i = t.heights.(i)
 let parent_id t i = t.parents.(i)
 
 let mem t h = Hash.Tbl.mem t.ids h
-let find t h = match find_id t h with Some i -> Some t.blocks.(i) | None -> None
 let find_exn t h = t.blocks.(id t h)
 let height t h = t.heights.(id t h)
-let size t = t.len
 
 let grow t =
   let cap = Array.length t.blocks in
@@ -81,18 +79,12 @@ let add_id t block =
 
 let add t block = ignore (add_id t block)
 
-let parent t block =
-  if Hash.equal block.b_hash genesis.b_hash then None else find t block.b_header.parent
-
 let fold_back_id t ~head ~init ~f =
   let rec go acc i =
     let acc = f acc i in
     if Int.equal i genesis_id then acc else go acc t.parents.(i)
   in
   go init head
-
-let fold_back t ~head ~init ~f =
-  fold_back_id t ~head:(id t head) ~init ~f:(fun acc i -> f acc t.blocks.(i))
 
 let to_list_id t ~head =
   fold_back_id t ~head ~init:[] ~f:(fun acc i -> t.blocks.(i) :: acc)
@@ -126,11 +118,6 @@ let ancestor_id_at_height t ~head ~height:target =
     Some !i
   end
 
-let ancestor_at_height t ~head ~height =
-  match find_id t head with
-  | None -> None
-  | Some i -> Option.map (block_at t) (ancestor_id_at_height t ~head:i ~height)
-
 let common_prefix_height_id t a b =
   let lift i target =
     let i = ref i in
@@ -149,20 +136,9 @@ let common_prefix_height_id t a b =
 
 let common_prefix_height t a b = common_prefix_height_id t (id t a) (id t b)
 
-let recent_fruit_hashes_id t ~head ~window =
-  let acc = Hash.Tbl.create 64 in
-  List.iter
-    (fun i -> List.iter (fun f -> Hash.Tbl.replace acc f.f_hash ()) t.blocks.(i).fruits)
-    (last_n_ids t ~head window);
-  acc
-
-let recent_fruit_hashes t ~head ~window = recent_fruit_hashes_id t ~head:(id t head) ~window
-
 let hang_positions_id t ~head ~window =
   let acc = Hash.Tbl.create 64 in
   List.iter
     (fun i -> Hash.Tbl.replace acc t.blocks.(i).b_hash t.heights.(i))
     (last_n_ids t ~head window);
   acc
-
-let hang_positions t ~head ~window = hang_positions_id t ~head:(id t head) ~window

@@ -42,19 +42,15 @@ val ancestor_id_at_height : t -> head:id -> height:int -> id option
 
 val common_prefix_height_id : t -> id -> id -> int
 
-val fold_back_id : t -> head:id -> init:'acc -> f:('acc -> id -> 'acc) -> 'acc
-(** Folds ids from [head] down to genesis (inclusive). *)
-
 val to_list_id : t -> head:id -> block list
 (** The chain from genesis (inclusive, first) to [head] (last).  Total:
     ids are valid by construction, so resolved callers (validation,
     extraction) can list chains without a raising hash lookup. *)
 
-val recent_fruit_hashes_id : t -> head:id -> window:int -> unit Hash.Tbl.t
-(** {!recent_fruit_hashes} over an already-resolved head. *)
-
 val hang_positions_id : t -> head:id -> window:int -> int Hash.Tbl.t
-(** {!hang_positions} over an already-resolved head. *)
+(** Maps the reference of each of the last [window] blocks of the chain at
+    [head] (and genesis when in range) to its height; a fruit is
+    {e recent} w.r.t. [head] iff its pointer is a key (§4.1). *)
 
 val create : unit -> t
 (** A store containing only {!Types.genesis}. *)
@@ -69,41 +65,19 @@ val add_id : t -> block -> id
 (** [add] returning the inserted (or already-present) block's id. *)
 
 val mem : t -> Hash.t -> bool
-val find : t -> Hash.t -> block option
 val find_exn : t -> Hash.t -> block
 val height : t -> Hash.t -> int
 (** Raises [Not_found] for unknown hashes. *)
 
-val size : t -> int
-(** Number of blocks, including genesis. *)
-
-val parent : t -> block -> block option
-(** [None] for genesis. *)
-
 val to_list : t -> head:Hash.t -> block list
 (** The chain from genesis (inclusive, first) to [head] (last). *)
 
+(* fruitlint: allow R12 test_store's five "last_n/to_list" edge cases, test_chain "last_n" *)
 val last_n : t -> head:Hash.t -> int -> block list
 (** The at-most-[n] trailing blocks of the chain ending at [head], oldest
     first. [last_n t ~head n] with [n] ≥ chain length returns the full
     chain; [n] ≤ 0 returns [[]]. *)
 
-val fold_back : t -> head:Hash.t -> init:'acc -> f:('acc -> block -> 'acc) -> 'acc
-(** Folds from [head] down to genesis. *)
-
-val ancestor_at_height : t -> head:Hash.t -> height:int -> block option
-(** The block at the given height on the chain ending at [head]. *)
-
 val common_prefix_height : t -> Hash.t -> Hash.t -> int
 (** Height of the deepest common ancestor of two heads — the paper's common
     prefix measure. Genesis guarantees the result is ≥ 0. *)
-
-val recent_fruit_hashes : t -> head:Hash.t -> window:int -> unit Hash.Tbl.t
-(** Hashes of all fruits contained in the last [window] blocks of the chain
-    at [head]. Used both by miners (duplicate suppression) and by the
-    recency validity rule. *)
-
-val hang_positions : t -> head:Hash.t -> window:int -> int Hash.Tbl.t
-(** Maps the reference of each of the last [window] blocks (and genesis when
-    in range) to its height; a fruit is {e recent} w.r.t. [head] iff its
-    pointer is a key (§4.1). *)

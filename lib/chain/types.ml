@@ -38,10 +38,3 @@ let genesis =
 
 let fruit_equal a b = Hash.equal a.f_hash b.f_hash
 let block_equal a b = Hash.equal a.b_hash b.b_hash
-
-let pp_fruit fmt f =
-  Format.fprintf fmt "fruit(%a hangs %a)" Hash.pp f.f_hash Hash.pp f.f_header.pointer
-
-let pp_block fmt b =
-  Format.fprintf fmt "block(%a parent %a, %d fruits)" Hash.pp b.b_hash Hash.pp b.b_header.parent
-    (List.length b.fruits)

@@ -50,10 +50,8 @@ val genesis_hash : Hash.t
 val genesis : block
 (** The genesis block: zero parent/pointer/nonce, empty fruit set. *)
 
+(* fruitlint: allow R12 test_chain "equality by hash" *)
 val fruit_equal : fruit -> fruit -> bool
 (** Equality by reference hash. *)
 
 val block_equal : block -> block -> bool
-
-val pp_fruit : Format.formatter -> fruit -> unit
-val pp_block : Format.formatter -> block -> unit

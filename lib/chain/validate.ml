@@ -39,18 +39,18 @@ let recent_enough positions ~pointer ~lo ~hi =
   | Some j -> j >= lo && j < hi
   | None -> false
 
-let check_fruits_recency ~recency ~positions ~position block =
-  match recency with
-  | None -> Ok ()
-  | Some window ->
-      let lo = max 0 (position - window) in
-      let rec check = function
-        | [] -> Ok ()
-        | f :: rest ->
-            if recent_enough positions ~pointer:f.f_header.pointer ~lo ~hi:position then check rest
-            else Error (Stale_fruit { position; fruit = f.f_hash })
-      in
-      check block.fruits
+(* The recency rule for the block at [position]: each of its fruits hangs
+   from one of the [window] blocks before it. Both entry points call this;
+   they differ only in where [positions] comes from. *)
+let check_fruits_recency ~window ~positions ~position block =
+  let lo = max 0 (position - window) in
+  let rec check = function
+    | [] -> Ok ()
+    | f :: rest ->
+        if recent_enough positions ~pointer:f.f_header.pointer ~lo ~hi:position then check rest
+        else Error (Stale_fruit { position; fruit = f.f_hash })
+  in
+  check block.fruits
 
 let valid_chain oracle ~recency chain =
   match chain with
@@ -66,7 +66,12 @@ let valid_chain oracle ~recency chain =
               Error (Broken_link { position })
             else if not (valid_block oracle b) then Error (Invalid_block { position })
             else begin
-              match check_fruits_recency ~recency ~positions ~position b with
+              let recent =
+                match recency with
+                | None -> Ok ()
+                | Some window -> check_fruits_recency ~window ~positions ~position b
+              in
+              match recent with
               | Error _ as e -> e
               | Ok () ->
                   Hash.Tbl.replace positions b.b_hash position;
@@ -89,13 +94,5 @@ let valid_extension oracle store ~recency block =
         | None -> Ok ()
         | Some window ->
             let positions = Store.hang_positions_id store ~head:parent_id ~window in
-            let lo = max 0 (position - window) in
-            let rec check = function
-              | [] -> Ok ()
-              | f :: rest ->
-                  if recent_enough positions ~pointer:f.f_header.pointer ~lo ~hi:position then
-                    check rest
-                  else Error (Stale_fruit { position; fruit = f.f_hash })
-            in
-            check block.fruits
+            check_fruits_recency ~window ~positions ~position block
       end

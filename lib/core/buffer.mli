@@ -50,6 +50,7 @@ val create : unit -> t
     ruled out, expired or pruned by pointer age, and "not yet recorded"
     means not recorded anywhere on the chain, which those views answer. *)
 
+(* fruitlint: allow R12 test_core "relays once past the scan limit" *)
 val scan_limit : int
 (** The group size past which a group's membership goes through its own
     table instead of a scan: 64, a constant. *)
@@ -57,6 +58,7 @@ val scan_limit : int
 val size : t -> int
 (** Fruits currently retained. O(1). *)
 
+(* fruitlint: allow R12 test_differential "hang-point buffer = eager candidate set" *)
 val mem : t -> Types.fruit -> bool
 (** Whether the fruit is retained: a lookup of its hang point's group and a
     membership test inside it. *)

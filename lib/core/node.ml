@@ -41,7 +41,6 @@ let create ?(gossip = false) ~id ~params ~store ~views ~rng () =
   t
 
 let id t = t.id
-let params t = t.params
 let set_gossip t on = t.gossip <- on
 let head_id t = t.head_id
 let head t = Store.hash_at t.store t.head_id

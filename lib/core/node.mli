@@ -31,7 +31,6 @@ val create :
     events. *)
 
 val id : t -> int
-val params : t -> Params.t
 
 val set_gossip : t -> bool -> unit
 (** Flips the relay behaviour mid-run (scenario [gossip_toggle] events);
@@ -46,6 +45,7 @@ val head_id : t -> Fruitchain_chain.Store.id
 val height : t -> int
 val chain : t -> Types.block list
 val buffer_size : t -> int
+(* fruitlint: allow R12 test_core "includes recent fruits", "rebuffers on reorg" *)
 val candidate_fruits : t -> Types.fruit list
 (** The F′ the node would commit to if it mined a block right now. *)
 

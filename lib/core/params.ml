@@ -10,7 +10,6 @@ let make ?(recency_r = 17) ?(enforce_recency = true) ~p ~pf ~kappa () =
 let recency_window t = t.recency_r * t.kappa
 let pointer_depth t = t.kappa
 let q t = t.pf /. t.p
-let kappa_f t = int_of_float (Float.ceil (2.0 *. q t *. float_of_int (recency_window t)))
 
 let pp fmt t =
   Format.fprintf fmt "p=%g pf=%g kappa=%d R=%d (window=%d, q=%g)" t.p t.pf t.kappa t.recency_r

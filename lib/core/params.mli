@@ -37,7 +37,4 @@ val pointer_depth : t -> int
 val q : t -> float
 (** [p_f / p], the fruits-per-block ratio of §6. *)
 
-val kappa_f : t -> int
-(** ⌈2qRκ⌉, the fruit-consistency parameter of Theorem 4.1. *)
-
 val pp : Format.formatter -> t -> unit

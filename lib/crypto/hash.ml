@@ -14,9 +14,7 @@ let zero = String.make 32 '\000'
 let equal = String.equal
 let compare = String.compare
 let to_hex = Fruitchain_util.Hex.encode
-let of_hex s = of_raw (Fruitchain_util.Hex.decode s)
 let pp fmt t = Format.fprintf fmt "%s…" (String.sub (to_hex t) 0 8)
-let pp_full fmt t = Format.pp_print_string fmt (to_hex t)
 
 (* Big-endian 64-bit views via the stdlib primitives: a single bounds check
    and one load, instead of eight boxed byte reads — these run on every
@@ -46,13 +44,6 @@ let threshold p =
     let hi = Int64.of_float scaled in
     Int64.shift_left hi 1
   end
-
-let meets_view view limit =
-  (* view < limit, unsigned. *)
-  Int64.unsigned_compare view limit < 0
-
-let meets_block_difficulty t ~p = meets_view (prefix64 t) (threshold p)
-let meets_fruit_difficulty t ~pf = meets_view (suffix64 t) (threshold pf)
 
 let of_views ~block_view ~fruit_view ~filler:(f1, f2) =
   let buf = Bytes.create 32 in

@@ -26,20 +26,15 @@ val zero : t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
-(** The leading eight bytes as a non-negative int: digests are uniform. *)
 
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by digests, hashed with {!hash} and compared with
-    {!equal}. Every digest-keyed table goes through this instead of the
-    polymorphic [Hashtbl]. *)
+(** Hash tables keyed by digests, hashed by their leading eight bytes
+    (digests are uniform) and compared with {!equal}. Every digest-keyed
+    table goes through this instead of the polymorphic [Hashtbl]. *)
 
 val to_hex : t -> string
-val of_hex : string -> t
 val pp : Format.formatter -> t -> unit
 (** Prints the first four bytes of hex followed by an ellipsis. *)
-
-val pp_full : Format.formatter -> t -> unit
 
 (** {1 Difficulty views} *)
 
@@ -53,12 +48,6 @@ val threshold : float -> int64
 (** [threshold p] is ⌊p·2⁶⁴⌋ represented as an unsigned [int64]; a view [v]
     satisfies the difficulty iff [unsigned_lt v (threshold p)]. [p] is
     clamped to [\[0, 1\]]. *)
-
-val meets_block_difficulty : t -> p:float -> bool
-(** [meets_block_difficulty h ~p] is the paper's test [\[h\]_{:κ} < D_p]. *)
-
-val meets_fruit_difficulty : t -> pf:float -> bool
-(** [meets_fruit_difficulty h ~pf] is the test [\[h\]_{−κ:} < D_{p_f}]. *)
 
 (** {1 Construction helpers} *)
 

@@ -10,9 +10,6 @@
 val empty_root : Hash.t
 (** Digest of the empty leaf sequence, [SHA-256("fruitchain:merkle:empty")]. *)
 
-val leaf_hash : string -> Hash.t
-val node_hash : Hash.t -> Hash.t -> Hash.t
-
 val root : string list -> Hash.t
 (** [root leaves] is the Merkle root of [leaves] in order. A level with an
     odd number of nodes promotes its last node unchanged (no duplication, so

@@ -238,7 +238,5 @@ let queries t = t.queries
 let reset_queries t = t.queries <- 0
 let block_wins t = t.block_wins
 let fruit_wins t = t.fruit_wins
-let p t = t.p
-let pf t = t.pf
 let mined_block t h = Int64.unsigned_compare (Hash.prefix64 h) t.block_limit < 0
 let mined_fruit t h = Int64.unsigned_compare (Hash.suffix64 h) t.fruit_limit < 0

@@ -93,6 +93,7 @@ val verify : t -> string -> Hash.t -> bool
 val queries : t -> int
 (** Mining queries since creation or the last {!reset_queries}. *)
 
+(* fruitlint: allow R12 test_crypto "reset queries" *)
 val reset_queries : t -> unit
 
 val block_wins : t -> int
@@ -103,11 +104,11 @@ val block_wins : t -> int
 val fruit_wins : t -> int
 (** Queries whose digest met the fruit difficulty, since creation. *)
 
-val p : t -> float
-val pf : t -> float
-
 val mined_block : t -> Hash.t -> bool
-(** [mined_block o h] is [Hash.meets_block_difficulty h ~p:(p o)]. *)
+(** [mined_block o h]: does [h] meet the block difficulty, the paper's
+    [\[h\]_{:κ} < D_p], i.e. is {!Hash.prefix64} below
+    {!Hash.threshold}[ p] (unsigned)? *)
 
 val mined_fruit : t -> Hash.t -> bool
-(** [mined_fruit o h] is [Hash.meets_fruit_difficulty h ~pf:(pf o)]. *)
+(** [mined_fruit o h]: does [h] meet the fruit difficulty
+    [\[h\]_{−κ:} < D_{p_f}], on {!Hash.suffix64}? *)

@@ -14,15 +14,19 @@
 type ctx
 (** Incremental hashing context (mutable). *)
 
+(* fruitlint: allow R12 test_crypto "incremental chunks" *)
 val init : unit -> ctx
 
+(* fruitlint: allow R12 test_crypto "incremental chunks", "sha256 split invariance" *)
 val update : ctx -> string -> unit
 (** Absorb bytes. May be called any number of times. *)
 
+(* fruitlint: allow R12 test_crypto "update_bytes bounds" *)
 val update_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
 (** Absorb [len] bytes of the buffer from [pos]. Raises [Invalid_argument]
     unless [pos] and [len] are non-negative and [len <= length - pos]. *)
 
+(* fruitlint: allow R12 test_crypto "incremental chunks" *)
 val finalize : ctx -> string
 (** Returns the 32-byte digest. The context must not be used afterwards. *)
 
@@ -35,10 +39,12 @@ val accelerated : bool
 (** Whether this host runs the SHA-extension block function (the CPU has
     SHA, SSSE3 and SSE4.1); false off x86-64. Fixed for the process. *)
 
+(* fruitlint: allow R12 test_differential "C SHA-256 = pure-OCaml reference" *)
 val digest_portable : string -> string
 (** [digest] over the portable block function whatever the host. It
     exists for the differential suite, which holds both block functions
     to the reference; everything else calls {!digest}. *)
 
+(* fruitlint: allow R12 test_crypto "hmac rfc4231 #1", "hmac rfc4231 #2" *)
 val hmac : key:string -> string -> string
 (** HMAC-SHA256 (RFC 2104); used for domain-separated derivations. *)

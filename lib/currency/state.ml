@@ -23,13 +23,6 @@ let mint t address amount =
 
 type rejection = Bad_signature | Unknown_sender | Key_reused | Wrong_total | Spent_recipient
 
-let pp_rejection fmt = function
-  | Bad_signature -> Format.pp_print_string fmt "signature does not verify"
-  | Unknown_sender -> Format.pp_print_string fmt "sender address has no balance"
-  | Key_reused -> Format.pp_print_string fmt "sender key already used once"
-  | Wrong_total -> Format.pp_print_string fmt "outputs do not sum to the full balance"
-  | Spent_recipient -> Format.pp_print_string fmt "output pays a burned address"
-
 let apply t (transfer : Transfer.t) =
   let sender = Transfer.sender_address transfer in
   if not (Transfer.signature_valid transfer) then Error Bad_signature

@@ -22,6 +22,7 @@ val spent : t -> Hash.t -> bool
 
 val total_supply : t -> int64
 
+(* fruitlint: allow R12 test_currency "mint and balance", "pay with change" *)
 val mint : t -> Hash.t -> int64 -> unit
 (** Credit freshly created coins (coinbase). Raises [Invalid_argument] on
     non-positive amounts or minting to a spent address. *)
@@ -33,8 +34,7 @@ type rejection =
   | Wrong_total  (** Outputs do not sum to the sender's full balance. *)
   | Spent_recipient  (** An output pays an address whose key is burned. *)
 
-val pp_rejection : Format.formatter -> rejection -> unit
-
+(* fruitlint: allow R12 test_currency "apply happy path", "double spend" *)
 val apply : t -> Transfer.t -> (unit, rejection) result
 (** Validate and apply one transfer atomically. *)
 

@@ -21,7 +21,6 @@ let derive t =
   entry
 
 let fresh_address t = (derive t).address
-let addresses t = List.rev_map (fun k -> k.address) t.keys
 
 let balance t state =
   List.fold_left (fun acc k -> Int64.add acc (State.balance state k.address)) 0L t.keys

@@ -16,9 +16,6 @@ val create : seed:string -> t
 val fresh_address : t -> Hash.t
 (** Derive (and remember) the next receive address. *)
 
-val addresses : t -> Hash.t list
-(** All derived addresses, oldest first. *)
-
 val balance : t -> State.t -> int64
 (** Total across this wallet's addresses, per the given state. *)
 

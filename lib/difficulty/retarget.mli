@@ -24,6 +24,7 @@ val make_params :
   ?epoch_length:int -> ?max_adjustment:float -> target_interval:float -> unit -> params
 (** Defaults: epoch 32 blocks, clamp 4.0 (Bitcoin's). *)
 
+(* fruitlint: allow R12 test_difficulty "direction", "fixed point", "clamped" *)
 val next_p : params -> current_p:float -> epoch_duration:float -> float
 (** The retarget rule. [epoch_duration] is the rounds the last epoch took;
     the result is clamped into [p/max_adjustment, p·max_adjustment] and

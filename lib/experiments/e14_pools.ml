@@ -9,7 +9,7 @@
    simulation at q=1000, from E07's setup) next to it. *)
 
 module Table = Fruitchain_util.Table
-module Pool = Fruitchain_pool.Pool
+module Mining_pool = Fruitchain_pool.Mining_pool
 module Rng = Fruitchain_util.Rng
 module Config = Fruitchain_sim.Config
 module Params = Fruitchain_core.Params
@@ -51,23 +51,23 @@ let run ?(scale = Exp.Full) () =
   in
   let pool_row scheme =
     let outcome =
-      Pool.simulate ~rng:(Rng.of_seed 14L) ~scheme ~member_power ~p_block ~share_ratio ~rounds
-        ~block_reward ~slices
+      Mining_pool.simulate ~rng:(Rng.of_seed 14L) ~scheme ~member_power ~p_block ~share_ratio
+        ~rounds ~block_reward ~slices
     in
-    let member = outcome.Pool.members.(0) in
+    let member = outcome.Mining_pool.members.(0) in
     Table.add_row table
       [
-        Pool.scheme_name scheme;
-        Table.int member.Pool.payments;
-        (if Float.is_nan member.Pool.time_to_first then "never"
-         else Table.f2 member.Pool.time_to_first);
-        Table.f4 member.Pool.income_cv;
-        Table.f2 outcome.Pool.operator_income;
+        Mining_pool.scheme_name scheme;
+        Table.int member.Mining_pool.payments;
+        (if Float.is_nan member.Mining_pool.time_to_first then "never"
+         else Table.f2 member.Mining_pool.time_to_first);
+        Table.f4 member.Mining_pool.income_cv;
+        Table.f2 outcome.Mining_pool.operator_income;
       ]
   in
-  pool_row Pool.Solo;
-  pool_row (Pool.Proportional { fee = 0.02 });
-  pool_row (Pool.Pay_per_share { fee = 0.02 });
+  pool_row Mining_pool.Solo;
+  pool_row (Mining_pool.Proportional { fee = 0.02 });
+  pool_row (Mining_pool.Pay_per_share { fee = 0.02 });
   (* The protocol alternative: a solo miner with 10% of the power on
      FruitChain with q = 1000, measured through the full simulation. *)
   let fc_summary =

@@ -28,6 +28,7 @@ type slot_outcome = {
   lively : bool;  (** Some honest seat committed. *)
 }
 
+(* fruitlint: allow R12 test_hybrid "honest leader slot", "byzantine leader stalls" *)
 val run_slot :
   rng:Fruitchain_util.Rng.t -> committee:Committee.t -> slot:int -> slot_outcome
 (** Execute one slot. The leader is seat [slot mod size]. *)
@@ -41,6 +42,7 @@ type stats = {
 
 val run_slots : rng:Fruitchain_util.Rng.t -> committee:Committee.t -> slots:int -> stats
 
+(* fruitlint: allow R12 test_hybrid "breaks at n/3", "safe below split threshold" *)
 val attack_feasible : committee:Committee.t -> bool
 (** Can the optimal equivocation split double-commit this committee at all?
     True iff the honest seats can be split into two parts that both reach a

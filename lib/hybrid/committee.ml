@@ -17,27 +17,11 @@ let honest_fraction t =
 let seat_of_provenance (p : Types.provenance) =
   if p.honest then Honest p.miner else Byzantine
 
-let of_provenances provs ~elected_at =
-  { seats = Array.of_list (List.map seat_of_provenance provs); elected_at }
-
 let provenance_sequence trace ~unit =
   let chain = Trace.honest_final_chain trace in
   match unit with
   | `Blocks -> List.filter_map (fun (b : Types.block) -> b.b_prov) chain
   | `Fruits -> List.filter_map (fun (f : Types.fruit) -> f.f_prov) (Extract.fruits_of_chain chain)
-
-let segment_election trace ~unit ~size ~offset =
-  let provs = Array.of_list (provenance_sequence trace ~unit) in
-  let n = Array.length provs in
-  let last = n - offset in
-  if last < size then None
-  else begin
-    let seats = Array.init size (fun i -> seat_of_provenance provs.(last - size + i)) in
-    Some { seats; elected_at = last }
-  end
-
-let from_blocks trace ~size ~offset = segment_election trace ~unit:`Blocks ~size ~offset
-let from_fruits trace ~size ~offset = segment_election trace ~unit:`Fruits ~size ~offset
 
 let sliding trace ~unit ~size ~stride =
   if size <= 0 || stride <= 0 then invalid_arg "Committee.sliding: size and stride must be positive";

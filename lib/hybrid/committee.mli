@@ -8,7 +8,6 @@
     attack, fruit segments stay ≈ (1−ρ) honest while Nakamoto block
     segments degrade to the selfish-mining share. *)
 
-open Fruitchain_chain
 module Trace = Fruitchain_sim.Trace
 
 type seat =
@@ -24,17 +23,8 @@ val honest_fraction : t -> float
 val byzantine_seats : t -> int
 val size : t -> int
 
-val of_provenances : Types.provenance list -> elected_at:int -> t
-(** One seat per provenance, honest/byzantine by the mining-time flag. *)
-
-val from_blocks : Trace.t -> size:int -> offset:int -> t option
-(** Elect from the [size] consecutive blocks of the canonical chain ending
-    [offset] blocks before the tip (offset ≥ 0 leaves room for
-    confirmation); [None] if the chain is too short. *)
-
-val from_fruits : Trace.t -> size:int -> offset:int -> t option
-(** Same, over the extracted fruit ledger — the FruitChain election. *)
-
 val sliding : Trace.t -> unit:[ `Blocks | `Fruits ] -> size:int -> stride:int -> t list
-(** All committees obtained by sliding a [size]-seat window along the run
-    with the given stride. Used to estimate violation rates. *)
+(** All committees obtained by sliding a [size]-seat window along the
+    canonical chain's blocks or its extracted fruit ledger (the FruitChain
+    election) with the given stride, one seat per unit, honest/byzantine by
+    the mining-time flag. Used to estimate violation rates. *)

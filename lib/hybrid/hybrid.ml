@@ -36,10 +36,3 @@ let evaluate trace ~unit ~committee_size ~stride ~slots_per_committee ~seed =
     mean_honest_fraction = Stats.mean fractions;
     min_honest_fraction = Stats.min_value fractions;
   }
-
-let pp fmt r =
-  Format.fprintf fmt
-    "%d committees: %d unsafe, %d stalled; honest seats mean %.1f%%, min %.1f%%" r.committees
-    r.unsafe_committees r.stalled_committees
-    (100.0 *. r.mean_honest_fraction)
-    (100.0 *. r.min_honest_fraction)

@@ -25,5 +25,3 @@ val evaluate :
   slots_per_committee:int -> seed:int64 -> report
 (** Elect every sliding committee from the canonical chain, run
     [slots_per_committee] BFT slots on each, and aggregate. *)
-
-val pp : Format.formatter -> report -> unit

@@ -24,7 +24,6 @@ type payout = {
 }
 
 val miner_payout : payout -> int -> float
-val coalition_payout : payout -> members:(int -> bool) -> float
 
 val bitcoin_rule : Trace.t -> block_reward:float -> payout
 

@@ -12,8 +12,6 @@ let decode record =
       | Some _ | None -> None)
   | _ -> None
 
-let is_tx record = String.length record >= 3 && String.sub record 0 3 = "tx:"
-
 module Workload = struct
   type nonrec t = round:int -> party:int -> string
 

@@ -7,11 +7,8 @@
 
 type t = { id : string; fee : float }
 
-val encode : t -> string
 val decode : string -> t option
 (** [None] for records that are not transactions (probes, padding). *)
-
-val is_tx : string -> bool
 
 (** {1 Fee workloads} *)
 

@@ -9,12 +9,6 @@ let subset_flags_of_fruits fruits ~member =
          Option.map (fun (p : Types.provenance) -> member p.miner) f.f_prov)
   |> Array.of_list
 
-let subset_flags_of_blocks chain ~member =
-  chain
-  |> List.filter_map (fun (b : Types.block) ->
-         Option.map (fun (p : Types.provenance) -> member p.miner) b.b_prov)
-  |> Array.of_list
-
 let min_window_share flags ~window = Quality.worst_window_fraction flags ~window `Honest
 
 type report = {
@@ -47,10 +41,4 @@ let fruit_fairness trace ~subset ~window =
   let member i = List.mem i subset in
   let chain = Trace.honest_final_chain trace in
   let flags = subset_flags_of_fruits (Extract.fruits_of_chain chain) ~member in
-  make_report ~config:(Trace.config trace) ~subset ~window flags
-
-let block_fairness trace ~subset ~window =
-  let member i = List.mem i subset in
-  let chain = Trace.honest_final_chain trace in
-  let flags = subset_flags_of_blocks chain ~member in
   make_report ~config:(Trace.config trace) ~subset ~window flags

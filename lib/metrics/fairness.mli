@@ -3,18 +3,16 @@
     A protocol is (T₀, δ)-fair when every ϕ-fraction subset S of the honest
     players receives at least (1−δ)ϕ of the fruits in every T ≥ T₀ window of
     the ledger. We measure it directly: mark each ledger fruit with whether
-    its miner belongs to S and report the minimum S-share over all windows.
-
-    Nakamoto comparisons use the same machinery over blocks. *)
+    its miner belongs to S and report the minimum S-share over all windows. *)
 
 open Fruitchain_chain
 module Trace = Fruitchain_sim.Trace
 
+(* fruitlint: allow R12 test_metrics "subset flags" *)
 val subset_flags_of_fruits : Types.fruit list -> member:(int -> bool) -> bool array
 (** Per provenance-carrying fruit: is its miner in S? *)
 
-val subset_flags_of_blocks : Types.block list -> member:(int -> bool) -> bool array
-
+(* fruitlint: allow R12 test_metrics "min window share" *)
 val min_window_share : bool array -> window:int -> float
 (** Minimum fraction of [true] entries over all consecutive [window]-length
     segments; [nan] if the sequence is shorter. *)
@@ -33,6 +31,3 @@ val fruit_fairness :
 (** Fairness of the canonical honest final chain's fruit ledger w.r.t. the
     given honest subset. Raises [Invalid_argument] if a subset member is a
     corrupt party (S must select honest players). *)
-
-val block_fairness : Trace.t -> subset:int list -> window:int -> report
-(** The same over blocks (Π_nak runs). *)

@@ -6,17 +6,8 @@ module Message = Fruitchain_net.Message
 type t = { id : int; store : Store.t; rng : Rng.t; mutable head_id : Store.id }
 
 let create ~id ~store ~rng = { id; store; rng; head_id = Store.genesis_id }
-let id t = t.id
 let head_id t = t.head_id
 let head t = Store.hash_at t.store t.head_id
-let height t = Store.height_at t.store t.head_id
-let chain t = Store.to_list t.store ~head:(head t)
-
-let ledger t =
-  List.filter_map
-    (fun (b : Types.block) ->
-      if String.equal b.b_header.record "" then None else Some b.b_header.record)
-    (chain t)
 
 (* Insert the announced blocks (parent-first, so ordinary extension checks
    apply one by one), then adopt the head if it is known and strictly

@@ -19,27 +19,17 @@ val create : id:int -> store:Store.t -> rng:Rng.t -> t
 (** The node starts on the genesis chain. The store may be shared across a
     simulation. *)
 
-val id : t -> int
-val head : t -> Types.Hash.t
-
 val head_id : t -> Fruitchain_chain.Store.id
-(** The head as an arena id (see {!Fruitchain_chain.Store.id}). *)
+(** The node's chain tip as an arena id (see {!Fruitchain_chain.Store.id});
+    its chain, height and records are read from the store through it. *)
 
-val height : t -> int
-(** Height of the node's chain tip (genesis = 0). *)
-
-val chain : t -> Types.block list
-(** Genesis first. *)
-
-val ledger : t -> string list
-(** [extract(chain)]: the non-empty records, in chain order — the node's
-    output to the environment. *)
-
+(* fruitlint: allow R12 test_nakamoto "adopt longer only", "tie keeps first" *)
 val receive : t -> Oracle.t -> Message.t -> unit
 (** Process one incoming message: insert any valid blocks, then adopt the
     announced head iff it is valid and strictly longer than the current
     chain. Fruit announcements are ignored (Nakamoto has no fruits). *)
 
+(* fruitlint: allow R12 test_nakamoto "mining extends", "ledger order" *)
 val mine :
   t -> Oracle.t -> round:int -> record:string -> honest:bool -> Types.block option
 (** The node's one mining query for this round: {!Fruitchain_chain.Mine.mine}

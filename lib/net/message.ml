@@ -16,10 +16,3 @@ let chain_announce ~sender ~sent_at ?(priority = honest_priority) ?(relay = fals
 
 let fruit_announce ~sender ~sent_at ?(priority = honest_priority) ?(relay = false) fruit =
   { sender; sent_at; priority; relay; payload = Fruit_announce fruit }
-
-let pp fmt t =
-  match t.payload with
-  | Chain_announce { blocks; head } ->
-      Format.fprintf fmt "chain@%d from %d: %d blocks, head %a" t.sent_at t.sender
-        (List.length blocks) Types.Hash.pp head
-  | Fruit_announce f -> Format.fprintf fmt "fruit@%d from %d: %a" t.sent_at t.sender Types.pp_fruit f

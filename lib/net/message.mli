@@ -44,5 +44,3 @@ val rushed_priority : int
 (** Priority (0) that beats honest messages delivered in the same round —
     the "rushing adversary" of the model, which may reorder deliveries
     within a round. *)
-
-val pp : Format.formatter -> t -> unit

@@ -82,8 +82,6 @@ let create ?(scope = Scope.null) ?policy ~n ~delta () =
     delay_hist;
   }
 
-let delta t = t.delta
-let n t = t.n
 
 let resolve_round t ~now ~rng = function
   | At r -> max (now + 1) (min r (now + t.delta))

@@ -39,9 +39,6 @@ val create : ?scope:Fruitchain_obs.Scope.t -> ?policy:policy -> n:int -> delta:i
     golden (deterministic) metric dump. [?policy] (default: none, i.e. the
     identity) is the fault-injection delivery policy above. *)
 
-val delta : t -> int
-val n : t -> int
-
 type schedule =
   | At of int  (** Absolute delivery round (clamped to the legal window). *)
   | Uniform_in_window  (** Uniform in [\[t+1, t+Δ\]]. *)

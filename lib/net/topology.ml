@@ -3,7 +3,6 @@ module Rng = Fruitchain_util.Rng
 type t = { adj : int list array }
 
 let size t = Array.length t.adj
-let neighbors t i = t.adj.(i)
 
 let degree_stats t =
   let n = size t in

@@ -12,8 +12,6 @@ module Rng = Fruitchain_util.Rng
 type t
 (** An undirected connected graph over nodes [0 .. n-1]. *)
 
-val size : t -> int
-val neighbors : t -> int -> int list
 val degree_stats : t -> float * int
 (** (mean degree, max degree). *)
 
@@ -37,6 +35,7 @@ type spread = {
   reached : int;  (** Nodes reached (= n for connected graphs). *)
 }
 
+(* fruitlint: allow R12 test_net "flood semantics", "erdos-renyi connected" *)
 val flood : t -> source:int -> per_hop_rounds:int -> spread
 (** Deterministic flood: the source has the message at round 0; a node that
     first holds it at round r hands it to all neighbours at

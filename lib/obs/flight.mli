@@ -14,10 +14,9 @@
 
 type t
 
-val default_capacity : int
-(** 4096 events. *)
-
 val create : ?capacity:int -> prefix:string -> unit -> t
+(** A ring of [capacity] events (default 4096) whose dumps are written to
+    [<prefix>NNNN.json]. *)
 
 val fork : t -> t
 (** A recorder for one parallel work unit: a ring of [t]'s capacity that

@@ -45,7 +45,6 @@ let counter t ?(golden = true) name =
       c
 
 let incr ?(by = 1) c = c.count <- c.count + by
-let counter_value c = c.count
 
 let gauge t ?(golden = true) name =
   match Hashtbl.find_opt t name with
@@ -105,7 +104,6 @@ let observe_many h v ~count =
   end
 
 let histogram_count h = Array.fold_left ( + ) 0 h.counts
-let histogram_sum h = h.sum
 
 (* Nearest-rank quantile over the deterministic bucket counts: the upper
    bound of the bucket holding the q-th percentile observation. [None]

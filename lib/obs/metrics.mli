@@ -29,7 +29,6 @@ val counter : t -> ?golden:bool -> string -> counter
     different kind of instrument. *)
 
 val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val gauge : t -> ?golden:bool -> string -> gauge
 val set : gauge -> float -> unit
@@ -46,9 +45,7 @@ val observe_many : histogram -> int -> count:int -> unit
     O(buckets): the batch-delivery path of the sparse engine records one
     delay for [n-1] recipients at once. [count] must be non-negative. *)
 
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> int
-
+(* fruitlint: allow R12 test_obs "histogram quantile" *)
 val histogram_quantile : histogram -> int -> int option
 (** Nearest-rank quantile from the bucket counts: the upper bound of the
     bucket holding the q-th percentile observation (q in [0,100]).

@@ -31,8 +31,6 @@ type t = {
 let null = { metrics = None; tracer = None; flight = None }
 let make ?metrics ?tracer ?flight () = { metrics; tracer; flight }
 let metrics t = t.metrics
-let tracer t = t.tracer
-let flight t = t.flight
 
 let enabled t =
   Option.is_some t.metrics || Option.is_some t.tracer || Option.is_some t.flight

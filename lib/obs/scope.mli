@@ -14,8 +14,6 @@ type t
 val null : t
 val make : ?metrics:Metrics.t -> ?tracer:Tracer.t -> ?flight:Flight.t -> unit -> t
 val metrics : t -> Metrics.t option
-val tracer : t -> Tracer.t option
-val flight : t -> Flight.t option
 
 val enabled : t -> bool
 (** Whether anything (metrics, tracer, or flight recorder) is attached —

@@ -26,9 +26,6 @@ val create : scope:Scope.t -> render:(string -> string) -> unit -> t
 (** [render id] is the id a span's trace lines show, computed at the
     span's open and again at its close. *)
 
-val count : t -> int
-(** Open (not yet closed) fruit + block spans. *)
-
 val fruit : t -> id:string -> round:int -> miner:int -> honest:bool -> unit
 (** Open a fruit span at its mined round; idempotent per id. *)
 

@@ -7,11 +7,9 @@
 
 type t
 
+(* fruitlint: allow R12 test_obs "null" (tracer group) *)
 val null : t
 (** The disabled tracer: {!emit} is a no-op, {!enabled} is [false]. *)
-
-val to_channel : out_channel -> t
-(** Stream events to a channel; {!close} closes it. *)
 
 val to_file : string -> t
 (** [to_channel (open_out path)]. *)

@@ -11,11 +11,9 @@ type diag = { file : string; line : int; col : int; code : string; msg : string 
     event in the ["events"] array, scenario-level diagnostics at line 1,
     and unreadable files ([S0]) at line 0. *)
 
-val pp_diag : Format.formatter -> diag -> unit
+val to_string_diag : diag -> string
 (** [file:line:col: [Sn] msg] — the same machine-readable shape as
     fruitlint's findings, so editors and CI treat both alike. *)
-
-val to_string_diag : diag -> string
 
 val load : string -> (Scenario.t, diag list) result
 (** Reads, parses and validates the scenario file. Never raises: an
@@ -23,6 +21,7 @@ val load : string -> (Scenario.t, diag list) result
     at the parse-error position, and every validation problem is reported
     (not just the first). *)
 
+(* fruitlint: allow R12 test_scenario "places event diags", "parse error position" *)
 val of_source : file:string -> string -> (Scenario.t, diag list) result
 (** Same on in-memory text; [file] only labels diagnostics. Exposed for
     tests so diagnostic placement is checkable without touching disk. *)

@@ -529,11 +529,6 @@ let of_json json =
       let t = { t with events } in
       match validate t with [] -> Ok t | diags -> Error diags)
 
-let of_string s =
-  match Json.of_string s with
-  | Error msg -> Error [ diag "S1" ("JSON parse error: " ^ msg) ]
-  | Ok json -> of_json json
-
 let make ?(description = "") ?(protocol = Fruitchain) ?(n = defaults.n)
     ?(rho = defaults.rho) ?(delta = defaults.delta) ?(rounds = defaults.rounds)
     ?(seed = defaults.seed) ?(trials = defaults.trials) ?(p = defaults.p)
@@ -593,9 +588,6 @@ let hold_until t ~round ~sender ~recipient =
         | None, x | x, None -> x
         | Some a, Some b -> Some (max a b))
       None t.events
-
-let separated t ~round a b =
-  match hold_until t ~round ~sender:a ~recipient:b with Some _ -> true | None -> false
 
 let delivery_faulted t ~round =
   List.exists

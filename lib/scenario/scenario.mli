@@ -78,11 +78,7 @@ type t = {
 
 type diag = { event : int option; code : string; msg : string }
 
-val pp_diag : Format.formatter -> diag -> unit
-
-val validate : t -> diag list
-(** All problems with the scenario, in event order; [[]] means valid. *)
-
+(* fruitlint: allow R12 test_scenario "S1 scenario level" and the other S-code cases *)
 val make :
   ?description:string -> ?protocol:protocol -> ?n:int -> ?rho:float ->
   ?delta:int -> ?rounds:int -> ?seed:int64 -> ?trials:int -> ?p:float ->
@@ -110,18 +106,11 @@ val of_json : Fruitchain_obs.Json.t -> (t, diag list) result
     anywhere are [S1] diagnostics — a typo must not silently disable a
     fault. *)
 
-val of_string : string -> (t, diag list) result
-
-val to_json : t -> Fruitchain_obs.Json.t
-(** Canonical form: fixed field order, all config fields explicit, events
-    sorted by (start round, kind, canonical bytes). [of_string] ∘
-    {!to_string} is the identity on canonical scenarios, which is what the
-    golden fixtures pin. *)
-
 val to_string : t -> string
-
-val canonical : t -> t
-(** The same scenario with its events in canonical order. *)
+(** Canonical JSON: fixed field order, all config fields explicit, events
+    sorted by (start round, kind, canonical bytes). Parsing it back with
+    {!of_json} and printing again is the identity on canonical scenarios,
+    which is what the golden fixtures pin. *)
 
 val window_of : event -> (int * int) option
 (** The [\[from, until)] window of a windowed event; [None] for toggles. *)
@@ -144,16 +133,7 @@ val delivery_round : t -> now:int -> sender:int -> recipient:int -> round:int ->
     ({!Fruitchain_net.Message.adversary_sender}) bypasses partitions and
     eclipses — the adversary is the network. *)
 
-val spike_extra : t -> round:int -> int
-(** [max 0 (delta' − Δ)] over the spikes active at [round]. *)
-
-val hold_until : t -> round:int -> sender:int -> recipient:int -> int option
-(** The heal round until which a partition or eclipse active at [round]
-    holds traffic between the pair; [None] if none does. *)
-
-val separated : t -> round:int -> int -> int -> bool
-(** [hold_until] is [Some _] for the pair. *)
-
+(* fruitlint: allow R12 test_scenario "predicates", test_properties no-fault delivery *)
 val delivery_faulted : t -> round:int -> bool
 (** A partition, spike or eclipse is active at [round] — exactly the
     condition under which honest traffic may exceed Δ. The no-fault QCheck

@@ -22,7 +22,6 @@ type t = {
 }
 
 let corrupt_count t = int_of_float (Float.floor (t.rho *. float_of_int t.n))
-let corrupt_parties t = List.init (corrupt_count t) (fun i -> t.n - 1 - i)
 let is_corrupt t i = i >= t.n - corrupt_count t
 
 let corrupted_at t i =

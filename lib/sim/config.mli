@@ -60,17 +60,8 @@ type t = {
 val corrupt_count : t -> int
 (** ⌊ρ·n⌋ — the adversary's per-round sequential query budget [q]. *)
 
-val corrupt_parties : t -> int list
-(** The statically corrupted parties: the last {!corrupt_count} indices. *)
-
 val is_corrupt : t -> int -> bool
-(** Statically corrupt (from round 0). *)
-
-val corrupted_at : t -> int -> int option
-(** Round from which the party is corrupt: [Some 0] for static corruption,
-    the scheduled round for adaptive, [None] for never. *)
-
-val uncorrupted_at : t -> int -> int option
+(** Statically corrupt (from round 0): the last {!corrupt_count} indices. *)
 
 val is_corrupt_at : t -> round:int -> int -> bool
 val is_ever_corrupt : t -> int -> bool

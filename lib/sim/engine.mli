@@ -43,6 +43,7 @@ val run :
     automatically and a plain call with no scope installed pays one branch
     per instrumentation site. *)
 
+(* fruitlint: allow R12 test_sim "real oracle end to end" *)
 val run_with_oracle :
   config:Config.t -> strategy:(module Strategy.S) -> oracle:Oracle.t ->
   ?workload:workload ->

@@ -17,7 +17,6 @@ type ctx = {
   workload : workload;
 }
 
-let q ctx = Config.corrupt_count ctx.config
 let q_at ctx ~round = Config.corrupt_count_at ctx.config ~round
 
 module type S = sig
@@ -32,7 +31,6 @@ end
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 let instantiate (module M : S) ctx = Packed ((module M), M.create ctx)
-let name (Packed ((module M), _)) = M.name
 
 let schedule_honest (Packed ((module M), s)) msg ~recipient =
   M.schedule_honest s msg ~recipient

@@ -39,9 +39,6 @@ type ctx = {
   workload : workload;
 }
 
-val q : ctx -> int
-(** The statically corrupt query budget, [Config.corrupt_count]. *)
-
 val q_at : ctx -> round:int -> int
 (** The budget at a given round, including adaptively corrupted parties —
     what strategies should spend each round. *)
@@ -58,6 +55,5 @@ end
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 val instantiate : (module S) -> ctx -> packed
-val name : packed -> string
 val schedule_honest : packed -> Message.t -> recipient:int -> Network.schedule
 val act : packed -> round:int -> honest_broadcasts:Message.t list -> unit

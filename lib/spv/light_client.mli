@@ -35,6 +35,8 @@ val create : oracle:Oracle.t -> recency:int option -> t
     starts with only the genesis header. *)
 
 val height : t -> int
+
+(* fruitlint: allow R12 test_spv "happy path" (sync group) *)
 val head : t -> Hash.t
 
 type sync_error =

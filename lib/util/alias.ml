@@ -64,8 +64,6 @@ let create weights =
   done;
   { prob; alias; weight }
 
-let size t = Array.length t.prob
-
 let sample t rng =
   let i = Rng.int rng (Array.length t.prob) in
   if Rng.float rng < t.prob.(i) then i else t.alias.(i)

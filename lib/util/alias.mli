@@ -20,8 +20,7 @@ val sample : t -> Rng.t -> int
 (** Two draws from the generator ({!Rng.int} then {!Rng.float}), regardless
     of table size. *)
 
-val size : t -> int
-
+(* fruitlint: allow R12 test_util "probability normalizes", "alias sampling matches weights" *)
 val probability : t -> int -> float
 (** The normalized weight of index [i] — the exact probability {!sample}
     returns it with. For tests and inspection. *)

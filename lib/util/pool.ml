@@ -29,14 +29,12 @@
 module Scope = Fruitchain_obs.Scope
 module Metrics = Fruitchain_obs.Metrics
 
-let available () = Domain.recommended_domain_count ()
-
 (* 0 means "unset": fall back to the hardware count. *)
 let default = Atomic.make 0
 
 let default_jobs () =
   let d = Atomic.get default in
-  if d <= 0 then available () else d
+  if d <= 0 then Domain.recommended_domain_count () else d
 
 let set_default_jobs n = Atomic.set default (max 1 n)
 
@@ -154,7 +152,3 @@ let map ?jobs n ~f =
             invalid_arg (Printf.sprintf "Pool.map: unit %d was never executed" i))
       results
   end
-
-let map_list ?jobs ~f xs =
-  let xs = Array.of_list xs in
-  Array.to_list (map ?jobs (Array.length xs) ~f:(fun i -> f xs.(i)))

@@ -27,13 +27,10 @@
     are byte-identical at any worker count, and a finished fork is not
     kept until the join. *)
 
-val available : unit -> int
-(** [Domain.recommended_domain_count ()]: how many domains the hardware
-    usefully supports. *)
-
 val default_jobs : unit -> int
 (** The ambient worker count used when [?jobs] is omitted: initially
-    {!available}[ ()], overridable with {!set_default_jobs} (the [--jobs]
+    [Domain.recommended_domain_count ()] (how many domains the hardware
+    usefully supports), overridable with {!set_default_jobs} (the [--jobs]
     flag of [bench/main.exe] and the CLI). *)
 
 val set_default_jobs : int -> unit
@@ -68,7 +65,3 @@ val map : ?jobs:int -> int -> f:(int -> 'a) -> 'a array
     With [jobs = 1] (or [n <= 1]) the units run in the calling domain, in
     index order, with no concurrency machinery at all — exactly the
     historical sequential behaviour. *)
-
-val map_list : ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
-(** [map_list ~f xs] is {!map} over the elements of [xs], preserving
-    order. *)

@@ -64,8 +64,6 @@ let of_seed seed =
     out_lo = 0;
   }
 
-let create ?(seed = 0x9e3779b97f4a7c15L) () = of_seed seed
-
 (* One generator step. The drawn value is rotl(s0 + s3, 23) + s0, left in
    [out_hi]/[out_lo] so that callers can consume it without boxing. *)
 let draw g =
@@ -157,10 +155,6 @@ let int64_range g bound =
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Int64.to_int (int64_range g (Int64.of_int bound))
-
-let bool g =
-  draw g;
-  not (Int.equal (g.out_lo land 1) 0)
 
 let bernoulli g p =
   if p <= 0.0 then false

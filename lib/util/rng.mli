@@ -16,9 +16,6 @@ val of_seed : int64 -> t
 (** [of_seed s] creates a generator deterministically from [s]. Distinct
     seeds yield (for all practical purposes) independent streams. *)
 
-val create : ?seed:int64 -> unit -> t
-(** [create ()] is [of_seed 0x9e3779b97f4a7c15L]; pass [?seed] to override. *)
-
 val split : t -> t
 (** [split g] derives a fresh generator whose stream is independent of the
     subsequent output of [g]. [g] advances. Used to give each party,
@@ -35,6 +32,7 @@ val derive : int64 -> index:int -> int64
     every trial and sweep point its own independent stream. [index] must
     be non-negative. *)
 
+(* fruitlint: allow R12 test_util "copy" (rng group) *)
 val copy : t -> t
 (** [copy g] duplicates the current state (the two generators then emit the
     same stream). Useful in tests. *)
@@ -64,11 +62,9 @@ val float : t -> float
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
+(* fruitlint: allow R12 test_differential's Ref_oracle, the sim oracle's reference *)
 val int64_range : t -> int64 -> int64
 (** [int64_range g bound] is uniform in [\[0, bound)] for positive [bound]. *)
-
-val bool : t -> bool
-(** A fair coin. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p] (clamped to [\[0, 1\]]). *)

@@ -6,6 +6,7 @@ let geometric g p =
     let u = 1.0 -. Rng.float g in
     int_of_float (Float.floor (Float.log u /. Float.log (1.0 -. p)))
 
+(* Box–Muller. *)
 let normal g ~mean ~std =
   let u1 = 1.0 -. Rng.float g and u2 = Rng.float g in
   let r = Float.sqrt (-2.0 *. Float.log u1) in
@@ -60,23 +61,6 @@ let binomial_pos g n p =
     1 + binomial g (n - j - 1) p
   end
 
-let poisson g lambda =
-  if lambda < 0.0 then invalid_arg "Sampling.poisson: negative lambda";
-  if lambda = 0.0 then 0
-  else if lambda > 30.0 then begin
-    let x = normal g ~mean:lambda ~std:(Float.sqrt lambda) in
-    let k = int_of_float (Float.round x) in
-    if k < 0 then 0 else k
-  end
-  else begin
-    let limit = Float.exp (-.lambda) in
-    let rec loop k prod =
-      let prod = prod *. Rng.float g in
-      if prod <= limit then k else loop (k + 1) prod
-    in
-    loop 0 1.0
-  end
-
 let exponential g rate =
   if rate <= 0.0 then invalid_arg "Sampling.exponential: rate must be positive";
   -.Float.log (1.0 -. Rng.float g) /. rate
@@ -88,22 +72,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Sampling.choose: empty array";
-  a.(Rng.int g (Array.length a))
-
-let sample_without_replacement g k n =
-  if k < 0 || k > n then invalid_arg "Sampling.sample_without_replacement";
-  (* Selection sampling (Knuth 3.4.2 algorithm S): one pass, O(n). *)
-  let remaining = ref k and out = ref [] in
-  for i = 0 to n - 1 do
-    if !remaining > 0 then begin
-      let need = float_of_int !remaining and left = float_of_int (n - i) in
-      if Rng.float g < need /. left then begin
-        out := i :: !out;
-        decr remaining
-      end
-    end
-  done;
-  List.rev !out

@@ -2,14 +2,15 @@
 
     These are the distributions the simulator and the experiments need:
     geometric waiting times for mining successes, binomial counts for
-    aggregated adversarial queries, Poisson/exponential for workload
-    generation, and array utilities for randomized schedules. *)
+    aggregated adversarial queries, exponential inter-arrival times, and a
+    shuffle for randomized schedules. *)
 
 val geometric : Rng.t -> float -> int
 (** [geometric g p] is the number of failures before the first success in
     i.i.d. Bernoulli(p) trials (support 0, 1, 2, …). Raises [Invalid_argument]
     unless [0 < p <= 1]. Sampled by inversion, O(1). *)
 
+(* fruitlint: allow R12 test_util "binomial edges" and the other binomial cases *)
 val binomial : Rng.t -> int -> float -> int
 (** [binomial g n p] counts successes in [n] Bernoulli(p) trials. Uses direct
     simulation for small [n·p] and a BTRS-free normal approximation with
@@ -24,22 +25,9 @@ val binomial_pos : Rng.t -> int -> float -> int
     the index of the first success is a truncated geometric, the remaining
     trials an unconditioned binomial. Requires [n > 0] and [p > 0]. *)
 
-val poisson : Rng.t -> float -> int
-(** [poisson g lambda] for [lambda >= 0]. Knuth multiplication for
-    [lambda <= 30], normal approximation above. *)
-
 val exponential : Rng.t -> float -> float
 (** [exponential g rate] with mean [1/rate]. *)
 
-val normal : Rng.t -> mean:float -> std:float -> float
-(** Box–Muller. *)
-
+(* fruitlint: allow R12 test_util "shuffle permutation", "shuffle preserves multiset" *)
 val shuffle : Rng.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : Rng.t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)
-
-val sample_without_replacement : Rng.t -> int -> int -> int list
-(** [sample_without_replacement g k n] draws a uniformly random size-[k]
-    subset of [0 .. n-1], returned sorted. Requires [0 <= k <= n]. *)

@@ -3,37 +3,25 @@ type t = {
   mutable mean : float;
   mutable m2 : float;
   mutable min_v : float;
-  mutable max_v : float;
-  mutable sum : float;
 }
 
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; sum = 0.0 }
+let create () = { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x;
-  t.sum <- t.sum +. x
+  if x < t.min_v then t.min_v <- x
 
-let add_many t xs = List.iter (add t) xs
-let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
 let std t = Float.sqrt (variance t)
 let min_value t = if t.n = 0 then nan else t.min_v
-let max_value t = if t.n = 0 then nan else t.max_v
-let total t = t.sum
 
 let coefficient_of_variation t =
   let m = mean t in
   if t.n < 2 || m = 0.0 then nan else std t /. m
-
-let ci95_halfwidth t =
-  if t.n < 2 then nan else 1.96 *. std t /. Float.sqrt (float_of_int t.n)
 
 let merge a b =
   if a.n = 0 then { b with n = b.n }
@@ -46,19 +34,12 @@ let merge a b =
       a.m2 +. b.m2
       +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
     in
-    {
-      n;
-      mean;
-      m2;
-      min_v = Float.min a.min_v b.min_v;
-      max_v = Float.max a.max_v b.max_v;
-      sum = a.sum +. b.sum;
-    }
+    { n; mean; m2; min_v = Float.min a.min_v b.min_v }
   end
 
 let of_list xs =
   let t = create () in
-  add_many t xs;
+  List.iter (add t) xs;
   t
 
 let of_array xs =
@@ -79,8 +60,6 @@ let quantile xs q =
   else
     let w = pos -. float_of_int lo in
     ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
-
-let median xs = quantile xs 0.5
 
 let gini xs =
   let n = Array.length xs in

@@ -8,26 +8,19 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val add_many : t -> float list -> unit
-val count : t -> int
 val mean : t -> float
 (** Mean of the observations; [nan] when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [nan] with fewer than two observations. *)
-
 val std : t -> float
+(** Square root of the unbiased sample variance; [nan] with fewer than two
+    observations. *)
+
 val min_value : t -> float
-val max_value : t -> float
-val total : t -> float
 
 val coefficient_of_variation : t -> float
 (** [std / mean]; [nan] when the mean is zero or undefined. *)
 
-val ci95_halfwidth : t -> float
-(** Half-width of the normal-approximation 95% confidence interval of the
-    mean, [1.96 * std / sqrt count]. *)
-
+(* fruitlint: allow R12 test_util "merge", "merge with empty", "stats merge = concat" *)
 val merge : t -> t -> t
 (** Combine two accumulators as if all observations were added to one. *)
 
@@ -36,11 +29,10 @@ val merge : t -> t -> t
 val of_list : float list -> t
 val of_array : float array -> t
 
+(* fruitlint: allow R12 test_util "quantile", "quantile invalid" *)
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [\[0, 1\]], linear interpolation between order
     statistics; sorts a copy. Raises [Invalid_argument] on an empty array. *)
-
-val median : float array -> float
 
 val gini : float array -> float
 (** Gini coefficient of a non-negative sample (0 = perfectly equal,

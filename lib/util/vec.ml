@@ -19,26 +19,11 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
-  t.data.(i)
-
 let iter t ~f =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
 
-let fold_left t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0

@@ -9,14 +9,8 @@ type 'a t
 val create : unit -> 'a t
 val length : 'a t -> int
 val push : 'a t -> 'a -> unit
-val get : 'a t -> int -> 'a
-(** Raises [Invalid_argument] out of bounds. *)
-
 val iter : 'a t -> f:('a -> unit) -> unit
 (** In push (chronological) order. *)
 
-val fold_left : 'a t -> init:'acc -> f:('acc -> 'a -> 'acc) -> 'acc
 val to_list : 'a t -> 'a list
 (** Chronological. *)
-
-val clear : 'a t -> unit

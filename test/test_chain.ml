@@ -57,10 +57,15 @@ let test_equality_by_hash () =
 
 (* --- Codec ----------------------------------------------------------- *)
 
+(* Fruits are decoded only inside blocks: wrap [f] in a block and read it
+   back out of the block's wire encoding. *)
+let block_with o rng f = mine_block o rng ~parent:Types.genesis_hash [ f ]
+let fruit_via_block b = List.hd (Codec.block_of_bytes (Codec.block_bytes b)).Types.fruits
+
 let test_codec_fruit_roundtrip () =
   let o = easy_oracle () and rng = Rng.of_seed 2L in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash ~record:"hello \x00 world" () in
-  let f' = Codec.fruit_of_bytes (Codec.fruit_bytes f) in
+  let f' = fruit_via_block (block_with o rng f) in
   Alcotest.(check bool) "roundtrip" true (Types.fruit_equal f f');
   Alcotest.(check string) "record preserved" f.Types.f_header.record f'.Types.f_header.record
 
@@ -88,15 +93,15 @@ let test_codec_header_injective () =
 let test_codec_truncation_rejected () =
   let o = easy_oracle () and rng = Rng.of_seed 4L in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
-  let bytes = Codec.fruit_bytes f in
-  Alcotest.check_raises "truncated" (Invalid_argument "Codec: truncated input") (fun () ->
-      ignore (Codec.fruit_of_bytes (String.sub bytes 0 (String.length bytes - 1))))
+  let bytes = Codec.block_bytes (block_with o rng f) in
+  Alcotest.check_raises "truncated fruit" (Invalid_argument "Codec: truncated input") (fun () ->
+      ignore (Codec.block_of_bytes (String.sub bytes 0 (String.length bytes - 1))))
 
 let test_codec_trailing_rejected () =
   let o = easy_oracle () and rng = Rng.of_seed 5L in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   Alcotest.check_raises "trailing" (Invalid_argument "Codec: trailing bytes") (fun () ->
-      ignore (Codec.fruit_of_bytes (Codec.fruit_bytes f ^ "x")))
+      ignore (Codec.block_of_bytes (Codec.block_bytes (block_with o rng f) ^ "x")))
 
 let test_codec_sizes () =
   let o = easy_oracle () and rng = Rng.of_seed 6L in
@@ -112,8 +117,7 @@ let test_codec_sizes () =
 let test_store_genesis_present () =
   let s = Store.create () in
   Alcotest.(check bool) "genesis" true (Store.mem s Types.genesis_hash);
-  Alcotest.(check int) "height 0" 0 (Store.height s Types.genesis_hash);
-  Alcotest.(check int) "size 1" 1 (Store.size s)
+  Alcotest.(check int) "height 0" 0 (Store.height s Types.genesis_hash)
 
 let test_store_add_and_heights () =
   let o = easy_oracle () and rng = Rng.of_seed 7L in
@@ -123,8 +127,7 @@ let test_store_add_and_heights () =
   Store.add s b1;
   Store.add s b2;
   Alcotest.(check int) "height 1" 1 (Store.height s b1.Types.b_hash);
-  Alcotest.(check int) "height 2" 2 (Store.height s b2.Types.b_hash);
-  Alcotest.(check int) "size 3" 3 (Store.size s)
+  Alcotest.(check int) "height 2" 2 (Store.height s b2.Types.b_hash)
 
 let test_store_orphan_rejected () =
   let o = easy_oracle () and rng = Rng.of_seed 8L in
@@ -138,9 +141,9 @@ let test_store_duplicate_noop () =
   let o = easy_oracle () and rng = Rng.of_seed 9L in
   let s = Store.create () in
   let b = mine_block o rng ~parent:Types.genesis_hash [] in
+  let first = Store.add_id s b in
   Store.add s b;
-  Store.add s b;
-  Alcotest.(check int) "no duplicate" 2 (Store.size s)
+  Alcotest.(check bool) "no duplicate" true (Store.id_equal first (Store.id s b.Types.b_hash))
 
 let build_chain o rng s ~len =
   let rec go acc parent n =
@@ -180,12 +183,16 @@ let test_store_ancestor_at_height () =
   let o = easy_oracle () and rng = Rng.of_seed 12L in
   let s = Store.create () in
   let blocks = build_chain o rng s ~len:4 in
-  let head = (List.nth blocks 3).Types.b_hash in
-  (match Store.ancestor_at_height s ~head ~height:2 with
-  | Some b -> Alcotest.(check int) "height 2" 2 (Store.height s b.Types.b_hash)
+  let head = Store.id s (List.nth blocks 3).Types.b_hash in
+  (match Store.ancestor_id_at_height s ~head ~height:2 with
+  | Some i ->
+      Alcotest.(check bool) "on the chain" true
+        (Hash.equal (Store.hash_at s i) (List.nth blocks 1).Types.b_hash)
   | None -> Alcotest.fail "ancestor missing");
-  Alcotest.(check bool) "beyond head" true (Store.ancestor_at_height s ~head ~height:9 = None);
-  Alcotest.(check bool) "negative" true (Store.ancestor_at_height s ~head ~height:(-1) = None)
+  Alcotest.(check bool) "beyond head" true
+    (Option.is_none (Store.ancestor_id_at_height s ~head ~height:9));
+  Alcotest.(check bool) "negative" true
+    (Option.is_none (Store.ancestor_id_at_height s ~head ~height:(-1)))
 
 let test_store_common_prefix () =
   let o = easy_oracle () and rng = Rng.of_seed 13L in
@@ -211,11 +218,7 @@ let test_store_fruit_indices () =
   Store.add s b1;
   let b2 = mine_block o rng ~parent:b1.Types.b_hash [] in
   Store.add s b2;
-  let fruits = Store.recent_fruit_hashes s ~head:b2.Types.b_hash ~window:2 in
-  Alcotest.(check bool) "fruit found in window" true (Hash.Tbl.mem fruits f1.Types.f_hash);
-  let fruits1 = Store.recent_fruit_hashes s ~head:b2.Types.b_hash ~window:1 in
-  Alcotest.(check bool) "window 1 misses it" false (Hash.Tbl.mem fruits1 f1.Types.f_hash);
-  let hangs = Store.hang_positions s ~head:b2.Types.b_hash ~window:2 in
+  let hangs = Store.hang_positions_id s ~head:(Store.id s b2.Types.b_hash) ~window:2 in
   Alcotest.(check bool) "hang positions cover b1,b2" true
     (Hash.Tbl.mem hangs b1.Types.b_hash && Hash.Tbl.mem hangs b2.Types.b_hash);
   Alcotest.(check bool) "genesis outside window 2" false (Hash.Tbl.mem hangs Types.genesis_hash)
@@ -223,6 +226,22 @@ let test_store_fruit_indices () =
 (* --- Snapshot ---------------------------------------------------------- *)
 
 module Snapshot = Fruitchain_chain.Snapshot
+
+(* Snapshots are read and written only through files: [with_snap_file]
+   hands a fresh temporary path to [f] and removes it afterwards. *)
+let with_snap_file f =
+  let path = Filename.temp_file "fruitchain" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let snap_bytes chain =
+  with_snap_file (fun path ->
+      Snapshot.save_chain ~path chain;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let load_bytes bytes =
+  with_snap_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      Snapshot.load_chain ~path)
 
 let test_snapshot_roundtrip () =
   let o = easy_oracle () and rng = Rng.of_seed 40L in
@@ -233,7 +252,7 @@ let test_snapshot_roundtrip () =
   let b2 = mine_block o rng ~parent:b1.Types.b_hash [] in
   Store.add s b2;
   let chain = Store.to_list s ~head:b2.Types.b_hash in
-  let chain' = Snapshot.chain_of_bytes (Snapshot.chain_to_bytes chain) in
+  let chain' = load_bytes (snap_bytes chain) in
   Alcotest.(check int) "same length" (List.length chain) (List.length chain');
   List.iter2
     (fun a b -> Alcotest.(check bool) "same blocks" true (Types.block_equal a b))
@@ -242,20 +261,20 @@ let test_snapshot_roundtrip () =
     (Fruitchain_core.Extract.ledger_of_chain chain')
 
 let test_snapshot_genesis_only () =
-  let bytes = Snapshot.chain_to_bytes [ Types.genesis ] in
-  Alcotest.(check int) "loads to genesis" 1 (List.length (Snapshot.chain_of_bytes bytes))
+  let bytes = snap_bytes [ Types.genesis ] in
+  Alcotest.(check int) "loads to genesis" 1 (List.length (load_bytes bytes))
 
 let test_snapshot_rejects_garbage () =
   Alcotest.check_raises "bad magic"
     (Invalid_argument "Snapshot.chain_of_bytes: bad magic or version") (fun () ->
-      ignore (Snapshot.chain_of_bytes "not a snapshot at all"));
+      ignore (load_bytes "not a snapshot at all"));
   let o = easy_oracle () and rng = Rng.of_seed 41L in
   let b1 = mine_block o rng ~parent:Types.genesis_hash [] in
-  let good = Snapshot.chain_to_bytes [ Types.genesis; b1 ] in
+  let good = snap_bytes [ Types.genesis; b1 ] in
   Alcotest.check_raises "truncated" (Invalid_argument "Snapshot: truncated") (fun () ->
-      ignore (Snapshot.chain_of_bytes (String.sub good 0 (String.length good - 3))));
+      ignore (load_bytes (String.sub good 0 (String.length good - 3))));
   Alcotest.check_raises "trailing" (Invalid_argument "Snapshot: trailing bytes") (fun () ->
-      ignore (Snapshot.chain_of_bytes (good ^ "x")))
+      ignore (load_bytes (good ^ "x")))
 
 let test_snapshot_rejects_broken_chain () =
   let o = easy_oracle () and rng = Rng.of_seed 42L in
@@ -263,30 +282,22 @@ let test_snapshot_rejects_broken_chain () =
   let detached = mine_block o rng ~parent:(Hash.of_raw (Sha256.digest "elsewhere")) [] in
   Alcotest.check_raises "broken links on save"
     (Invalid_argument "Snapshot.chain_to_bytes: broken links") (fun () ->
-      ignore (Snapshot.chain_to_bytes [ Types.genesis; b1; detached ]));
+      ignore (snap_bytes [ Types.genesis; b1; detached ]));
   Alcotest.check_raises "must start at genesis"
     (Invalid_argument "Snapshot.chain_to_bytes: chain must start at genesis") (fun () ->
-      ignore (Snapshot.chain_to_bytes [ b1 ]))
+      ignore (snap_bytes [ b1 ]))
 
 let test_snapshot_file_and_store () =
   let o = easy_oracle () and rng = Rng.of_seed 43L in
   let s = Store.create () in
   let b1 = mine_block o rng ~parent:Types.genesis_hash [] in
   Store.add s b1;
-  let path = Filename.temp_file "fruitchain" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  with_snap_file (fun path ->
       Snapshot.save_chain ~path (Store.to_list s ~head:b1.Types.b_hash);
-      let fresh = Store.create () in
-      let head =
-        Snapshot.load_into_store fresh
-          (Snapshot.store_to_bytes s ~head:b1.Types.b_hash)
-      in
-      Alcotest.(check bool) "head restored" true (Hash.equal head b1.Types.b_hash);
-      Alcotest.(check int) "store populated" 2 (Store.size fresh);
       let loaded = Snapshot.load_chain ~path in
-      Alcotest.(check int) "file roundtrip" 2 (List.length loaded))
+      Alcotest.(check int) "file roundtrip" 2 (List.length loaded);
+      Alcotest.(check bool) "head restored" true
+        (Types.block_equal (List.nth loaded 1) b1))
 
 (* --- Validation ------------------------------------------------------ *)
 
@@ -450,8 +461,8 @@ let qcheck_tests =
       (fun record ->
         let o = easy_oracle () and rng = Rng.of_seed 31L in
         let f = mine_fruit o rng ~pointer:Types.genesis_hash ~record () in
-        Types.fruit_equal f (Codec.fruit_of_bytes (Codec.fruit_bytes f))
-        && (Codec.fruit_of_bytes (Codec.fruit_bytes f)).Types.f_header.record = record);
+        let f' = fruit_via_block (block_with o rng f) in
+        Types.fruit_equal f f' && f'.Types.f_header.record = record);
     Test.make ~name:"fruit_set_digest order sensitive" ~count:100
       (list_of_size Gen.(2 -- 6) (string_of_size Gen.(1 -- 8)))
       (fun records ->

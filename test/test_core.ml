@@ -56,8 +56,7 @@ let test_params_derived () =
   let p = Params.make ~recency_r:4 ~p:0.001 ~pf:0.01 ~kappa:8 () in
   Alcotest.(check int) "window" 32 (Params.recency_window p);
   Alcotest.(check int) "pointer depth" 8 (Params.pointer_depth p);
-  Alcotest.(check (float 1e-9)) "q" 10.0 (Params.q p);
-  Alcotest.(check int) "kappa_f = ceil(2qRk)" 640 (Params.kappa_f p)
+  Alcotest.(check (float 1e-9)) "q" 10.0 (Params.q p)
 
 let test_params_defaults () =
   let p = Params.make ~p:0.5 ~pf:0.5 ~kappa:2 () in

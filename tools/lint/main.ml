@@ -2,9 +2,11 @@
 
      fruitlint [--only R1,R2,...] [--format text|json|sarif] PATH...
 
-   Lints every .ml/.mli under the given paths (default: lib bin bench)
-   with the per-file rules R1-R7 and R11 and the whole-program rules
-   R8-R10.
+   Lints every .ml/.mli under the given paths (default: lib bin bench
+   examples fruitbench tools, every directory that links lib/) with the
+   per-file rules R1-R7 and R11 and the whole-program rules R8-R10 and
+   R12. R12 counts only users inside the given paths, so lint the whole
+   set at once.
 
    Formats:
      text   "file:line:col: [R] message" diagnostics (effect paths on an
@@ -135,7 +137,9 @@ let () =
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   let paths =
-    match List.rev !paths with [] -> [ "lib"; "bin"; "bench" ] | ps -> ps
+    match List.rev !paths with
+    | [] -> [ "lib"; "bin"; "bench"; "examples"; "fruitbench"; "tools" ]
+    | ps -> ps
   in
   List.iter
     (fun p ->
