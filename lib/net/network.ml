@@ -6,33 +6,36 @@ type schedule = At of int | Uniform_in_window | Next_round | Max_delay
 
 type policy = now:int -> sender:int -> recipient:int -> round:int -> int
 
-type envelope = { seq : int; message : Message.t }
-
-(* One delivery round's worth of envelopes for one recipient. The backing
-   array is grown by doubling and reused across rounds, so steady-state
-   enqueue/drain allocates only the drained message list. [uniform_priority]
-   tracks whether every envelope in the slot shares one priority — when it
-   does (the overwhelmingly common case: a round's deliveries are all honest
-   or all rushed), the slot is already in (priority, seq) order, because
-   [seq] increases with enqueue order, and drain skips sorting. *)
+(* One delivery round's worth of deliveries for one recipient: entry [i <
+   len] is the message [msgs.(i)], shared by every recipient of its
+   broadcast, with its enqueue sequence number [seqs.(i)]. Entries are
+   pushed in enqueue order, so [seqs] rises with the index. The arrays grow
+   by doubling and are reused across rounds, so a steady-state enqueue
+   writes one pointer and one int and allocates nothing. *)
 type slot = {
   mutable slot_round : int;
-  mutable msgs : envelope array;
+  mutable msgs : Message.t array;
+  mutable seqs : int array;
   mutable len : int;
-  mutable uniform_priority : bool;
 }
 
-(* Per-recipient delivery state: a ring of Δ+1 slots covers every legal
-   honest delivery round. Deliveries pushed past the ring horizon (a
-   fault-injection policy holding traffic across a partition, or a caller
-   that does not drain every round) spill into [overflow]; [overflow_count]
-   gates the per-drain table lookup so the no-fault hot path never touches
-   the table. *)
-type ring = {
-  slots : slot array;
-  overflow : (int, envelope list) Hashtbl.t;
-  mutable overflow_count : int;
-}
+(* Spilled deliveries by round, one slot each. Keys are ints compared with
+   [Int.equal]: the polymorphic [Hashtbl] would compare them with the
+   generic structural compare. *)
+module Rounds = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash r = r land max_int
+end)
+
+(* Per-recipient delivery state, made on the recipient's first delivery: a
+   ring of Δ+1 slots covers every legal honest delivery round. A delivery
+   whose slot still holds another round (a fault-injection policy holding
+   traffic past Δ, or a caller that does not drain every round) spills into
+   [overflow], a table made on the first spill, so the no-fault hot path
+   never touches one. *)
+type ring = { slots : slot array; mutable overflow : slot Rounds.t option }
 
 type t = {
   n : int;
@@ -40,7 +43,9 @@ type t = {
   (* Environment-level delivery policy (fault injection): consulted after
      the Δ-clamp with the resolved round; [None] is the identity. *)
   policy : policy option;
-  inboxes : ring array;
+  (* [None] until the recipient's first delivery: the sparse plane never
+     delivers, and an exact-plane party may never be addressed. *)
+  inboxes : ring option array;
   mutable seq : int;
   mutable pending : int;
   (* Native counters: harvested once per run by the engine, so the
@@ -51,15 +56,6 @@ type t = {
      not scheduling noise, so the histogram is golden. *)
   delay_hist : Metrics.histogram option;
 }
-
-let make_ring ~delta () =
-  {
-    slots =
-      Array.init (delta + 1) (fun _ ->
-          { slot_round = -1; msgs = [||]; len = 0; uniform_priority = true });
-    overflow = Hashtbl.create 8;
-    overflow_count = 0;
-  }
 
 let create ?(scope = Scope.null) ?policy ~n ~delta () =
   if n <= 0 then invalid_arg "Network.create: n must be positive";
@@ -74,7 +70,7 @@ let create ?(scope = Scope.null) ?policy ~n ~delta () =
     n;
     delta;
     policy;
-    inboxes = Array.init n (fun _ -> make_ring ~delta ());
+    inboxes = Array.make n None;
     seq = 0;
     pending = 0;
     sent = 0;
@@ -82,47 +78,71 @@ let create ?(scope = Scope.null) ?policy ~n ~delta () =
     delay_hist;
   }
 
-
 let resolve_round t ~now ~rng = function
   | At r -> max (now + 1) (min r (now + t.delta))
   | Uniform_in_window -> now + 1 + Rng.int rng t.delta
   | Next_round -> now + 1
   | Max_delay -> now + t.delta
 
-let slot_push slot env =
-  let cap = Array.length slot.msgs in
-  if Int.equal slot.len cap then begin
-    let grown = Array.make (max 8 (2 * cap)) env in
-    Array.blit slot.msgs 0 grown 0 slot.len;
-    slot.msgs <- grown
-  end;
-  slot.msgs.(slot.len) <- env;
-  slot.len <- slot.len + 1
+let new_slot () = { slot_round = -1; msgs = [||]; seqs = [||]; len = 0 }
 
-let overflow_push ring ~round env =
-  let existing = Option.value ~default:[] (Hashtbl.find_opt ring.overflow round) in
-  Hashtbl.replace ring.overflow round (env :: existing);
-  ring.overflow_count <- ring.overflow_count + 1
+(* Grow [s] to hold at least [need] entries; [fill] pads the new
+   message array. *)
+let grow s ~need ~fill =
+  let cap = Int.max need (Int.max 8 (2 * Array.length s.msgs)) in
+  let msgs = Array.make cap fill and seqs = Array.make cap 0 in
+  Array.blit s.msgs 0 msgs 0 s.len;
+  Array.blit s.seqs 0 seqs 0 s.len;
+  s.msgs <- msgs;
+  s.seqs <- seqs
+
+let push s message seq =
+  let len = s.len in
+  if Int.equal len (Array.length s.msgs) then grow s ~need:(len + 1) ~fill:message;
+  s.msgs.(len) <- message;
+  s.seqs.(len) <- seq;
+  s.len <- len + 1
+
+let ring_of t recipient =
+  match t.inboxes.(recipient) with
+  | Some ring -> ring
+  | None ->
+      let ring = { slots = Array.init (t.delta + 1) (fun _ -> new_slot ()); overflow = None } in
+      t.inboxes.(recipient) <- Some ring;
+      ring
+
+let spill ring ~round message seq =
+  let table =
+    match ring.overflow with
+    | Some table -> table
+    | None ->
+        let table = Rounds.create 8 in
+        ring.overflow <- Some table;
+        table
+  in
+  let bucket =
+    match Rounds.find_opt table round with
+    | Some bucket -> bucket
+    | None ->
+        let bucket = new_slot () in
+        Rounds.replace table round bucket;
+        bucket
+  in
+  push bucket message seq
 
 let enqueue t ~recipient ~round message =
-  let ring = t.inboxes.(recipient) in
+  let ring = ring_of t recipient in
   let slot = ring.slots.(round mod Array.length ring.slots) in
-  let env = { seq = t.seq; message } in
   if Int.equal slot.len 0 then begin
     slot.slot_round <- round;
-    slot.uniform_priority <- true;
-    slot_push slot env
+    push slot message t.seq
   end
-  else if Int.equal slot.slot_round round then begin
-    if not (Int.equal slot.msgs.(0).message.Message.priority message.Message.priority) then
-      slot.uniform_priority <- false;
-    slot_push slot env
-  end
+  else if Int.equal slot.slot_round round then push slot message t.seq
   else
     (* The slot still holds an undrained earlier (or ring-colliding later)
        round — possible only under a fault policy scheduling past Δ, or for
        callers that do not drain every round. Spill the newcomer. *)
-    overflow_push ring ~round env;
+    spill ring ~round message t.seq;
   t.seq <- t.seq + 1;
   t.pending <- t.pending + 1
 
@@ -149,67 +169,90 @@ let broadcast t ~now ?(schedule = fun ~recipient:_ -> Max_delay) ~rng message =
       send_to t ~now ~recipient ~schedule:(schedule ~recipient) ~rng message
   done
 
-(* (priority, seq) — the delivery order contract. [seq] values are unique,
-   so this comparator is a total order and sort stability is irrelevant. *)
-let envelope_order a b =
-  match Int.compare a.message.Message.priority b.message.Message.priority with
-  | 0 -> Int.compare a.seq b.seq
-  | c -> c
+(* The messages of [msgs.(0 .. len-1)], which are in seq order, as a list
+   in (priority, seq) order — the delivery contract. That is a stable order
+   by priority, so each priority class is emitted in index order, lowest
+   class first. The list is built back to front: one pass finds the lowest
+   and highest class, then each class, highest first, takes one pass that
+   also finds the next class down, so a slot of one class (most drains)
+   takes a single emitting pass; the engines send at most three classes.
+   Each pass lowers the class, so the loop ends. Nothing but the list is
+   allocated. *)
+let emit msgs len =
+  let lo = ref max_int in
+  let hi = ref min_int in
+  for i = 0 to len - 1 do
+    let p = msgs.(i).Message.priority in
+    lo := Int.min !lo p;
+    hi := Int.max !hi p
+  done;
+  let out = ref [] in
+  let cls = ref !hi in
+  let emitting = ref (len > 0) in
+  while !emitting do
+    let c = !cls in
+    let next = ref min_int in
+    for i = len - 1 downto 0 do
+      let m = msgs.(i) in
+      let p = m.Message.priority in
+      if Int.equal p c then out := m :: !out else if p < c && p > !next then next := p
+    done;
+    if c <= !lo then emitting := false else cls := !next
+  done;
+  !out
+
+(* Move [src]'s entries into [dst], keeping [dst] in seq order: the merge
+   step of a merge sort, from the back, in [dst]'s own (grown) arrays. *)
+let merge_into dst src =
+  let total = dst.len + src.len in
+  if total > Array.length dst.msgs then grow dst ~need:total ~fill:src.msgs.(0);
+  let i = ref (dst.len - 1) in
+  let j = ref (src.len - 1) in
+  while !j >= 0 do
+    let k = !i + !j + 1 in
+    if !i >= 0 && dst.seqs.(!i) > src.seqs.(!j) then begin
+      dst.msgs.(k) <- dst.msgs.(!i);
+      dst.seqs.(k) <- dst.seqs.(!i);
+      decr i
+    end
+    else begin
+      dst.msgs.(k) <- src.msgs.(!j);
+      dst.seqs.(k) <- src.seqs.(!j);
+      decr j
+    end
+  done;
+  dst.len <- total;
+  src.len <- 0
+
+let take t s =
+  let k = s.len in
+  t.pending <- t.pending - k;
+  t.delivered <- t.delivered + k;
+  s.len <- 0;
+  emit s.msgs k
+
+let take_spilled table round =
+  if Int.equal (Rounds.length table) 0 then None
+  else begin
+    let bucket = Rounds.find_opt table round in
+    if Option.is_some bucket then Rounds.remove table round;
+    bucket
+  end
 
 let drain t ~round ~recipient =
-  let ring = t.inboxes.(recipient) in
-  let slot = ring.slots.(round mod Array.length ring.slots) in
-  let in_slot = slot.len > 0 && Int.equal slot.slot_round round in
-  let spilled =
-    if ring.overflow_count > 0 then (
-      match Hashtbl.find_opt ring.overflow round with
-      | None -> []
-      | Some envs ->
-          Hashtbl.remove ring.overflow round;
-          ring.overflow_count <- ring.overflow_count - List.length envs;
-          envs)
-    else []
-  in
-  match (in_slot, spilled) with
-  | false, [] -> []
-  | true, [] when slot.uniform_priority ->
-      (* Uniform priority: slot order (= seq order) is already the
-         delivery order. *)
-      let k = slot.len in
-      t.pending <- t.pending - k;
-      t.delivered <- t.delivered + k;
-      let out = ref [] in
-      for i = k - 1 downto 0 do
-        out := slot.msgs.(i).message :: !out
-      done;
-      slot.len <- 0;
-      !out
-  | _ ->
-      let slot_k = if in_slot then slot.len else 0 in
-      let spilled_k = List.length spilled in
-      let k = slot_k + spilled_k in
-      t.pending <- t.pending - k;
-      t.delivered <- t.delivered + k;
-      let all =
-        if in_slot then begin
-          let arr =
-            if Int.equal spilled_k 0 then Array.sub slot.msgs 0 slot_k
-            else begin
-              let arr = Array.make k slot.msgs.(0) in
-              Array.blit slot.msgs 0 arr 0 slot_k;
-              (* Spilled envelopes arrive in reverse push order; the sort
-                 below restores the (priority, seq) contract regardless. *)
-              List.iteri (fun i env -> arr.(slot_k + i) <- env) spilled;
-              arr
-            end
-          in
-          slot.len <- 0;
-          arr
-        end
-        else Array.of_list spilled
+  match t.inboxes.(recipient) with
+  | None -> []
+  | Some ring -> (
+      let slot = ring.slots.(round mod Array.length ring.slots) in
+      let in_slot = slot.len > 0 && Int.equal slot.slot_round round in
+      let bucket =
+        match ring.overflow with None -> None | Some table -> take_spilled table round
       in
-      Array.sort envelope_order all;
-      Array.fold_right (fun env acc -> env.message :: acc) all []
+      match bucket with
+      | None -> if in_slot then take t slot else []
+      | Some bucket ->
+          if in_slot then merge_into bucket slot;
+          take t bucket)
 
 let deliver_batch t ~count ~delay =
   if count < 0 then invalid_arg "Network.deliver_batch: negative count";

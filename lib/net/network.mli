@@ -10,9 +10,25 @@
     scheduled at [t+1 .. t+Δ] but with {!Message.rushed_priority} to win
     same-round ordering — the "rushing" capability.
 
-    Inboxes are drained once per round per party; within a round an inbox is
-    sorted by (priority, enqueue sequence), so rushed messages are processed
-    before honest ones that arrive the same round. *)
+    Inboxes are drained once per round per party; a drain returns the
+    round's messages in (priority, enqueue sequence) order, so rushed
+    messages are processed before honest ones that arrive the same round.
+
+    Layout. A recipient's inbox is made on its first delivery: until then
+    it holds nothing and drains [[]] without allocating, so [create]
+    allocates one word per party and the sparse plane, which only calls
+    {!deliver_batch}, holds no inboxes at all. An inbox is a ring of Δ+1
+    round slots; a slot keeps two arrays side by side, the delivered
+    messages and their enqueue sequence numbers, so a delivery stores a
+    pointer to the broadcast's one shared message and an int. Entries
+    enter a slot in sequence order, which makes (priority, seq) order a
+    stable order by priority: a drain emits the slot's entries one
+    priority class at a time, lowest first, and sorts nothing. A delivery
+    whose slot still holds another round (a fault policy holding traffic
+    past Δ, or a drain that was skipped) spills into a per-inbox table by
+    round, made on the first spill, and keeps its sequence number; the
+    drain of that round merges the spilled entries with the slot's by
+    sequence number before emitting. *)
 
 type t
 
@@ -48,11 +64,12 @@ type schedule =
 val broadcast :
   t -> now:int -> ?schedule:(recipient:int -> schedule) -> rng:Fruitchain_util.Rng.t ->
   Message.t -> unit
-(** Enqueue the message for every party (including the sender: the paper's
-    broadcasts are to "all other players", but self-delivery is harmless
-    because nodes are idempotent; we skip the sender for fidelity).
-    [schedule] defaults to [fun ~recipient:_ -> Max_delay], the
-    adversary-pessimal choice under which the paper's bounds are stated. *)
+(** Enqueue the message for every party except its sender, in recipient
+    order: the paper's broadcasts go to "all other players". A message
+    whose sender is {!Message.adversary_sender} reaches every party. Each
+    delivery is {!send_to} with [schedule ~recipient]. [schedule] defaults
+    to [fun ~recipient:_ -> Max_delay], the adversary-pessimal choice under
+    which the paper's bounds are stated. *)
 
 val send_to :
   t -> now:int -> recipient:int -> schedule:schedule -> rng:Fruitchain_util.Rng.t ->
@@ -61,9 +78,9 @@ val send_to :
     parties; honest players never use this). *)
 
 val drain : t -> round:int -> recipient:int -> Message.t list
-(** All messages due for [recipient] at [round], priority-sorted; removes
-    them. The engine drains every recipient every round, so no delivery is
-    ever skipped. *)
+(** All messages due for [recipient] at [round], in (priority, enqueue
+    sequence) order; removes them. The engine drains every recipient every
+    round, so no delivery is ever skipped. *)
 
 val deliver_batch : t -> count:int -> delay:int -> unit
 (** Account [count] point-to-point deliveries, all with the same [delay]

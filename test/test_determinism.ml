@@ -338,34 +338,48 @@ let test_soak_jobs_invariance () =
   Alcotest.(check string) "soak shares at --jobs 1 and --jobs 4" seq_table par_table;
   Alcotest.(check string) "soak metric dumps at --jobs 1 and --jobs 4" seq_metrics par_metrics
 
-(* Allocation regression tripwire for the round loop. The rewrites hold
-   steady-state allocation to ~4.2 KB/round (Nakamoto) and ~11.1 KB/round
-   (FruitChain) at quick-scale parameters — dominated by message delivery
-   and trace events, with mining queries allocation-free on the miss path.
-   Runs are seeded and sequential, and each measurement starts from a
-   full major collection — [Gc.allocated_bytes] read over a heap left in
-   any other state varied several-fold between identical runs — so the
-   measurement is deterministic; the 1.5x headroom covers code drift, not
-   noise. Reintroducing per-query boxing (the pre-rewrite oracle allocated
-   ~200 B per query per party) blows these bounds. *)
+(* Words allocated by [f ()], from a full major collection. The minor
+   share is read from [Gc.minor_words]: on OCaml 5.1, [Gc.counters] (and
+   so [Gc.allocated_bytes]) counts the unfinished minor heap at an eighth
+   of its size, so a small allocation reads about 8x too low. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.full_major ();
+  let before = words () in
+  let result = f () in
+  (result, words () -. before)
+
+(* Allocation regression tripwire for the round loop, in bytes per round
+   at quick-scale parameters: 3,089 (Nakamoto) and 4,574 (FruitChain) in
+   the dev profile, 3,086 and 4,431 in release, dominated by trace events
+   and message delivery, with mining queries allocation-free on the miss
+   path. Runs are seeded and sequential, and each measurement starts from
+   a full major collection, so it is deterministic. Each bound is 1.5x the
+   larger of the two: the headroom covers code drift, not noise, and a
+   doubling of either loop's allocation fails it, as would reintroducing
+   per-query boxing (the pre-rewrite oracle allocated ~200 B per query per
+   party). *)
 let alloc_per_round protocol =
   Pool.set_default_jobs 1;
   let params = Exp.default_params () in
   let config = Runs.config ~protocol ~rho:0.25 ~rounds:20_000 ~params ~seed:7L () in
-  Gc.full_major ();
-  let before = Gc.allocated_bytes () in
-  ignore (Runs.run config ~strategy:Runs.honest_coalition ());
-  (Gc.allocated_bytes () -. before) /. 20_000.
+  let (), words =
+    allocated_words (fun () -> ignore (Runs.run config ~strategy:Runs.honest_coalition ()))
+  in
+  words *. float_of_int (Sys.word_size / 8) /. 20_000.
 
 let test_round_loop_allocation () =
   let nakamoto = alloc_per_round Sim_config.Nakamoto in
   Alcotest.(check bool)
-    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 6300)" nakamoto)
-    true (nakamoto < 6300.);
+    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 4630)" nakamoto)
+    true (nakamoto < 4630.);
   let fruitchain = alloc_per_round Sim_config.Fruitchain in
   Alcotest.(check bool)
-    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 16600)" fruitchain)
-    true (fruitchain < 16600.)
+    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 6860)" fruitchain)
+    true (fruitchain < 6860.)
 
 (* The tracing share of a run's allocation: the bytes per round a
    buffering tracer adds over a metrics-only scope on one partition_small
@@ -391,6 +405,67 @@ let test_tracing_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "tracer over metrics-only: %.0f B/round (bound 2000)" per_round)
     true (per_round < 2000.)
+
+(* Network allocation tripwires, in words. A recipient's ring is made on
+   its first delivery, so [Network.create] allocates the inbox array and
+   nothing per party: the sparse plane, at n = 10^5, only calls
+   [deliver_batch]. A delivery stores the broadcast's one shared message
+   and its seq in the slot's grown arrays, and a drain emits the slot one
+   priority class at a time without sorting, so a round of mixed-priority
+   traffic allocates only the drained lists: 3 words per message. A
+   per-party ring made up front, a per-delivery envelope or a sorted copy
+   fails them. *)
+module Network = Fruitchain_net.Network
+module Message = Fruitchain_net.Message
+module Rng = Fruitchain_util.Rng
+
+let test_network_create_allocation () =
+  let n = 100_000 in
+  let net, words = allocated_words (fun () -> Network.create ~n ~delta:2 ()) in
+  ignore (Sys.opaque_identity net);
+  let per_party = words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "Network.create: %.2f words per party (bound 2)" per_party)
+    true (per_party <= 2.)
+
+let test_network_delivery_allocation () =
+  let n = 64 and delta = 2 in
+  let net = Network.create ~n ~delta () in
+  let rng = Rng.of_seed 11L in
+  let priorities =
+    [| Message.rushed_priority; Message.honest_priority; Message.honest_priority + 10 |]
+  in
+  (* Even messages are broadcasts, odd ones targeted sends to every party:
+     each recipient's slot gets 12 deliveries of three classes a round. *)
+  let messages =
+    Array.init 12 (fun i ->
+        Message.chain_announce ~sender:i ~sent_at:0 ~priority:priorities.(i mod 3) ~blocks:[]
+          ~head:Fruitchain_chain.Types.genesis.b_hash ())
+  in
+  let round now =
+    for i = 0 to Array.length messages - 1 do
+      if Int.equal (i mod 2) 0 then Network.broadcast net ~now ~rng messages.(i)
+      else
+        for recipient = 0 to n - 1 do
+          Network.send_to net ~now ~recipient ~schedule:Network.Max_delay ~rng messages.(i)
+        done
+    done;
+    let drained = ref 0 in
+    for recipient = 0 to n - 1 do
+      drained := !drained + List.length (Network.drain net ~round:now ~recipient)
+    done;
+    !drained
+  in
+  (* Grow every slot of every ring first. *)
+  for now = 0 to 2 * (delta + 1) do
+    ignore (round now)
+  done;
+  let drained, words = allocated_words (fun () -> round (2 * (delta + 1) + 1)) in
+  Alcotest.(check int) "one round's deliveries drained" ((6 * (n - 1)) + (6 * n)) drained;
+  let bound = (3. *. float_of_int drained) +. 64. in
+  Alcotest.(check bool)
+    (Printf.sprintf "one round of %d deliveries: %.0f words (bound %.0f)" drained words bound)
+    true (words <= bound)
 
 let () =
   Alcotest.run "determinism"
@@ -434,5 +509,8 @@ let () =
           Alcotest.test_case "100k-round sweep jobs 1 == 4" `Slow test_soak_jobs_invariance;
           Alcotest.test_case "round-loop allocation bound" `Slow test_round_loop_allocation;
           Alcotest.test_case "tracing allocation bound" `Slow test_tracing_allocation;
+          Alcotest.test_case "network create allocation" `Quick test_network_create_allocation;
+          Alcotest.test_case "network delivery allocation" `Quick
+            test_network_delivery_allocation;
         ] );
     ]

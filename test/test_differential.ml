@@ -383,47 +383,65 @@ let oracle_query_is_attempt =
 (* ------------------------------------------------------------------ *)
 (* Network differential.                                               *)
 
-type op = Send of { sender : int; recipient : int; tag : int; priority : int;
-                    schedule : Network.schedule }
+type op =
+  | Send of { sender : int; recipient : int; tag : int; priority : int;
+              schedule : Network.schedule }
+  | Broadcast of { sender : int; tag : int; priority : int; even : Network.schedule;
+                   odd : Network.schedule }
 
-(* A random Δ-bounded adversarial workload: honest and rushed priorities
-   interleaved, explicit rounds both inside and outside the legal window
-   (exercising the clamp), and uniform-window draws (exercising that both
-   implementations consume the schedule RNG identically). *)
-let gen_ops driver ~n ~delta ~rounds =
+(* A random Δ-bounded adversarial workload: rushed, honest and tie-losing
+   (honest + 10, as [Common.publish_tie] sends) priorities interleaved,
+   targeted sends beside broadcasts (whose schedule differs between even
+   and odd recipients), explicit rounds both inside and outside the legal
+   window (exercising the clamp), and uniform-window draws (exercising
+   that both implementations consume the schedule RNG identically). About
+   one round in four is a burst of up to 20 operations, so slots grow past
+   their first 8 entries with mixed classes. Targeted sends address only
+   the parties below [addressed]; without broadcasts the others are never
+   addressed and drain nothing. *)
+let gen_ops driver ~n ~delta ~rounds ~addressed ~broadcasts =
   let tag = ref 0 in
+  let schedule now =
+    match Rng.int driver 4 with
+    | 0 -> Network.At (now - 1 + Rng.int driver (2 * delta + 3))
+    | 1 -> Network.Uniform_in_window
+    | 2 -> Network.Next_round
+    | _ -> Network.Max_delay
+  in
+  let priority () =
+    match Rng.int driver 3 with
+    | 0 -> Message.rushed_priority
+    | 1 -> Message.honest_priority
+    | _ -> Message.honest_priority + 10
+  in
   List.init rounds (fun now ->
-      let sends =
-        List.init (Rng.int driver 5) (fun _ ->
+      let count = if Int.equal (Rng.int driver 4) 0 then Rng.int driver 21 else Rng.int driver 5 in
+      let ops =
+        List.init count (fun _ ->
             incr tag;
-            let schedule =
-              match Rng.int driver 4 with
-              | 0 -> Network.At (now - 1 + Rng.int driver (2 * delta + 3))
-              | 1 -> Network.Uniform_in_window
-              | 2 -> Network.Next_round
-              | _ -> Network.Max_delay
-            in
-            Send
-              {
-                sender = Rng.int driver n;
-                recipient = Rng.int driver n;
-                tag = !tag;
-                priority =
-                  (if Rng.int driver 2 = 0 then Message.honest_priority
-                   else Message.rushed_priority);
-                schedule;
-              })
+            if broadcasts && Int.equal (Rng.int driver 3) 0 then
+              let sender = Rng.int driver (n + 1) - 1 in
+              let priority = priority () in
+              let even = schedule now in
+              Broadcast { sender; tag = !tag; priority; even; odd = schedule now }
+            else
+              let sender = Rng.int driver n in
+              let recipient = Rng.int driver addressed in
+              let priority = priority () in
+              Send { sender; recipient; tag = !tag; priority; schedule = schedule now })
       in
-      (now, sends))
+      (now, ops))
 
 let msg_key (m : Message.t) = (m.Message.sender, m.Message.sent_at, m.Message.priority)
 
 let run_network_differential ?ring_policy ?ref_policy ~skip_drains seed =
-  let n = 2 + Rng.int (Rng.of_seed (Int64.of_int (seed + 5))) 4 in
+  let n = 2 + Rng.int (Rng.of_seed (Int64.of_int (seed + 5))) 7 in
   let driver = Rng.of_seed (Int64.of_int (seed * 31 + 7)) in
   let delta = 1 + Rng.int driver 4 in
   let rounds = 30 in
-  let ops = gen_ops driver ~n ~delta ~rounds in
+  let addressed = 1 + Rng.int driver n in
+  let broadcasts = Rng.bernoulli driver 0.5 in
+  let ops = gen_ops driver ~n ~delta ~rounds ~addressed ~broadcasts in
   let sched_seed = Int64.of_int (seed * 13 + 1) in
   let rng_a = Rng.of_seed sched_seed and rng_b = Rng.of_seed sched_seed in
   let net = Network.create ?policy:ring_policy ~n ~delta () in
@@ -443,17 +461,29 @@ let run_network_differential ?ring_policy ?ref_policy ~skip_drains seed =
       end
     done
   in
+  let message ~sender ~tag ~priority =
+    Message.chain_announce ~sender ~sent_at:tag ~priority ~blocks:[] ~head:Types.genesis.b_hash ()
+  in
   List.iter
-    (fun (now, sends) ->
+    (fun (now, round_ops) ->
       List.iter
-        (fun (Send { sender; recipient; tag; priority; schedule }) ->
-          let message =
-            Message.chain_announce ~sender ~sent_at:tag ~priority ~blocks:[]
-              ~head:Types.genesis.b_hash ()
-          in
-          Network.send_to net ~now ~recipient ~schedule ~rng:rng_a message;
-          Ref_network.send_to reference ~now ~recipient ~schedule ~rng:rng_b message)
-        sends;
+        (function
+          | Send { sender; recipient; tag; priority; schedule } ->
+              let message = message ~sender ~tag ~priority in
+              Network.send_to net ~now ~recipient ~schedule ~rng:rng_a message;
+              Ref_network.send_to reference ~now ~recipient ~schedule ~rng:rng_b message
+          | Broadcast { sender; tag; priority; even; odd } ->
+              let message = message ~sender ~tag ~priority in
+              let schedule ~recipient = if Int.equal (recipient mod 2) 0 then even else odd in
+              Network.broadcast net ~now ~schedule ~rng:rng_a message;
+              (* The reference has no broadcast: one send per other party,
+                 in recipient order, as a broadcast's deliveries are made. *)
+              for recipient = 0 to n - 1 do
+                if not (Int.equal recipient sender) then
+                  Ref_network.send_to reference ~now ~recipient ~schedule:(schedule ~recipient)
+                    ~rng:rng_b message
+              done)
+        round_ops;
       drain_round now)
     ops;
   (* Flush: every delivery round within the horizon plus the policy push,
