@@ -31,10 +31,10 @@ end)
 
 (* Per-recipient delivery state, made on the recipient's first delivery: a
    ring of Δ+1 slots covers every legal honest delivery round. A delivery
-   whose slot still holds another round (a fault-injection policy holding
-   traffic past Δ, or a caller that does not drain every round) spills into
-   [overflow], a table made on the first spill, so the no-fault hot path
-   never touches one. *)
+   due past the ring's horizon (a fault-injection policy holding traffic
+   past Δ), or whose slot still holds another round (a caller that does not
+   drain every round), spills into [overflow], a table made on the first
+   spill, so the no-fault hot path never touches one. *)
 type ring = { slots : slot array; mutable overflow : slot Rounds.t option }
 
 type t = {
@@ -130,17 +130,20 @@ let spill ring ~round message seq =
   in
   push bucket message seq
 
-let enqueue t ~recipient ~round message =
+let enqueue t ~now ~recipient ~round message =
   let ring = ring_of t recipient in
   let slot = ring.slots.(round mod Array.length ring.slots) in
-  if Int.equal slot.len 0 then begin
+  if round > now + t.delta then
+    (* Held past Δ by a fault policy: taking the slot would spill every
+       in-window delivery that maps to it until the hold ends. *)
+    spill ring ~round message t.seq
+  else if Int.equal slot.len 0 then begin
     slot.slot_round <- round;
     push slot message t.seq
   end
   else if Int.equal slot.slot_round round then push slot message t.seq
   else
-    (* The slot still holds an undrained earlier (or ring-colliding later)
-       round — possible only under a fault policy scheduling past Δ, or for
+    (* The slot still holds an undrained earlier round — possible only for
        callers that do not drain every round. Spill the newcomer. *)
     spill ring ~round message t.seq;
   t.seq <- t.seq + 1;
@@ -161,7 +164,7 @@ let send_to t ~now ~recipient ~schedule ~rng message =
   (match t.delay_hist with
   | None -> ()
   | Some h -> Metrics.observe h (round - now));
-  enqueue t ~recipient ~round message
+  enqueue t ~now ~recipient ~round message
 
 let broadcast t ~now ?(schedule = fun ~recipient:_ -> Max_delay) ~rng message =
   for recipient = 0 to t.n - 1 do

@@ -24,11 +24,13 @@
     enter a slot in sequence order, which makes (priority, seq) order a
     stable order by priority: a drain emits the slot's entries one
     priority class at a time, lowest first, and sorts nothing. A delivery
-    whose slot still holds another round (a fault policy holding traffic
-    past Δ, or a drain that was skipped) spills into a per-inbox table by
-    round, made on the first spill, and keeps its sequence number; the
-    drain of that round merges the spilled entries with the slot's by
-    sequence number before emitting. *)
+    due past [now + Δ] (a fault policy holding traffic), or whose slot
+    still holds another round (a drain that was skipped), spills into a
+    per-inbox table by round, made on the first spill, and keeps its
+    sequence number; a held delivery never takes a slot, so in-window
+    traffic stays on the ring during a hold. The drain of a round merges
+    its spilled entries with the slot's by sequence number before
+    emitting. *)
 
 type t
 

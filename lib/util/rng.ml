@@ -1,35 +1,34 @@
-(* xoshiro256++ with the four 64-bit state words stored as 32-bit halves in
-   native-int fields. Without flambda every Int64 operation allocates its
-   boxed result and every mutable Int64 field store runs the write barrier —
-   on a state update of ~10 operations and 4 stores per draw, that was the
-   single largest cost of the simulation hot path. Split into immediate ints,
-   a draw allocates nothing. The split arithmetic below is bit-exact: each
-   half is kept masked to 32 bits, and no intermediate exceeds 2^56, far
-   inside the 63-bit native range. *)
+(* xoshiro256++ with its state in one 40-byte buffer: the four state words
+   s0-s3 at offsets 0, 8, 16 and 24 and the most recent draw at 32, each a
+   native-endian 64-bit word. A step reads the words through the
+   compiler's unchecked 64-bit bytes intrinsics into unboxed [Int64]
+   locals, runs the published algorithm on them and writes them back, so a
+   draw allocates nothing and runs no write barrier. (Boxed [Int64] record
+   fields allocate every result and run the barrier on every store; the
+   stdlib's bounds-checked accessors re-read the block length on each
+   access.)
 
-type t = {
-  mutable s0h : int;
-  mutable s0l : int;
-  mutable s1h : int;
-  mutable s1l : int;
-  mutable s2h : int;
-  mutable s2l : int;
-  mutable s3h : int;
-  mutable s3l : int;
-  (* The most recent draw, as (hi, lo) halves. Scratch output slots: a
-     returned tuple would allocate on every draw, and the draw-heavy oracle
-     path is exactly the place that cannot afford it. *)
-  mutable out_hi : int;
-  mutable out_lo : int;
-}
+   R11 keeps [external] declarations in lib/crypto/sha256.ml because the
+   effect rules cannot see into C. The two below are allowed by name: each
+   is a compiler intrinsic that names no C symbol and compiles to one load
+   or store, so it hides no effect, and its offsets are constants inside a
+   buffer whose length the abstract [t] fixes at 40 (only [of_seed] makes
+   one). *)
 
-let mask32 = 0xffffffff
+type t = Bytes.t
 
-let hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
-let lo64 x = Int64.to_int (Int64.logand x 0xffffffffL)
+(* A compiler intrinsic: no C symbol, no hidden effect; constant offsets
+   inside the 40 bytes of a [t]. fruitlint: allow R11 *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* A compiler intrinsic: no C symbol, no hidden effect; constant offsets
+   inside the 40 bytes of a [t]. fruitlint: allow R11 *)
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let last = 32
 
 (* splitmix64: used only to expand a 64-bit seed into the 256-bit xoshiro
-   state, and to derive split-off seeds — cold paths, kept on Int64. *)
+   state, and to derive split-off seeds — cold paths. *)
 let splitmix64 state =
   let open Int64 in
   state := add !state 0x9e3779b97f4a7c15L;
@@ -51,59 +50,34 @@ let of_seed seed =
     if Int64.(equal (logor (logor s0 s1) (logor s2 s3)) 0L) then (1L, 2L, 3L, 4L)
     else (s0, s1, s2, s3)
   in
-  {
-    s0h = hi64 s0;
-    s0l = lo64 s0;
-    s1h = hi64 s1;
-    s1l = lo64 s1;
-    s2h = hi64 s2;
-    s2l = lo64 s2;
-    s3h = hi64 s3;
-    s3l = lo64 s3;
-    out_hi = 0;
-    out_lo = 0;
-  }
+  let g = Bytes.create 40 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 s2;
+  set64 g 24 s3;
+  set64 g last 0L;
+  g
 
-(* One generator step. The drawn value is rotl(s0 + s3, 23) + s0, left in
-   [out_hi]/[out_lo] so that callers can consume it without boxing. *)
+(* One generator step: the drawn value rotl(s0 + s3, 23) + s0 goes to the
+   last-draw word, then the state advances. *)
 let draw g =
-  (* result = rotl64(s0 + s3, 23) + s0 *)
-  let sl = g.s0l + g.s3l in
-  let al = sl land mask32 in
-  let ah = (g.s0h + g.s3h + (sl lsr 32)) land mask32 in
-  (* rotl 23 *)
-  let rh = ((ah lsl 23) lor (al lsr 9)) land mask32 in
-  let rl = ((al lsl 23) lor (ah lsr 9)) land mask32 in
-  let sl = rl + g.s0l in
-  g.out_lo <- sl land mask32;
-  g.out_hi <- (rh + g.s0h + (sl lsr 32)) land mask32;
-  (* t = s1 << 17 *)
-  let th = ((g.s1h lsl 17) lor (g.s1l lsr 15)) land mask32 in
-  let tl = (g.s1l lsl 17) land mask32 in
-  g.s2h <- g.s2h lxor g.s0h;
-  g.s2l <- g.s2l lxor g.s0l;
-  g.s3h <- g.s3h lxor g.s1h;
-  g.s3l <- g.s3l lxor g.s1l;
-  g.s1h <- g.s1h lxor g.s2h;
-  g.s1l <- g.s1l lxor g.s2l;
-  g.s0h <- g.s0h lxor g.s3h;
-  g.s0l <- g.s0l lxor g.s3l;
-  g.s2h <- g.s2h lxor th;
-  g.s2l <- g.s2l lxor tl;
-  (* s3 = rotl64(s3, 45) = swap halves, then rotl 13 *)
-  let h = g.s3h and l = g.s3l in
-  g.s3h <- ((l lsl 13) lor (h lsr 19)) land mask32;
-  g.s3l <- ((h lsl 13) lor (l lsr 19)) land mask32
+  let open Int64 in
+  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
+  let sum = add s0 s3 in
+  set64 g last (add (logor (shift_left sum 23) (shift_right_logical sum 41)) s0);
+  let s2 = logxor s2 s0 and s3 = logxor s3 s1 in
+  set64 g 8 (logxor s1 s2);
+  set64 g 0 (logxor s0 s3);
+  set64 g 16 (logxor s2 (shift_left s1 17));
+  set64 g 24 (logor (shift_left s3 45) (shift_right_logical s3 19))
 
-let out_hi g = g.out_hi
-let out_lo g = g.out_lo
-
-let last_bits64 g =
-  Int64.logor (Int64.shift_left (Int64.of_int g.out_hi) 32) (Int64.of_int g.out_lo)
+let out_hi g = Int64.to_int (Int64.shift_right_logical (get64 g last) 32)
+let out_lo g = Int64.to_int (get64 g last) land 0xffffffff
+let last_bits64 g = get64 g last
 
 let bits64 g =
   draw g;
-  last_bits64 g
+  get64 g last
 
 let split g = of_seed (bits64 g)
 
@@ -122,39 +96,28 @@ let derive master ~index =
      derivation independent of unit execution order. *)
   mix (mix (add master (mul (of_int (index + 1)) 0x9e3779b97f4a7c15L)))
 
-let copy g =
-  {
-    s0h = g.s0h;
-    s0l = g.s0l;
-    s1h = g.s1h;
-    s1l = g.s1l;
-    s2h = g.s2h;
-    s2l = g.s2l;
-    s3h = g.s3h;
-    s3l = g.s3l;
-    out_hi = g.out_hi;
-    out_lo = g.out_lo;
-  }
-
-let float g =
-  (* Top 53 bits give a uniform dyadic rational in [0, 1). 32 + 21 = 53
-     bits fit a native int, and float_of_int is exact below 2^53. *)
+(* Top 53 bits of a fresh draw, a uniform dyadic rational in [0, 1):
+   Int64.to_float is exact below 2^53. Inlined, so that a caller compares
+   or scales the result unboxed. *)
+let[@inline] float g =
   draw g;
-  let bits = (g.out_hi lsl 21) lor (g.out_lo lsr 11) in
-  float_of_int bits *. (1.0 /. 9007199254740992.0)
+  Int64.to_float (Int64.shift_right_logical (get64 g last) 11) *. 0x1p-53
+
+(* Plain remainder of the top 63 bits of a fresh draw: for the bounds used
+   here (≤ 2^32) the modulo bias is below 2^-31 of the bucket probability,
+   negligible for simulation purposes. 63 bits do not fit a native int, so
+   this stays on (unboxed) Int64. *)
+let[@inline] rem63 g bound =
+  draw g;
+  Int64.rem (Int64.shift_right_logical (get64 g last) 1) bound
 
 let int64_range g bound =
   if Int64.compare bound 0L <= 0 then invalid_arg "Rng.int64_range: bound must be positive";
-  (* Plain remainder of 63 uniform bits: for the bounds used here (≤ 2^32)
-     the modulo bias is below 2^-31 of the bucket probability, negligible for
-     simulation purposes. The 63-bit draw does not fit a (62-bit-magnitude)
-     native int, so this stays on Int64. *)
-  let r = Int64.shift_right_logical (bits64 g) 1 in
-  Int64.rem r bound
+  rem63 g bound
 
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  Int64.to_int (int64_range g (Int64.of_int bound))
+  Int64.to_int (rem63 g (Int64.of_int bound))
 
 let bernoulli g p =
   if p <= 0.0 then false

@@ -32,25 +32,23 @@ val derive : int64 -> index:int -> int64
     every trial and sweep point its own independent stream. [index] must
     be non-negative. *)
 
-(* fruitlint: allow R12 test_util "copy" (rng group) *)
-val copy : t -> t
-(** [copy g] duplicates the current state (the two generators then emit the
-    same stream). Useful in tests. *)
-
 val bits64 : t -> int64
 (** Uniform 64 random bits. *)
 
 val draw : t -> unit
 (** Advance the generator by one draw — the same state step as {!bits64} —
-    leaving the drawn 64 bits readable through {!out_hi}/{!out_lo}/
-    {!last_bits64} until the next draw. The hot-path entry point: it
-    allocates nothing, where {!bits64} boxes its result. *)
+    and keep the drawn 64 bits in the generator, readable through
+    {!out_hi}/{!out_lo}/{!last_bits64} until the next draw. The hot-path
+    entry point: the step runs on unboxed 64-bit words and allocates
+    nothing, where {!bits64} boxes its result. *)
 
 val out_hi : t -> int
-(** High 32 bits of the most recent draw, as a native int. *)
+(** High 32 bits of the most recent draw, as a non-negative native int
+    (0 before the first draw). Allocates nothing. *)
 
 val out_lo : t -> int
-(** Low 32 bits of the most recent draw, as a native int. *)
+(** Low 32 bits of the most recent draw, as a non-negative native int
+    (0 before the first draw). Allocates nothing. *)
 
 val last_bits64 : t -> int64
 (** The most recent draw as a boxed [int64] ([bits64 g] is

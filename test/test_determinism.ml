@@ -353,11 +353,13 @@ let allocated_words f =
   (result, words () -. before)
 
 (* Allocation regression tripwire for the round loop, in bytes per round
-   at quick-scale parameters: 3,089 (Nakamoto) and 4,574 (FruitChain) in
-   the dev profile, 3,086 and 4,431 in release, dominated by trace events
+   at quick-scale parameters: 2,449 (Nakamoto) and 3,934 (FruitChain) in
+   the dev profile, 2,446 and 3,791 in release, dominated by trace events
    and message delivery, with mining queries allocation-free on the miss
-   path. Runs are seeded and sequential, and each measurement starts from
-   a full major collection, so it is deterministic. Each bound is 1.5x the
+   path (a boxed float per Bernoulli draw and a boxed Int64 per bounded
+   draw cost ~640 B/round more). Runs are seeded and sequential, and each
+   measurement starts from a full major collection, so it is
+   deterministic. Each bound is 1.5x the
    larger of the two: the headroom covers code drift, not noise, and a
    doubling of either loop's allocation fails it, as would reintroducing
    per-query boxing (the pre-rewrite oracle allocated ~200 B per query per
@@ -374,27 +376,24 @@ let alloc_per_round protocol =
 let test_round_loop_allocation () =
   let nakamoto = alloc_per_round Sim_config.Nakamoto in
   Alcotest.(check bool)
-    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 4630)" nakamoto)
-    true (nakamoto < 4630.);
+    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 3680)" nakamoto)
+    true (nakamoto < 3680.);
   let fruitchain = alloc_per_round Sim_config.Fruitchain in
   Alcotest.(check bool)
-    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 6860)" fruitchain)
-    true (fruitchain < 6860.)
+    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 5910)" fruitchain)
+    true (fruitchain < 5910.)
 
 (* The tracing share of a run's allocation: the bytes per round a
    buffering tracer adds over a metrics-only scope on one partition_small
    trial (spans, mints, snapshots and reorgs through a partition and its
-   heal). Rendering a span's id once, when it opens, instead of at every
-   hook, took it from ~3430 to ~1320 B/round; the bound keeps 1.5x
-   headroom over the latter. *)
+   heal), counted in words like the other tripwires: 1,206 B/round in
+   both build profiles. The bound is 1.5x that. *)
 let traced_alloc_per_round () =
   Pool.set_default_jobs 1;
   let s = scenario_fixture () in
   let alloc scope =
-    Gc.full_major ();
-    let before = Gc.allocated_bytes () in
-    ignore (Driver.run ~scope s);
-    Gc.allocated_bytes () -. before
+    let (), words = allocated_words (fun () -> ignore (Driver.run ~scope s)) in
+    words *. float_of_int (Sys.word_size / 8)
   in
   let metrics_only = alloc (Scope.make ~metrics:(Metrics.create ()) ()) in
   let traced = alloc (Scope.make ~metrics:(Metrics.create ()) ~tracer:(Tracer.buffer ()) ()) in
@@ -403,8 +402,8 @@ let traced_alloc_per_round () =
 let test_tracing_allocation () =
   let per_round = traced_alloc_per_round () in
   Alcotest.(check bool)
-    (Printf.sprintf "tracer over metrics-only: %.0f B/round (bound 2000)" per_round)
-    true (per_round < 2000.)
+    (Printf.sprintf "tracer over metrics-only: %.0f B/round (bound 1810)" per_round)
+    true (per_round < 1810.)
 
 (* Network allocation tripwires, in words. A recipient's ring is made on
    its first delivery, so [Network.create] allocates the inbox array and
@@ -467,6 +466,85 @@ let test_network_delivery_allocation () =
     (Printf.sprintf "one round of %d deliveries: %.0f words (bound %.0f)" drained words bound)
     true (words <= bound)
 
+(* A delivery that a fault policy holds past Δ must not take a ring slot:
+   in-window traffic to the same recipient keeps to the ring and allocates
+   only the drained lists while the hold lasts. When the held delivery
+   took the slot of its far-off round, every in-window round mapping to
+   that slot spilled into the overflow table, one bucket and its arrays
+   per round. *)
+let test_network_held_allocation () =
+  let delta = 2 and recipient = 0 and held_for = 1000 in
+  let policy ~now:_ ~sender ~recipient:_ ~round =
+    if Int.equal sender Message.adversary_sender then round + held_for else round
+  in
+  let net = Network.create ~policy ~n:2 ~delta () in
+  let rng = Rng.of_seed 5L in
+  let message sender =
+    Message.chain_announce ~sender ~sent_at:0 ~blocks:[]
+      ~head:Fruitchain_chain.Types.genesis.b_hash ()
+  in
+  let held = message Message.adversary_sender in
+  Network.send_to net ~now:0 ~recipient ~schedule:Network.Max_delay ~rng held;
+  let traffic = Array.init 4 (fun _ -> message 1) in
+  let round now =
+    for i = 0 to Array.length traffic - 1 do
+      Network.send_to net ~now ~recipient ~schedule:Network.Max_delay ~rng traffic.(i)
+    done;
+    List.length (Network.drain net ~round:now ~recipient)
+  in
+  (* Grow every slot first. *)
+  for now = 1 to delta + 1 do
+    ignore (round now)
+  done;
+  let rounds = 30 in
+  let drained, words =
+    allocated_words (fun () ->
+        let drained = ref 0 in
+        for now = delta + 2 to delta + 1 + rounds do
+          drained := !drained + round now
+        done;
+        !drained)
+  in
+  Alcotest.(check int) "in-window deliveries drained" (rounds * Array.length traffic) drained;
+  let bound = (3. *. float_of_int drained) +. 64. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d rounds beside a held delivery: %.0f words (bound %.0f)" rounds words bound)
+    true (words <= bound);
+  Alcotest.(check int) "the held delivery arrives when its hold ends" 1
+    (List.length (Network.drain net ~round:(delta + held_for) ~recipient))
+
+module Oracle = Fruitchain_crypto.Oracle
+
+(* The generator's hot entry points and a losing sampled oracle query
+   allocate nothing: the state is read and written as unboxed 64-bit
+   words. [allocated_words] of an empty thunk is its own overhead. *)
+let test_rng_allocation () =
+  let calls = 100_000 in
+  let g = Rng.of_seed 3L in
+  let oracle = Oracle.sim ~p:1e-12 ~pf:1e-12 (Rng.of_seed 4L) in
+  let sink = ref 0 in
+  let cases =
+    [
+      ("Rng.draw", fun () -> Rng.draw g);
+      ("Rng.bernoulli", fun () -> if Rng.bernoulli g 0.3 then incr sink);
+      ("Rng.int", fun () -> sink := !sink + Rng.int g 7);
+      ("losing Oracle.attempt", fun () -> sink := !sink + Oracle.attempt oracle "");
+    ]
+  in
+  let (), overhead = allocated_words ignore in
+  List.iter
+    (fun (name, call) ->
+      let (), words =
+        allocated_words (fun () ->
+            for _ = 1 to calls do
+              call ()
+            done)
+      in
+      Alcotest.(check (float 0.)) (Printf.sprintf "%s: words over %d calls" name calls) 0.
+        (words -. overhead))
+    cases;
+  Alcotest.(check int) "the oracle never won" 0 (Oracle.block_wins oracle + Oracle.fruit_wins oracle)
+
 let () =
   Alcotest.run "determinism"
     [
@@ -512,5 +590,8 @@ let () =
           Alcotest.test_case "network create allocation" `Quick test_network_create_allocation;
           Alcotest.test_case "network delivery allocation" `Quick
             test_network_delivery_allocation;
+          Alcotest.test_case "network held-delivery allocation" `Quick
+            test_network_held_allocation;
+          Alcotest.test_case "rng and oracle allocation" `Quick test_rng_allocation;
         ] );
     ]

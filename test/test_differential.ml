@@ -11,7 +11,10 @@
    reference modules are the pre-rewrite code kept verbatim
    modulo observability plumbing; QCheck drives both sides with identical
    inputs — including the same RNG seeds, so the draw-for-draw equivalence
-   of the batched oracle is pinned, not just distributional agreement. *)
+   of the batched oracle is pinned, not just distributional agreement.
+   The generator itself is held to the published algorithm instead:
+   xoshiro256++ on boxed Int64 with splitmix64 seeding ([Ref_rng]), and
+   known answers of the reference C code. *)
 
 module Types = Fruitchain_chain.Types
 module Codec = Fruitchain_chain.Codec
@@ -111,6 +114,60 @@ module Ref_store = struct
         meet ex.block.Types.b_header.parent ey.block.Types.b_header.parent
     in
     meet (lift a level) (lift b level)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Reference generator: splitmix64 seeding and xoshiro256++ on boxed   *)
+(* Int64, as Blackman and Vigna publish them.                          *)
+
+module Ref_rng = struct
+  open Int64
+
+  type t = { s : int64 array; mutable last : int64 }
+
+  let splitmix64 state =
+    state := add !state 0x9e3779b97f4a7c15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+    logxor z (shift_right_logical z 31)
+
+  let of_seed seed =
+    let st = ref seed in
+    let s = Array.init 4 (fun _ -> splitmix64 st) in
+    let s = if Array.for_all (equal 0L) s then [| 1L; 2L; 3L; 4L |] else s in
+    { s; last = 0L }
+
+  let rotl x k = logor (shift_left x k) (shift_right_logical x (64 - k))
+
+  let next g =
+    let s = g.s in
+    let result = add (rotl (add s.(0) s.(3)) 23) s.(0) in
+    let t = shift_left s.(1) 17 in
+    s.(2) <- logxor s.(2) s.(0);
+    s.(3) <- logxor s.(3) s.(1);
+    s.(1) <- logxor s.(1) s.(2);
+    s.(0) <- logxor s.(0) s.(3);
+    s.(2) <- logxor s.(2) t;
+    s.(3) <- rotl s.(3) 45;
+    g.last <- result;
+    result
+
+  let out_hi g = to_int (shift_right_logical g.last 32)
+  let out_lo g = to_int (logand g.last 0xffffffffL)
+  let float g = to_float (shift_right_logical (next g) 11) *. 0x1p-53
+  let int64_range g bound = rem (shift_right_logical (next g) 1) bound
+  let int g bound = to_int (int64_range g (of_int bound))
+  let bernoulli g p = if p <= 0.0 then false else if p >= 1.0 then true else float g < p
+  let split g = of_seed (next g)
+
+  let derive master ~index =
+    let mix z =
+      let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+      let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+      logxor z (shift_right_logical z 31)
+    in
+    mix (mix (add master (mul (of_int (index + 1)) 0x9e3779b97f4a7c15L)))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -327,6 +384,88 @@ let store_differential =
       let tree = build_tree driver ~blocks:(20 + Rng.int driver 40) in
       check_store_agree driver tree;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Generator differential.                                             *)
+
+(* A random program of generator calls, run on [Rng] and on [Ref_rng]
+   from the same seed: every output must be equal, and so must the last
+   draw as [out_hi]/[out_lo]/[last_bits64] after any call (a Bernoulli
+   with p outside (0, 1) draws nothing; a fresh or split-off generator
+   reads 0). Each op carries an int that picks its bound, probability,
+   branch of a split, or derivation index. *)
+let rng_differential =
+  QCheck.Test.make ~name:"Rng = boxed-Int64 xoshiro256++ reference" ~count:300
+    QCheck.(pair int64 (list_of_size Gen.(int_range 1 200) (pair (int_bound 7) int)))
+    (fun (seed, ops) ->
+      let g = ref (Rng.of_seed seed) and r = ref (Ref_rng.of_seed seed) in
+      List.iter
+        (fun (op, k) ->
+          (match op with
+          | 0 -> Alcotest.(check int64) "bits64" (Ref_rng.next !r) (Rng.bits64 !g)
+          | 1 ->
+              Rng.draw !g;
+              ignore (Ref_rng.next !r)
+          | 2 ->
+              Alcotest.(check int64) "float bits"
+                (Int64.bits_of_float (Ref_rng.float !r))
+                (Int64.bits_of_float (Rng.float !g))
+          | 3 ->
+              let bound = 1 + (k land 0xffffffff) in
+              Alcotest.(check int) "int" (Ref_rng.int !r bound) (Rng.int !g bound)
+          | 4 ->
+              let bound = Int64.of_int (1 + (k land max_int)) in
+              Alcotest.(check int64) "int64_range" (Ref_rng.int64_range !r bound)
+                (Rng.int64_range !g bound)
+          | 5 ->
+              let p = (float_of_int (k land 0xfff) /. 3000.) -. 0.1 in
+              Alcotest.(check bool) "bernoulli" (Ref_rng.bernoulli !r p) (Rng.bernoulli !g p)
+          | 6 ->
+              let child = Rng.split !g and ref_child = Ref_rng.split !r in
+              if Int.equal (k land 1) 0 then begin
+                g := child;
+                r := ref_child
+              end
+          | _ ->
+              let master = Int64.logxor seed (Int64.of_int k) and index = k land 0xffff in
+              Alcotest.(check int64) "derive" (Ref_rng.derive master ~index)
+                (Rng.derive master ~index));
+          Alcotest.(check int) "out_hi" (Ref_rng.out_hi !r) (Rng.out_hi !g);
+          Alcotest.(check int) "out_lo" (Ref_rng.out_lo !r) (Rng.out_lo !g);
+          Alcotest.(check int64) "last_bits64" !r.Ref_rng.last (Rng.last_bits64 !g))
+        ops;
+      true)
+
+(* Known answers of the reference C code (xoshiro256plusplus.c, seeded
+   with four outputs of splitmix64.c): the first four outputs for four
+   seeds, then seed 7's first output as a float, (x >> 11) * 2^-53, and
+   its second as ((x >> 1) mod 1000). Both the generator and the reference
+   must reproduce them. *)
+let rng_known_answers () =
+  let kat =
+    [
+      (0L, [ 0x53175d61490b23dfL; 0x61da6f3dc380d507L; 0x5c0fdf91ec9a7bfcL; 0x02eebf8c3bbe5e1aL ]);
+      (1L, [ 0xcfc5d07f6f03c29bL; 0xbf424132963fe08dL; 0x19a37d5757aaf520L; 0xbf08119f05cd56d6L ]);
+      (42L, [ 0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL; 0xb37d9f600cd835b8L ]);
+      (-1L, [ 0x56ccf8ce948e27b2L; 0xe68588432e5a5b90L; 0xe3e9b5a48119ca8bL; 0x460f19495532ae73L ]);
+    ]
+  in
+  List.iter
+    (fun (seed, outputs) ->
+      let g = Rng.of_seed seed and r = Ref_rng.of_seed seed in
+      List.iter
+        (fun expected ->
+          Alcotest.(check int64) (Printf.sprintf "Rng, seed %Ld" seed) expected (Rng.bits64 g);
+          Alcotest.(check int64)
+            (Printf.sprintf "Ref_rng, seed %Ld" seed)
+            expected (Ref_rng.next r))
+        outputs)
+    kat;
+  let g = Rng.of_seed 7L and r = Ref_rng.of_seed 7L in
+  Alcotest.(check (float 0.)) "Rng, seed 7 float" 0.055360436478333108 (Rng.float g);
+  Alcotest.(check (float 0.)) "Ref_rng, seed 7 float" 0.055360436478333108 (Ref_rng.float r);
+  Alcotest.(check int) "Rng, seed 7 int 1000" 458 (Rng.int g 1000);
+  Alcotest.(check int) "Ref_rng, seed 7 int 1000" 458 (Ref_rng.int r 1000)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle differential.                                                *)
@@ -2255,6 +2394,11 @@ let () =
         [ QCheck_alcotest.to_alcotest mining_differential ] );
       ( "json",
         [ QCheck_alcotest.to_alcotest json_differential ] );
+      ( "rng",
+        [
+          QCheck_alcotest.to_alcotest rng_differential;
+          Alcotest.test_case "known answers (reference C)" `Quick rng_known_answers;
+        ] );
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest oracle_differential;

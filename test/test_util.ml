@@ -32,12 +32,6 @@ let test_rng_split_independent () =
   let ys = List.init 32 (fun _ -> Rng.bits64 child) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
-let test_rng_copy () =
-  let g = Rng.of_seed 9L in
-  ignore (Rng.bits64 g);
-  let c = Rng.copy g in
-  Alcotest.(check int64) "copy resumes identically" (Rng.bits64 g) (Rng.bits64 c)
-
 let test_rng_float_range () =
   let g = Rng.of_seed 3L in
   for _ = 1 to 10_000 do
@@ -490,7 +484,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-          Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "float mean" `Quick test_rng_float_mean;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
