@@ -10,7 +10,7 @@ module Trace = Fruitchain_sim.Trace
 module Params = Fruitchain_core.Params
 module Types = Fruitchain_chain.Types
 module Extract = Fruitchain_core.Extract
-module Selfish = Fruitchain_adversary.Selfish
+module Runs = Fruitchain_experiments.Runs
 
 let committee_size = 60
 let rho = 0.30
@@ -20,7 +20,7 @@ let run protocol =
   let config =
     Config.make ~protocol ~n:20 ~rho ~delta:2 ~rounds:60_000 ~seed:23L ~params ()
   in
-  Engine.run ~config ~strategy:(module Selfish.Gamma_one) ()
+  Engine.run ~config ~strategy:(Runs.selfish ~gamma:1.0) ()
 
 let seats provs =
   let tally = Hashtbl.create 16 in

@@ -1,29 +1,10 @@
-module Strategy = Fruitchain_sim.Strategy
 module Network = Fruitchain_net.Network
 
-module Make (D : sig
-  val name : string
-  val schedule : Network.schedule
-end) : Strategy.S = struct
+module Null_max = struct
   type t = unit
 
-  let name = D.name
+  let name = "null-max-delay"
   let create _ctx = ()
-  let schedule_honest () _msg ~recipient:_ = D.schedule
+  let schedule_honest () _msg ~recipient:_ = Network.Max_delay
   let act () ~round:_ ~honest_broadcasts:_ = ()
 end
-
-module Null_max = Make (struct
-  let name = "null-max-delay"
-  let schedule = Network.Max_delay
-end)
-
-module Null_next = Make (struct
-  let name = "null-next-round"
-  let schedule = Network.Next_round
-end)
-
-module Null_uniform = Make (struct
-  let name = "null-uniform-delay"
-  let schedule = Network.Uniform_in_window
-end)

@@ -1,15 +1,7 @@
-(** Passive adversaries: no corrupt mining, no injected messages — they only
-    exercise the delivery-control power. Used for honest-majority baseline
+(** A passive adversary: no corrupt mining, no injected messages — it only
+    exercises the delivery-control power. Used for honest-majority baseline
     runs and for measuring the effect of Δ on growth and consistency. *)
 
-module Strategy = Fruitchain_sim.Strategy
-
-module Null_max : Strategy.S
+module Null_max : Fruitchain_sim.Strategy.S
 (** Delivers every honest message at the latest legal round [t + Δ] — the
     worst case the paper's bounds are stated against. *)
-
-module Null_next : Strategy.S
-(** Delivers at [t + 1] — the benign fast network. *)
-
-module Null_uniform : Strategy.S
-(** Delivery round uniform in [\[t+1, t+Δ\]]. *)

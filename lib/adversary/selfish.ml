@@ -5,7 +5,6 @@ module Strategy = Fruitchain_sim.Strategy
 module Window_view = Fruitchain_core.Window_view
 module Buffer_f = Fruitchain_core.Buffer
 module Trace = Fruitchain_sim.Trace
-module Scope = Fruitchain_obs.Scope
 module Json = Fruitchain_obs.Json
 
 module type PARAMS = sig
@@ -60,24 +59,14 @@ module Make (P : PARAMS) : Strategy.S = struct
 
   let priv_height t = Store.height t.ctx.store t.priv
 
-  let scope t = Trace.scope t.ctx.trace
-
   (* Release decisions are rare (at most one per honest advance), so the
-     by-name Scope counters are fine here — no hot-path native ints. *)
+     by-name counters are fine here — no hot-path native ints. *)
   let note_release t ~round ~blocks ~tie =
-    let s = scope t in
-    if Scope.enabled s then begin
-      Scope.incr s "adv.release.events";
-      Scope.incr ~by:blocks s "adv.release.blocks";
-      if tie then Scope.incr s "adv.release.ties";
-      if Scope.tracing s then
-        Scope.emit s "adv.release"
-          [
-            ("round", Json.Int round);
-            ("blocks", Json.Int blocks);
-            ("tie", Json.Bool tie);
-          ]
-    end
+    Trace.adversary t.ctx.trace ~round "adv.release"
+      ~counters:
+        (("adv.release.events", 1) :: ("adv.release.blocks", blocks)
+        :: (if tie then [ ("adv.release.ties", 1) ] else []))
+      [ ("blocks", Json.Int blocks); ("tie", Json.Bool tie) ]
 
   let move_priv t head =
     t.priv <- head;
@@ -91,13 +80,8 @@ module Make (P : PARAMS) : Strategy.S = struct
     t.withheld <- [];
     t.racing <- false;
     move_priv t t.pub_head;
-    let s = scope t in
-    if Scope.enabled s then begin
-      Scope.incr s "adv.adopt";
-      if Scope.tracing s then
-        Scope.emit s "adv.adopt"
-          [ ("round", Json.Int round); ("abandoned", Json.Int abandoned) ]
-    end
+    Trace.adversary t.ctx.trace ~round "adv.adopt" ~counters:[ ("adv.adopt", 1) ]
+      [ ("abandoned", Json.Int abandoned) ]
 
   let release_all t ~round ~tie =
     (match t.withheld with
@@ -194,24 +178,3 @@ module Make (P : PARAMS) : Strategy.S = struct
       | None -> ()
     done
 end
-
-module Gamma_zero = Make (struct
-  let gamma = 0.0
-  let broadcast_fruits = true
-  let lead_stubborn = false
-  let equal_fork_stubborn = false
-end)
-
-module Gamma_half = Make (struct
-  let gamma = 0.5
-  let broadcast_fruits = true
-  let lead_stubborn = false
-  let equal_fork_stubborn = false
-end)
-
-module Gamma_one = Make (struct
-  let gamma = 1.0
-  let broadcast_fruits = true
-  let lead_stubborn = false
-  let equal_fork_stubborn = false
-end)

@@ -40,9 +40,3 @@ module type PARAMS = sig
 end
 
 module Make (_ : PARAMS) : Strategy.S
-
-module Gamma_zero : Strategy.S
-(** γ = 0, fruits broadcast. *)
-
-module Gamma_half : Strategy.S
-module Gamma_one : Strategy.S

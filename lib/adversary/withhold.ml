@@ -3,7 +3,6 @@ module Hash = Fruitchain_crypto.Hash
 module Network = Fruitchain_net.Network
 module Strategy = Fruitchain_sim.Strategy
 module Trace = Fruitchain_sim.Trace
-module Scope = Fruitchain_obs.Scope
 module Json = Fruitchain_obs.Json
 
 module type PARAMS = sig
@@ -54,15 +53,10 @@ module Make (P : PARAMS) : Strategy.S = struct
     done;
     if round > 0 && Int.equal (round mod P.release_interval) 0 && not (List.is_empty t.hoard)
     then begin
-      let s = Trace.scope t.ctx.trace in
-      if Scope.enabled s then begin
-        let fruits = List.length t.hoard in
-        Scope.incr s "adv.release.fruit_bursts";
-        Scope.incr ~by:fruits s "adv.release.fruits";
-        if Scope.tracing s then
-          Scope.emit s "adv.fruit_release"
-            [ ("round", Json.Int round); ("fruits", Json.Int fruits) ]
-      end;
+      let fruits = List.length t.hoard in
+      Trace.adversary t.ctx.trace ~round "adv.fruit_release"
+        ~counters:[ ("adv.release.fruit_bursts", 1); ("adv.release.fruits", fruits) ]
+        [ ("fruits", Json.Int fruits) ];
       List.iter (Common.broadcast_fruit t.ctx ~round) t.hoard;
       t.hoard <- []
     end

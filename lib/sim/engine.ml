@@ -38,20 +38,20 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     Network.create ~scope ?policy:net_policy ~n:config.Config.n
       ~delta:config.Config.delta ()
   in
-  let obs = Observe.create ~scope ~config ~store in
-  let trace = Observe.trace obs in
+  let trace = Trace.create ~scope ~config ~store () in
   let net_rng = Rng.split master in
+  (* Current relay setting: gossip_toggle events flip it for every live
+     fruit node, and nodes respawned by uncorruption inherit it. *)
+  let gossip_now = ref config.Config.gossip in
+  let spawn i =
+    let rng = Rng.split master in
+    match config.Config.protocol with
+    | Config.Nakamoto -> Nak (Nak_node.create ~id:i ~store ~rng)
+    | Config.Fruitchain ->
+        Fruit (Fruit_node.create ~gossip:!gossip_now ~id:i ~params ~store ~views ~rng ())
+  in
   let parties =
-    Array.init config.Config.n (fun i ->
-        if Config.is_corrupt config i then Corrupt
-        else
-          let rng = Rng.split master in
-          match config.Config.protocol with
-          | Config.Nakamoto -> Nak (Nak_node.create ~id:i ~store ~rng)
-          | Config.Fruitchain ->
-              Fruit
-                (Fruit_node.create ~gossip:config.Config.gossip ~id:i
-                   ~params:config.Config.params ~store ~views ~rng ()))
+    Array.init config.Config.n (fun i -> if Config.is_corrupt config i then Corrupt else spawn i)
   in
   let ctx =
     {
@@ -66,20 +66,8 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     }
   in
   let strat = Strategy.instantiate strategy ctx in
-  Observe.start obs;
+  Trace.start trace;
   let head_at i = head_of parties.(i) in
-  (* Liveness probes model a submitted transaction: from its injection round
-     until the next probe replaces it, every honest party keeps offering the
-     probe record to its mining attempts (the mempool behaviour the liveness
-     definition quantifies over — the record is input to honest players from
-     round r' on). Explicit workload records take precedence. *)
-  let active_probe = ref None in
-  let probe_round round =
-    config.Config.probe_interval > 0 && Int.equal (round mod config.Config.probe_interval) 0
-  in
-  (* Current relay setting: gossip_toggle events flip it for every live
-     fruit node, and nodes respawned by uncorruption inherit it. *)
-  let gossip_now = ref config.Config.gossip in
   for round = 0 to config.Config.rounds - 1 do
     (* Scenario driver hook (fruitstorm): applied before the round's three
        phases so fault windows opening at [round] already govern it. *)
@@ -103,42 +91,24 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
     (* Uncorruption: the released party re-spawns as a freshly initialized
        honest node (the paper treats it exactly like a new player). *)
     List.iter
-      (fun (r, party) ->
-        if Int.equal r round then begin
-          let rng = Rng.split master in
-          parties.(party) <-
-            (match config.Config.protocol with
-            | Config.Nakamoto -> Nak (Nak_node.create ~id:party ~store ~rng)
-            | Config.Fruitchain ->
-                Fruit
-                  (Fruit_node.create ~gossip:!gossip_now ~id:party
-                     ~params:config.Config.params ~store ~views ~rng ()))
-        end)
+      (fun (r, party) -> if Int.equal r round then parties.(party) <- spawn party)
       config.Config.uncorruption_schedule;
-    Observe.schedule obs ~round;
-    if probe_round round then begin
-      let probe = Printf.sprintf "probe/%d" round in
-      Trace.record_probe trace ~record:probe ~round;
-      active_probe := Some probe
-    end;
+    Trace.round_start trace ~round;
     let broadcasts = ref [] in
     for i = 0 to config.Config.n - 1 do
       let incoming = Network.drain network ~round ~recipient:i in
-      Observe.incoming obs ~round incoming;
+      Trace.incoming trace ~round incoming;
       match parties.(i) with
       | Corrupt -> () (* the adversary observes everything at send time *)
       | (Nak _ | Fruit _) as p ->
-          let record =
-            let base = workload ~round ~party:i in
-            if Int.equal (String.length base) 0 then Option.value ~default:"" !active_probe else base
-          in
+          let record = Trace.record trace (workload ~round ~party:i) in
           let out =
             match p with
             | Nak node -> Nak_node.step node oracle ~round ~record ~incoming
             | Fruit node -> Fruit_node.step node oracle ~round ~record ~incoming
             | Corrupt -> assert false
           in
-          Observe.minted obs ~round ~miner:i out;
+          Trace.minted trace ~round ~miner:i out;
           List.iter
             (fun msg ->
               broadcasts := msg :: !broadcasts;
@@ -148,39 +118,10 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
             out
     done;
     Strategy.act strat ~round ~honest_broadcasts:(List.rev !broadcasts);
-    Observe.heads obs ~round head_at;
-    if Int.equal (round mod config.Config.snapshot_interval) 0 then begin
-      let heights =
-        Array.map
-          (fun p ->
-            match head_of p with Some h -> Store.height_at store h | None -> -1)
-          parties
-      in
-      Observe.snapshot obs ~round heights network
-    end;
-    if Int.equal (round mod config.Config.head_snapshot_interval) 0 then begin
-      let heads =
-        Array.map
-          (fun p ->
-            match head_of p with
-            | Some h -> Store.hash_at store h
-            | None -> Types.genesis.b_hash)
-          parties
-      in
-      Trace.record_heads trace ~round heads
-    end
+    Trace.heads trace ~round head_at;
+    Trace.measure trace ~round head_at network
   done;
-  let final_heads =
-    Array.map
-      (fun p ->
-        match head_of p with
-        | Some h -> Store.hash_at store h
-        | None -> Types.genesis.b_hash)
-      parties
-  in
-  Trace.set_final_heads trace final_heads;
-  Trace.set_oracle_queries trace (Oracle.queries oracle);
-  Observe.finish obs ~network ~oracle ~extra:[];
+  Trace.finish trace head_at ~network ~oracle ~extra:[];
   trace
 
 let run ~config ~strategy ?workload ?net_policy ?round_hook ?scope () =

@@ -64,8 +64,7 @@ let run ~config ?power ?power_schedule
   let network =
     Network.create ~scope ?policy:net_policy ~n ~delta:config.Config.delta ()
   in
-  let obs = Observe.create ~scope ~config ~store in
-  let trace = Observe.trace obs in
+  let trace = Trace.create ~scope ~config ~store () in
   let sched_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:scheduler_stream) in
   let attr_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:attribution_stream) in
   let forge_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:forge_stream) in
@@ -98,23 +97,19 @@ let run ~config ?power ?power_schedule
   let eff_queries = ref 0 in
   let seg_start = ref 0 in
   let visited = ref 0 in
-  let active_probe = ref None in
   let depth = Params.pointer_depth params in
   (* Cursor into the sorted power schedule; the processing loop advances
      past entries <= the current round. Corruption, uncorruption and gossip
      toggles change no state here (corruption is read off the config), so
-     they only need their rounds visited: Observe keeps that cursor. *)
+     they only need their rounds visited: the trace keeps that cursor. *)
   let powers = ref power_schedule in
-  Observe.start obs;
-  let probe_round round =
-    config.Config.probe_interval > 0 && Int.equal (round mod config.Config.probe_interval) 0
-  in
+  Trace.start trace;
   let head_hash () = Store.hash_at store !head_id in
-  let head_height () = Store.height_at store !head_id in
   let pointer_hash () = Mine.pointer store ~head:!head_id ~depth in
-  let record_for ~round ~party =
-    let base = workload ~round ~party in
-    if Int.equal (String.length base) 0 then Option.value ~default:"" !active_probe else base
+  (* Every party mines the converged chain; a corrupt one has no head. *)
+  let head_at ~round =
+    let h = Some !head_id in
+    fun i -> if Config.is_corrupt_at config ~round i then None else h
   in
   let take_ready round =
     let out = ref [] in
@@ -150,7 +145,7 @@ let run ~config ?power ?power_schedule
   let forge ~round ~parent ~pointer ~won_block ~sibling =
     let winner = Alias.sample !table attr_rng in
     let honest = not (Config.is_corrupt_at config ~round winner) in
-    let record = record_for ~round ~party:winner in
+    let record = Trace.record trace (workload ~round ~party:winner) in
     Rng.draw forge_rng;
     let nonce = Rng.last_bits64 forge_rng in
     let hash = Oracle.sample_win oracle ~block:won_block ~fruit:(not won_block) forge_rng in
@@ -165,12 +160,12 @@ let run ~config ?power ?power_schedule
     | Some block ->
         let id = Store.add_id store block in
         if not sibling then head_id := id;
-        Observe.block_mined obs ~sibling block
+        Trace.block_mined trace ~sibling block
     | None -> ());
     (match fruit with
     | Some fruit ->
         Queue.add { ready = round + config.Config.delta; fruit } pending;
-        Observe.fruit_mined obs fruit
+        Trace.fruit_mined trace fruit
     | None -> ());
     Network.deliver_batch network ~count:(n - 1) ~delay:config.Config.delta
   in
@@ -180,18 +175,13 @@ let run ~config ?power ?power_schedule
     (* Relaying does not exist on the sparse plane (the chain is already
        converged); gossip toggles survive only as trace lines, for
        scenario parity. *)
-    Observe.schedule obs ~round;
+    Trace.round_start trace ~round;
     while (match !powers with (r, _) :: _ when r <= round -> true | _ -> false) do
       (match !powers with
       | (r, w) :: _ when Int.equal r round -> apply_power_change ~round w
       | _ -> ());
       powers := List.tl !powers
     done;
-    if probe_round round then begin
-      let probe = Printf.sprintf "probe/%d" round in
-      Trace.record_probe trace ~record:probe ~round;
-      active_probe := Some probe
-    end;
     if Int.equal round !next_b then begin
       let count = Sampling.binomial_pos sched_rng !budget p in
       next_b := next_win (round + 1) !pb;
@@ -210,40 +200,20 @@ let run ~config ?power ?power_schedule
         forge ~round ~parent ~pointer ~won_block:false ~sibling:false
       done
     end;
-    if Int.equal (round mod config.Config.snapshot_interval) 0 then begin
-      let height = head_height () in
-      let heights =
-        Array.init n (fun i ->
-            if Config.is_corrupt_at config ~round i then -1 else height)
-      in
-      Observe.snapshot obs ~round heights network
-    end;
-    if Int.equal (round mod config.Config.head_snapshot_interval) 0 then begin
-      let hh = head_hash () in
-      let heads =
-        Array.init n (fun i ->
-            if Config.is_corrupt_at config ~round i then Types.genesis.b_hash else hh)
-      in
-      Trace.record_heads trace ~round heads
-    end
+    Trace.measure trace ~round (head_at ~round) network
   in
-  (* Next round that needs visiting: the earliest win, scheduled event,
-     snapshot multiple, or hook tick after [r]. Rounds in between contain
-     no wins (by the geometric gap draw), no schedule entries, and no
-     snapshots — visiting them would consume no randomness and change no
-     state, which is exactly why skipping them is sound (and why a
-     [max_skip = 1] run is byte-identical; the suite checks this). *)
-  let next_multiple r k = ((r / k) + 1) * k in
+  (* Next round that needs visiting: the earliest win, power change, hook
+     tick, or round the trace measures or has scheduled after [r]. Rounds
+     in between contain no wins (by the geometric gap draw), no schedule
+     entries, and no snapshots — visiting them would consume no randomness
+     and change no state, which is exactly why skipping them is sound (and
+     why a [max_skip = 1] run is byte-identical; the suite checks this). *)
   let next_visit r =
     let cand = ref max_int in
     let consider v = if v > r && v < !cand then cand := v in
     consider !next_b;
     consider !next_f;
-    consider (next_multiple r config.Config.snapshot_interval);
-    consider (next_multiple r config.Config.head_snapshot_interval);
-    if config.Config.probe_interval > 0 then
-      consider (next_multiple r config.Config.probe_interval);
-    consider (Observe.next_scheduled obs);
+    consider (Trace.next_visit trace ~after:r);
     (match !powers with (rr, _) :: _ -> consider rr | [] -> ());
     (match round_hook with Some _ -> consider (r + 1) | None -> ());
     if max_skip < max_int && r <= max_int - max_skip then consider (r + max_skip);
@@ -256,14 +226,6 @@ let run ~config ?power ?power_schedule
   done;
   eff_queries := !eff_queries + (!budget * (rounds - !seg_start));
   Oracle.charge oracle !eff_queries;
-  let hh = head_hash () in
-  let final_heads =
-    Array.init n (fun i ->
-        if Config.is_corrupt_at config ~round:(rounds - 1) i then Types.genesis.b_hash
-        else hh)
-  in
-  Trace.set_final_heads trace final_heads;
-  Trace.set_oracle_queries trace !eff_queries;
-  Observe.finish obs ~network ~oracle
+  Trace.finish trace (head_at ~round:(rounds - 1)) ~network ~oracle
     ~extra:[ ("sim.rounds_visited", !visited); ("sim.alias_rebuilds", !rebuilds) ];
   trace

@@ -79,35 +79,3 @@ let gini xs =
     (2.0 *. !weighted /. (float_of_int n *. total))
     -. (float_of_int (n + 1) /. float_of_int n)
   end
-
-module Histogram = struct
-  type nonrec t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if not (hi > lo) then invalid_arg "Histogram.create: need hi > lo";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let raw = (x -. t.lo) /. (t.hi -. t.lo) *. float_of_int bins in
-    let i = int_of_float (Float.floor raw) in
-    let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-
-  let bin_mid t i =
-    let bins = Array.length t.counts in
-    t.lo +. ((float_of_int i +. 0.5) *. (t.hi -. t.lo) /. float_of_int bins)
-
-  let pp fmt t =
-    let max_count = Array.fold_left max 1 t.counts in
-    Array.iteri
-      (fun i c ->
-        let bar_len = c * 50 / max_count in
-        Format.fprintf fmt "%10.3f | %-50s %d@." (bin_mid t i) (String.make bar_len '#') c)
-      t.counts
-end

@@ -39,23 +39,3 @@ val gini : float array -> float
     → 1 = concentrated): the reward-concentration headline of the E22
     sweep. An all-zero sample has coefficient 0. Sorts a copy; raises
     [Invalid_argument] on an empty array or a negative value. *)
-
-(** {1 Histogram} *)
-
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  (** Equal-width bins on [\[lo, hi)]; values outside are clamped into the
-      first/last bin so mass is never dropped. *)
-
-  val add : t -> float -> unit
-  val counts : t -> int array
-  val total : t -> int
-
-  val bin_mid : t -> int -> float
-  (** Midpoint of bin [i]. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Render as an ASCII bar chart, one line per bin. *)
-end

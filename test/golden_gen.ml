@@ -68,14 +68,17 @@ let analyze_golden file =
       with End_of_file -> ());
   print_string (Fruitchain_obs.Analyze.render (Fruitchain_obs.Analyze.summarize (List.rev !lines)))
 
-(* `golden_gen trace PLANE` / `golden_gen metrics PLANE` pin the JSONL
-   trace and the metric dump of one small run on the exact or sparse plane.
-   The configuration reaches every run-level observation point: run.start,
-   a corruption, an uncorruption, two gossip toggles, probes, height/net
+(* `golden_gen trace RUN` / `golden_gen metrics RUN` pin the JSONL trace
+   and the metric dump of one small run: `exact` and `sparse` on their
+   plane, `withhold` on the exact plane against the fruit withholder. The
+   configuration reaches every run-level observation point: run.start, a
+   corruption, an uncorruption, two gossip toggles, probes, height/net
    snapshots, mints, spans and run.end — and on the exact plane, selfish
    mining at gamma = 0.5 so head switches (reorg lines, adversary mints)
-   appear too. *)
-let sim_golden ~engine ~dump =
+   appear too. The withholder's run pins its adv.fruit_release lines and
+   counters. *)
+let sim_golden run ~dump =
+  let engine = match run with `Sparse -> Config.Sparse | `Exact | `Withhold -> Config.Exact in
   let config =
     Config.make ~protocol:Config.Fruitchain ~engine ~n:8 ~rho:0.25 ~delta:2 ~rounds:150
       ~seed:2L ~corruption_schedule:[ (30, 1) ] ~uncorruption_schedule:[ (90, 1) ]
@@ -87,24 +90,26 @@ let sim_golden ~engine ~dump =
   let registry = Metrics.create () in
   let tracer = Tracer.buffer () in
   let scope = Scope.make ~metrics:registry ~tracer () in
-  (match engine with
-  | Config.Exact ->
-      ignore (Engine.run ~config ~strategy:(Runs.selfish ~gamma:0.5) ~scope ())
-  | Config.Sparse -> ignore (Sparse.run ~config ~scope ()));
+  (match run with
+  | `Exact -> ignore (Engine.run ~config ~strategy:(Runs.selfish ~gamma:0.5) ~scope ())
+  | `Withhold ->
+      ignore (Engine.run ~config ~strategy:(Runs.withholder ~release_interval:40) ~scope ())
+  | `Sparse -> ignore (Sparse.run ~config ~scope ()));
   if dump then print_endline (Metrics.dump registry)
   else List.iter print_endline (Tracer.lines tracer)
 
-let plane = function
-  | "exact" -> Config.Exact
-  | "sparse" -> Config.Sparse
+let sim_run = function
+  | "exact" -> `Exact
+  | "sparse" -> `Sparse
+  | "withhold" -> `Withhold
   | other ->
-      prerr_endline ("golden_gen: unknown plane " ^ other);
+      prerr_endline ("golden_gen: unknown run " ^ other);
       exit 2
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _; "trace"; p ] -> sim_golden ~engine:(plane p) ~dump:false
-  | [ _; "metrics"; p ] -> sim_golden ~engine:(plane p) ~dump:true
+  | [ _; "trace"; r ] -> sim_golden (sim_run r) ~dump:false
+  | [ _; "metrics"; r ] -> sim_golden (sim_run r) ~dump:true
   | [ _; "scenario"; file ] ->
       Pool.set_default_jobs 2;
       scenario_golden ~artifact:`Table file
@@ -125,6 +130,6 @@ let () =
           print_string (Format.asprintf "%a" Exp.print (E.run ~scale:Exp.Quick ())))
   | _ ->
       prerr_endline
-        "usage: golden_gen EXX | golden_gen (trace|metrics) (exact|sparse) | golden_gen \
+        "usage: golden_gen EXX | golden_gen (trace|metrics) (exact|sparse|withhold) | golden_gen \
          scenario[-metrics|-trace] FILE | golden_gen analyze FILE";
       exit 2

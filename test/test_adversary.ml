@@ -45,13 +45,23 @@ let test_null_never_mines () =
   Alcotest.(check bool) "no adversarial events" true
     (List.for_all (fun (e : Trace.event) -> e.honest) (Trace.events trace))
 
+(* The benign fast network: every honest message delivered at t + 1. *)
+module Null_next = struct
+  type t = unit
+
+  let name = "null-next-round"
+  let create _ctx = ()
+  let schedule_honest () _msg ~recipient:_ = Fruitchain_net.Network.Next_round
+  let act () ~round:_ ~honest_broadcasts:_ = ()
+end
+
 let test_null_delay_variants_differ () =
   (* Faster delivery means less duplicated honest work, so the chain under
      Next_round should be at least as long as under Max_delay. *)
   let len strategy =
     List.length (Trace.honest_final_chain (run ~rho:0.0 ~strategy ()))
   in
-  let fast = len (module Adv.Delays.Null_next) in
+  let fast = len (module Null_next) in
   let slow = len (module Adv.Delays.Null_max) in
   Alcotest.(check bool) "fast >= slow" true (fast >= slow)
 

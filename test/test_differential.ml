@@ -1723,7 +1723,6 @@ module Tracer = Fruitchain_obs.Tracer
 module Json = Fruitchain_obs.Json
 module Config = Fruitchain_sim.Config
 module Trace = Fruitchain_sim.Trace
-module Observe = Fruitchain_sim.Observe
 module Params = Fruitchain_core.Params
 
 (* The span tracker keyed by the rendered 16-hex-char id, one table per
@@ -1879,7 +1878,7 @@ module Ref_span = struct
     t.rev_order <- []
 end
 
-(* Observe's mint, delivery and close hooks with per-delivery span marking:
+(* The trace's mint, delivery and close hooks with per-delivery span marking:
    the id rendered from the full hex digest at every hook, and every
    sighting of a block re-opening and re-marking all its fruits. The metric
    harvest is left out: the property's scopes carry no registry. *)
@@ -2061,7 +2060,7 @@ module Ref_observe = struct
     end
 end
 
-(* Observe and Ref_observe, each on its own buffering tracer, take the same
+(* Trace and Ref_observe, each on its own buffering tracer, take the same
    random hook sequence over one store, and every line they emit must be
    equal. Fruits and blocks are minted at the current round, with or
    without provenance; some blocks take the digest of a buffered fruit, as
@@ -2086,7 +2085,7 @@ let span_differential =
       in
       let store = Store.create () in
       let tracer = Tracer.buffer () and ref_tracer = Tracer.buffer () in
-      let observe = Observe.create ~scope:(Scope.make ~tracer ()) ~config ~store in
+      let observe = Trace.create ~scope:(Scope.make ~tracer ()) ~config ~store () in
       let reference = Ref_observe.create ~scope:(Scope.make ~tracer:ref_tracer ()) ~config ~store in
       let now = ref 0 and counter = ref 0 in
       let fresh () =
@@ -2148,11 +2147,11 @@ let span_differential =
             ]
       in
       let both_minted ~miner msgs =
-        Observe.minted observe ~round:!now ~miner msgs;
+        Trace.minted observe ~round:!now ~miner msgs;
         Ref_observe.minted reference ~round:!now ~miner msgs
       in
       let both_incoming msgs =
-        Observe.incoming observe ~round:!now msgs;
+        Trace.incoming observe ~round:!now msgs;
         Ref_observe.incoming reference ~round:!now msgs
       in
       let step (kind, a, b) =
@@ -2169,7 +2168,7 @@ let span_differential =
             in
             fruits := Array.append !fruits [| f |];
             if b mod 3 = 0 then begin
-              Observe.fruit_mined observe f;
+              Trace.fruit_mined observe f;
               Ref_observe.fruit_mined reference f
             end
             else if b mod 3 = 1 then
@@ -2181,7 +2180,7 @@ let span_differential =
             if b mod 2 = 0 then both_minted ~miner:(a mod n) (announce [ blk ] ~relay:false)
         | 2 ->
             let blk = new_block a b in
-            Observe.block_mined observe ~sibling:(a mod 3 = 0) blk;
+            Trace.block_mined observe ~sibling:(a mod 3 = 0) blk;
             Ref_observe.block_mined reference ~sibling:(a mod 3 = 0) blk
         | 3 | 4 ->
             (* A delivery of one to three blocks minted at any time. *)
@@ -2204,7 +2203,7 @@ let span_differential =
         | 7 ->
             if Array.length !fruits > 0 then begin
               let f = pick !fruits a in
-              Observe.fruit_mined observe f;
+              Trace.fruit_mined observe f;
               Ref_observe.fruit_mined reference f
             end
         | _ -> now := !now + 1 + (a mod 5)
@@ -2219,10 +2218,11 @@ let span_differential =
             else best)
           Types.genesis.b_hash !blocks
       in
-      Trace.set_final_heads (Observe.trace observe) (Array.make n head);
       Trace.set_final_heads reference.Ref_observe.trace (Array.make n head);
       let oracle = Oracle.real ~p:0.01 ~pf:0.1 in
-      Observe.finish observe ~network:(Network.create ~n ~delta:2 ()) ~oracle ~extra:[];
+      let head_id = Store.find_id store head in
+      Trace.finish observe (fun _ -> head_id) ~network:(Network.create ~n ~delta:2 ()) ~oracle
+        ~extra:[];
       Ref_observe.finish reference ~oracle;
       List.equal String.equal (Tracer.lines ref_tracer) (Tracer.lines tracer))
 

@@ -410,6 +410,20 @@ let test_r12_include_reexport () =
   Alcotest.(check (list int)) "base.mli clean" []
     (r12_lines (Filename.concat r12_tree "lib/util/base.mli") (r12_report ()))
 
+let test_r12_module_declarations () =
+  (* fixtures/r12/modules: lib/util/kit.mli declares one module per case.
+     A first-class module, a value read inside a declared module, a
+     functor application's module and a functor applied by a module
+     binding in another unit are uses; a module type and an alias are out
+     of scope. Unused (no user) and Own (named only in its own unit) are
+     reported at their [module] line. *)
+  let tree = Filename.concat r12_tree "modules" in
+  check_diags "unused module declarations flagged"
+    [ (Filename.concat tree "lib/util/kit.mli", 22, "R12");
+      (Filename.concat tree "lib/util/kit.mli", 25, "R12") ]
+    (Lint.lint_files ~only:[ Lint.R12 ]
+       [ Filename.concat tree "lib"; Filename.concat tree "bin" ])
+
 let test_r12_allow_counted () =
   (* hook (line 15) sits under an allow R12 comment: no diagnostic, and
      the summary counts it. *)
@@ -551,6 +565,7 @@ let () =
           Alcotest.test_case "own-file or test-only use flagged" `Quick test_r12_unused_flagged;
           Alcotest.test_case "module uses count" `Quick test_r12_module_uses;
           Alcotest.test_case "include re-export is a use" `Quick test_r12_include_reexport;
+          Alcotest.test_case "module declarations" `Quick test_r12_module_declarations;
           Alcotest.test_case "allow comment counted" `Quick test_r12_allow_counted;
           Alcotest.test_case "rule metadata" `Quick test_r12_rule_metadata;
         ] );

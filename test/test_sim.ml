@@ -258,6 +258,56 @@ let test_uncorruption_respawns () =
   in
   Alcotest.(check int) "silent while corrupt" 0 (List.length during)
 
+(* Corrupt parties' snapshot entries, on both planes. Party 7 is statically
+   corrupt, party 0 is corrupted at round 100 and released at round 260,
+   and party 1 is corrupted at round 400 and stays corrupt. A height
+   snapshot holds -1, a head snapshot genesis and the final heads genesis
+   for exactly the parties corrupt at that round. Every honest head has
+   left genesis by round 50 (the released party rejoins 40 rounds before
+   the next head snapshot), so only round 0's head snapshot is all
+   genesis. *)
+let test_corrupt_snapshot_entries () =
+  let n = 8 and rounds = 500 in
+  let parties = List.init n Fun.id in
+  let genesis = Types.genesis.b_hash in
+  let run engine =
+    let config =
+      Config.make ~protocol:Config.Fruitchain ~engine ~n ~rho:0.125 ~delta:2 ~rounds ~seed:3L
+        ~corruption_schedule:[ (100, 0); (400, 1) ] ~uncorruption_schedule:[ (260, 0) ]
+        ~snapshot_interval:50 ~head_snapshot_interval:50 ~params:(params ()) ()
+    in
+    let corrupt round = List.filter (Config.is_corrupt_at config ~round) parties in
+    let marked snaps is_marked =
+      List.map
+        (fun (round, entries) -> (round, List.filter (fun i -> is_marked entries.(i)) parties))
+        snaps
+    in
+    let trace = Engine.run ~config ~strategy:(module Delays.Null_max) () in
+    let heights = marked (Trace.height_snapshots trace) (Int.equal (-1)) in
+    let heads = marked (Trace.head_snapshots trace) (Hash.equal genesis) in
+    let final = List.filter (fun i -> Hash.equal genesis (Trace.final_heads trace).(i)) parties in
+    List.iter
+      (fun (round, marked) ->
+        Alcotest.(check (list int)) (Printf.sprintf "heights -1 at %d" round) (corrupt round) marked)
+      heights;
+    List.iter
+      (fun (round, marked) ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "heads genesis at %d" round)
+          (if round = 0 then parties else corrupt round)
+          marked)
+      heads;
+    Alcotest.(check (list int)) "final heads genesis" (corrupt (rounds - 1)) final;
+    Alcotest.(check int) "ten height snapshots" 10 (List.length heights);
+    Alcotest.(check int) "ten head snapshots" 10 (List.length heads);
+    (heights, heads, final)
+  in
+  let entries = Alcotest.(list (pair int (list int))) in
+  let eh, ek, ef = run Config.Exact and sh, sk, sf = run Config.Sparse in
+  Alcotest.(check entries) "planes agree on heights" eh sh;
+  Alcotest.(check entries) "planes agree on heads" ek sk;
+  Alcotest.(check (list int)) "planes agree on final heads" ef sf
+
 let test_uncorruption_validation () =
   let params = params () in
   let bad ?(corr = []) unc msg =
@@ -310,5 +360,7 @@ let () =
             test_adaptive_corruption_validation;
           Alcotest.test_case "uncorruption: respawn" `Quick test_uncorruption_respawns;
           Alcotest.test_case "uncorruption: validation" `Quick test_uncorruption_validation;
+          Alcotest.test_case "corrupt parties' snapshot entries" `Quick
+            test_corrupt_snapshot_entries;
         ] );
     ]

@@ -1,12 +1,12 @@
 (* fruittrace span suite.
 
    Four contracts from the observability layer (lib/obs/span.ml +
-   lib/sim/observe.ml, the one module both engines report through):
+   lib/sim/trace.ml, the one module both engines report through):
 
    1. Span-bearing traces are jobs-invariant. test_determinism.ml already
       pins trace byte-identity for the scoped experiments; this suite adds
       the sharper claim for E01 and E19 that the traces actually CARRY
-      lifecycle spans (a silent regression that stopped `Observe` opening
+      lifecycle spans (a silent regression that stopped `Trace` opening
       spans would keep byte-identity while deleting the feature).
 
    2. Exact and sparse engines emit the same schema: for every span event

@@ -206,15 +206,6 @@ let test_cv () =
   let s = Stats.of_list [ 10.0; 10.0; 10.0 ] in
   check_float "cv of constant" 0.0 (Stats.coefficient_of_variation s)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.0; 3.0; 9.9; -5.0; 15.0 ];
-  let counts = Stats.Histogram.counts h in
-  Alcotest.(check int) "total" 6 (Stats.Histogram.total h);
-  Alcotest.(check int) "clamped low" 3 counts.(0);
-  Alcotest.(check int) "clamped high" 2 counts.(4);
-  check_float "bin mid" 1.0 (Stats.Histogram.bin_mid h 0)
-
 (* --- Hex ------------------------------------------------------------- *)
 
 let test_hex_roundtrip () =
@@ -515,7 +506,6 @@ let () =
           Alcotest.test_case "quantile" `Quick test_quantile;
           Alcotest.test_case "quantile invalid" `Quick test_quantile_invalid;
           Alcotest.test_case "cv" `Quick test_cv;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "gini known values" `Quick test_gini_known;
           Alcotest.test_case "gini invalid" `Quick test_gini_invalid;
         ] );

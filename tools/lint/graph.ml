@@ -40,6 +40,7 @@ type occ = {
 type def = {
   d_id : int;
   d_name : string; (* fully qualified, e.g. "Fruitchain_util.Rng.split" *)
+  d_mod : int; (* the enclosing module's node *)
   d_file : string;
   d_line : int;
   d_col : int;
@@ -194,6 +195,7 @@ let add_def b ~name ~file ~(loc : Location.t) ~in_functor ~mut_alloc ~parent_mod
     {
       d_id = id;
       d_name = name;
+      d_mod = parent_mod;
       d_file = file;
       d_line = loc.loc_start.pos_lnum;
       d_col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;

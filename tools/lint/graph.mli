@@ -22,6 +22,7 @@ type occ = {
 type def = {
   d_id : int;
   d_name : string;  (** fully qualified, e.g. ["Fruitchain_util.Rng.split"] *)
+  d_mod : int;  (** the enclosing module's node *)
   d_file : string;
   d_line : int;
   d_col : int;

@@ -56,9 +56,10 @@
 
    Interface economy, on the same def/use graph:
 
-     R12 every top-level [val] of a lib/ interface has a user in another
-         compilation unit of the linted tree — an export nothing outside
-         its file calls is either dead or an internal helper.
+     R12 every top-level [val] and [module M : ...] declaration of a lib/
+         interface has a user in another compilation unit of the linted
+         tree — an export nothing outside its file uses is either dead or
+         an internal helper.
 
    Suppression: a comment containing "fruitlint: allow R<n>[, R<m> ...]"
    silences those rules on its own line and on the following line;
@@ -116,7 +117,7 @@ let rule_doc = function
   | R9 -> "static race detection: pool work units must not capture mutated top-level state"
   | R10 -> "transitive totality: validation entry points are raise-free through their whole call chain"
   | R11 -> "foreign-code confinement: external declarations only in lib/crypto/sha256.ml"
-  | R12 -> "interface economy: every val of a lib/ interface is used by another unit"
+  | R12 -> "interface economy: every val and module of a lib/ interface is used by another unit"
 
 type diag = {
   file : string;
@@ -558,7 +559,9 @@ let interproc ~only graph suppr_of =
    a resolved occurrence in a definition or module of another file names
    its definition, or when another file names the unit itself as a module
    (a first-class [(module U)] or a functor argument), which may reach
-   every value of the unit.  A module alias is no use: references made
+   every value of the unit.  A [module M : ...] declaration is used when
+   such an occurrence, or another file's functor application, lands on M
+   or anything inside it.  A module alias is no use: references made
    through it already resolve to the definitions.  Test code is not in
    the linted tree, so a value only tests call needs an allow comment. *)
 
@@ -568,45 +571,73 @@ let unused_exports (g : Graph.t) interfaces =
   in
   let used = Array.make (Array.length g.g_defs) false in
   let unit_used = Array.make (Array.length g.g_mods) false in
+  let mod_used = Array.make (Array.length g.g_mods) false in
+  (* A use of anything inside a module uses the module and each module
+     enclosing it. *)
+  let rec mark_mod file id =
+    let m = g.g_mods.(id) in
+    if not (String.equal m.m_file file) then begin
+      mod_used.(id) <- true;
+      Option.iter (mark_mod file) m.m_parent
+    end
+  in
   let mark file (o : Graph.occ) =
     match o.o_target with
-    | Some (T_def id) -> if not (String.equal g.g_defs.(id).d_file file) then used.(id) <- true
+    | Some (T_def id) ->
+        let d = g.g_defs.(id) in
+        if not (String.equal d.d_file file) then used.(id) <- true;
+        mark_mod file d.d_mod
     | Some (T_mod id) ->
         let m = g.g_mods.(id) in
-        if is_unit m && not (String.equal m.m_file file) then unit_used.(id) <- true
+        if is_unit m && not (String.equal m.m_file file) then unit_used.(id) <- true;
+        mark_mod file id
     | None -> ()
   in
   Array.iter (fun (d : Graph.def) -> List.iter (mark d.d_file) d.d_occs) g.g_defs;
-  Array.iter (fun (m : Graph.mnode) -> List.iter (mark m.m_file) m.m_occs) g.g_mods;
+  Array.iter
+    (fun (m : Graph.mnode) ->
+      List.iter (mark m.m_file) m.m_occs;
+      Option.iter (mark_mod m.m_file) m.m_func_target)
+    g.g_mods;
   let unit_of_impl = Hashtbl.create 64 in
   Array.iter (fun (m : Graph.mnode) -> if is_unit m then Hashtbl.replace unit_of_impl m.m_file m) g.g_mods;
   let unused_in (file, (sg : Parsetree.signature)) =
     let impl = Filename.chop_suffix file ".mli" ^ ".ml" in
     match (Graph.unit_of_file impl, Hashtbl.find_opt unit_of_impl impl) with
     | `Lib (_, unit_name), Some u when not unit_used.(u.m_id) ->
+        let unused table flags name =
+          match Hashtbl.find_opt table name with Some id -> not flags.(id) | None -> false
+        in
         List.filter_map
           (fun (item : Parsetree.signature_item) ->
-            match item.psig_desc with
-            | Psig_value { pval_name = { txt = name; _ }; _ }
-              when (match Hashtbl.find_opt u.m_values name with
-                   | Some id -> not used.(id)
-                   | None -> false) ->
+            let export =
+              match item.psig_desc with
+              | Psig_value { pval_name = { txt = name; _ }; _ }
+                when unused u.m_values used name ->
+                  Some ("", name)
+              | Psig_module { pmd_name = { txt = Some name; _ }; pmd_type; _ }
+                when (match pmd_type.pmty_desc with Pmty_alias _ -> false | _ -> true)
+                     && unused u.m_mods mod_used name ->
+                  Some ("module ", name)
+              | _ -> None
+            in
+            Option.map
+              (fun (kind, name) ->
                 let p = item.psig_loc.loc_start in
-                Some
-                  {
-                    file;
-                    line = p.pos_lnum;
-                    col = p.pos_cnum - p.pos_bol;
-                    rule = R12;
-                    msg =
-                      Printf.sprintf
-                        "%s.%s is exported but unused by any other unit of the linted tree; \
-                         delete it, drop it from the interface, or mark a test hook with \
-                         \"fruitlint: allow R12 <reason>\""
-                        unit_name name;
-                    notes = [];
-                  }
-            | _ -> None)
+                {
+                  file;
+                  line = p.pos_lnum;
+                  col = p.pos_cnum - p.pos_bol;
+                  rule = R12;
+                  msg =
+                    Printf.sprintf
+                      "%s%s.%s is exported but unused by any other unit of the linted tree; \
+                       delete it, drop it from the interface, or mark a test hook with \
+                       \"fruitlint: allow R12 <reason>\""
+                      kind unit_name name;
+                  notes = [];
+                })
+              export)
           sg
     | _ -> []
   in

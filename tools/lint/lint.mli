@@ -47,13 +47,19 @@
 
     And one whole-program rule keeps the library interfaces honest:
 
-    - {b R12} interface economy: every top-level [val] of a [lib/**/*.mli]
-      has a user in another compilation unit of the linted tree — a
+    - {b R12} interface economy: every top-level [val] and every
+      [module M : ...] declaration of a [lib/**/*.mli] has a user in
+      another compilation unit of the linted tree. A value is used by a
       resolved reference from a definition or module of another file, or
-      a module occurrence of the unit itself (a first-class module or a
-      functor argument). A module alias is not a use. The diagnostic sits
-      on the [val] line; a value that only tests call stays exported only
-      under an allow comment that names the test.
+      by a module occurrence of the unit itself (a first-class module or
+      a functor argument). A declared module is used when such an
+      occurrence, or another file's functor application, lands on it or
+      on anything inside it ([(module Delays.Null_max)],
+      [Tx.Workload.with_whales], [Hash.Tbl.create]). A module alias is
+      not a use; module types and interface aliases are not checked. The
+      diagnostic sits on the [val] or [module] line; an export that only
+      tests use stays exported only under an allow comment that names
+      the test.
 
     A comment containing ["fruitlint: allow R<n>[, R<m> ...]"] suppresses
     those rules on its own line and on the following line;
