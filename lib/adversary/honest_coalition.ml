@@ -20,7 +20,7 @@ module M : Strategy.S = struct
     let view = Window_view.Cache.view ctx.views ~head:Types.genesis.b_hash in
     {
       ctx;
-      buffer = Buffer_f.create ();
+      buffer = Buffer_f.create ctx.views;
       head = Types.genesis.b_hash;
       view;
     }

@@ -45,7 +45,7 @@ module Make (P : PARAMS) : Strategy.S = struct
   let create (ctx : Strategy.ctx) =
     {
       ctx;
-      buffer = Buffer_f.create ();
+      buffer = Buffer_f.create ctx.views;
       priv = Types.genesis.b_hash;
       withheld = [];
       pub_head = Types.genesis.b_hash;

@@ -1,36 +1,24 @@
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
 
-(* The fruits hanging from one block, newest first, and how many. A group
-   only grows at the front, so the fruits that arrived since the last F′
-   walked it are its first [fresh]. Membership is a scan of [fruits] until
-   the group outgrows [scan_limit]; from then on [index] holds every
-   fruit's hash. *)
-type group = {
-  mutable fruits : Types.fruit list;
-  mutable count : int;
-  mutable fresh : int;
-  mutable index : unit Hash.Tbl.t option;
-}
-
+(* A slot of the cache's fruit plane, which holds the fruits, and the last
+   F′: over the view of [memo_head] at [memo_height]. *)
 type t = {
-  groups : group Hash.Tbl.t; (* hang point -> the fruits hanging there *)
+  plane : Fruit_plane.t;
+  slot : int;
   mutable size : int;
   mutable mutations : int;
-  (* The last F′, over the view of [memo_head] at [memo_height]. *)
   mutable memo_head : Hash.t;
   mutable memo_height : int;
   mutable memo_mutations : int;
   mutable memo : Types.fruit list;
 }
 
-(* Most groups hold about p_f/p fruits and a scan beats a table there, in
-   time and memory; groups past this size (q in the hundreds) get one. *)
-let scan_limit = 64
-
-let create () =
+let create views =
+  let plane = Window_view.Cache.plane views in
   {
-    groups = Hash.Tbl.create 64;
+    plane;
+    slot = Fruit_plane.claim plane;
     size = 0;
     mutations = 0;
     memo_head = Hash.zero;
@@ -39,64 +27,33 @@ let create () =
     memo = [];
   }
 
+let release t = Fruit_plane.release t.plane t.slot
 let size t = t.size
-let touch t = t.mutations <- t.mutations + 1
+let mem t f = Fruit_plane.mem t.plane t.slot f
 
-let rec scan h = function
-  | [] -> false
-  | (f : Types.fruit) :: rest -> Hash.equal f.f_hash h || scan h rest
+let add t f =
+  Fruit_plane.add t.plane t.slot f
+  && begin
+       t.size <- t.size + 1;
+       t.mutations <- t.mutations + 1;
+       true
+     end
 
-let in_group g h =
-  match g.index with Some index -> Hash.Tbl.mem index h | None -> scan h g.fruits
-
-let mem t (f : Types.fruit) =
-  match Hash.Tbl.find_opt t.groups f.f_header.pointer with
-  | Some g -> in_group g f.f_hash
-  | None -> false
-
-let add t (f : Types.fruit) =
-  let g =
-    match Hash.Tbl.find_opt t.groups f.f_header.pointer with
-    | Some g -> g
-    | None ->
-        let g = { fruits = []; count = 0; fresh = 0; index = None } in
-        Hash.Tbl.replace t.groups f.f_header.pointer g;
-        g
-  in
-  if in_group g f.f_hash then false
-  else begin
-    g.fruits <- f :: g.fruits;
-    g.count <- g.count + 1;
-    g.fresh <- g.fresh + 1;
-    (match g.index with
-    | Some index -> Hash.Tbl.replace index f.f_hash ()
-    | None when g.count > scan_limit ->
-        let index = Hash.Tbl.create (2 * g.count) in
-        List.iter (fun (f : Types.fruit) -> Hash.Tbl.replace index f.f_hash ()) g.fruits;
-        g.index <- Some index
-    | None -> ());
-    t.size <- t.size + 1;
-    touch t;
-    true
+let dropped t n =
+  if n > 0 then begin
+    t.size <- t.size - n;
+    t.mutations <- t.mutations + 1
   end
 
-let drop_group t pointer =
-  match Hash.Tbl.find_opt t.groups pointer with
-  | None -> ()
-  | Some g ->
-      Hash.Tbl.remove t.groups pointer;
-      t.size <- t.size - g.count;
-      touch t
-
 let expire t ~view =
-  match Window_view.expired view with Some (block, _) -> drop_group t block | None -> ()
+  match Window_view.expired view with
+  | Some (block, _) -> dropped t (Fruit_plane.drop t.plane t.slot ~pointer:block)
+  | None -> ()
 
 let prune t ~store ~view =
-  Hash.Tbl.fold
-    (fun pointer _ stale ->
-      if Window_view.stale_pointer ~store view ~pointer then pointer :: stale else stale)
-    t.groups []
-  |> List.iter (drop_group t)
+  dropped t
+    (Fruit_plane.prune t.plane t.slot ~stale:(fun pointer ->
+         Window_view.stale_pointer ~store view ~pointer))
 
 let by_hash (a : Types.fruit) (b : Types.fruit) = Hash.compare a.f_hash b.f_hash
 
@@ -116,35 +73,27 @@ let merge xs ys =
 
 (* F′ is derived from the memo when the memo's head is still on the view's
    chain inside its window (warm): the memo's fruits that are still recent
-   and unrecorded, plus every fruit the memo has not seen — the fresh
-   prefix of each group in scope, and the whole group of each block that
-   entered the window since. Otherwise (cold) every group in scope is
-   walked. Either way each walked group's [fresh] drops to zero, so it
-   counts arrivals since this F′. *)
+   and unrecorded, plus every fruit the memo has not seen — the fresh ones
+   of each group in scope, and the whole group of each block that entered
+   the window since. Otherwise (cold) every group in scope is walked.
+   Either way a walk leaves none of the group's fruits fresh, so the next
+   warm F′ finds exactly the arrivals since this one. *)
 let candidates t ~view =
   let head = Window_view.head view and recency = Window_view.enforces_recency view in
   if not (Int.equal t.memo_mutations t.mutations && Hash.equal t.memo_head head) then begin
     let warm = Window_view.is_recent view ~pointer:t.memo_head in
-    let walk ~all acc g =
-      let rec take acc n = function
-        | (f : Types.fruit) :: rest when all || n > 0 ->
-            let acc = if Window_view.is_included view ~fruit:f.f_hash then acc else f :: acc in
-            take acc (n - 1) rest
-        | _ -> acc
-      in
-      let acc = take acc g.fresh g.fruits in
-      g.fresh <- 0;
-      acc
+    let keep acc (f : Types.fruit) =
+      if Window_view.is_included view ~fruit:f.f_hash then acc else f :: acc
     in
     let walk_at ~all acc pointer =
-      match Hash.Tbl.find_opt t.groups pointer with Some g -> walk ~all acc g | None -> acc
+      Fruit_plane.walk t.plane t.slot ~pointer ~all ~init:acc ~f:keep
     in
     let unseen =
-      if not recency then
-        Hash.Tbl.fold (fun _ g acc -> walk ~all:(not warm) acc g) t.groups []
+      if not recency then Fruit_plane.fold_held t.plane t.slot ~all:(not warm) ~init:[] ~f:keep
       else if warm then
-        (* The entering groups are walked whole first, which zeroes their
-           [fresh], so the window fold that meets them again adds nothing. *)
+        (* The entering groups are walked whole first, which leaves none of
+           their fruits fresh, so the window fold that meets them again adds
+           nothing. *)
         let entered = Window_view.height view - t.memo_height in
         Window_view.fold_window view
           ~init:(Window_view.fold_newest view entered ~init:[] ~f:(walk_at ~all:true))

@@ -20,7 +20,7 @@ type t = {
 }
 
 let create ?(gossip = false) ~id ~params ~store ~views ~rng () =
-  let buffer = Buffer.create () in
+  let buffer = Buffer.create views in
   let view = Window_view.Cache.view views ~head:Types.genesis.b_hash in
   let rec t =
     {
@@ -41,6 +41,7 @@ let create ?(gossip = false) ~id ~params ~store ~views ~rng () =
   t
 
 let id t = t.id
+let release t = Buffer.release t.buffer
 let set_gossip t on = t.gossip <- on
 let head_id t = t.head_id
 let head t = Store.hash_at t.store t.head_id

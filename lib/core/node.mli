@@ -32,6 +32,11 @@ val create :
 
 val id : t -> int
 
+val release : t -> unit
+(** Hands the buffer's slot back to the run's fruit plane, for a node
+    spawned later; the node must not be used again. The engine calls it
+    when it corrupts the party. *)
+
 val set_gossip : t -> bool -> unit
 (** Flips the relay behaviour mid-run (scenario [gossip_toggle] events);
     takes effect from the node's next {!step}. *)

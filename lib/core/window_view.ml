@@ -73,6 +73,7 @@ module Cache = struct
     store : Store.t;
     recorders : Store.id list Hash.Tbl.t; (* fruit -> the blocks recording it *)
     views : view Hash.Tbl.t;
+    plane : Fruit_plane.t;
   }
 
   (* Adds the block's fruits to the index. Idempotent: a rebuild meets
@@ -155,13 +156,22 @@ module Cache = struct
 
   let make reach ~store =
     let genesis = Types.genesis.b_hash in
-    let t = { reach; store; recorders = Hash.Tbl.create 1024; views = Hash.Tbl.create 1024 } in
+    let t =
+      {
+        reach;
+        store;
+        recorders = Hash.Tbl.create 1024;
+        views = Hash.Tbl.create 1024;
+        plane = Fruit_plane.create ();
+      }
+    in
     let chain = { base = 0; ids = Array.make 64 Store.genesis_id; top = 1 } in
     Hash.Tbl.replace t.views genesis (make_view t chain ~head:genesis ~height:0);
     t
 
   let create ~window ~store = make (Last window) ~store
   let whole_chain ~store = make Whole_chain ~store
+  let plane t = t.plane
 
   let view t ~head =
     match Hash.Tbl.find_opt t.views head with

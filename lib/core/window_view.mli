@@ -16,7 +16,9 @@
     A new view is O(1) amortized.
 
     A view is immutable and keyed by its head, so all nodes currently on the
-    same head share one view through {!Cache}.
+    same head share one view through {!Cache}. The cache, made once per
+    run, also owns the run's {!Fruit_plane}: every {!Buffer} made from it
+    is a slot there, so a fruit that reaches every party is stored once.
 
     Runs without the recency rule use whole-chain views
     ({!Cache.whole_chain}): their window is the entire chain, so
@@ -80,6 +82,10 @@ module Cache : sig
   val whole_chain : store:Store.t -> t
   (** Views of the whole chain, for runs that do not enforce recency: every
       block of the chain is in the window, and no block ever leaves it. *)
+
+  val plane : t -> Fruit_plane.t
+  (** The run's fruit plane, shared by every {!Buffer} made from this
+      cache. *)
 
   val view : t -> head:Hash.t -> view
   (** The view for any stored head: derived from the nearest cached

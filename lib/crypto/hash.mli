@@ -27,10 +27,15 @@ val zero : t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A table hash: the leading eight bytes (digests are uniform), as a
+    non-negative int. Stable across OCaml versions, and it allocates
+    nothing. *)
+
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by digests, hashed by their leading eight bytes
-    (digests are uniform) and compared with {!equal}. Every digest-keyed
-    table goes through this instead of the polymorphic [Hashtbl]. *)
+(** Hash tables keyed by digests, hashed by {!hash} and compared with
+    {!equal}. Every digest-keyed table goes through this instead of the
+    polymorphic [Hashtbl]. *)
 
 val to_hex : t -> string
 val pp : Format.formatter -> t -> unit

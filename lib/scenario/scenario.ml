@@ -154,13 +154,12 @@ let check_event t i ev =
              [ diag ~event:i "S3" "partition group is empty" ]
            else []);
           List.concat_map (check_party t i "partition") members;
-          (let sorted = List.sort_uniq Int.compare members in
-           if List.length sorted <> List.length members then
+          (let distinct = List.sort_uniq Int.compare members in
+           if List.length distinct <> List.length members then
              [ diag ~event:i "S3" "a party appears in two partition groups" ]
            else if
-             List.length sorted = List.length members
-             && List.exists (fun p -> p >= 0 && p < t.n && not (List.mem p members))
-                  (List.init t.n (fun j -> j))
+             (* Counted, not listed: n may be far larger than the groups. *)
+             List.fold_left (fun k p -> if p >= 0 && p < t.n then k + 1 else k) 0 distinct < t.n
            then [ diag ~event:i "S3" "partition groups must cover every party" ]
            else []);
         ]

@@ -83,10 +83,15 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
         end)
       config.Config.gossip_schedule;
     (* Adaptive corruption: Z hands the party to A at its scheduled round;
-       the node stops acting (its state is the adversary's to use) and its
-       query moves into the adversary's budget (Strategy.q_at). *)
+       the node stops acting and its query moves into the adversary's
+       budget (Strategy.q_at). Its buffer's slot goes back to the fruit
+       plane, for a node respawned later. *)
     List.iter
-      (fun (r, party) -> if Int.equal r round then parties.(party) <- Corrupt)
+      (fun (r, party) ->
+        if Int.equal r round then begin
+          (match parties.(party) with Fruit node -> Fruit_node.release node | Nak _ | Corrupt -> ());
+          parties.(party) <- Corrupt
+        end)
       config.Config.corruption_schedule;
     (* Uncorruption: the released party re-spawns as a freshly initialized
        honest node (the paper treats it exactly like a new player). *)

@@ -94,9 +94,8 @@ let views_along cache blocks =
 
 let last l = List.nth l (List.length l - 1)
 
-let genesis_view () =
-  let cache = Window_view.Cache.create ~window:4 ~store:(Store.create ()) in
-  Window_view.Cache.view cache ~head:Types.genesis_hash
+let genesis_cache () = Window_view.Cache.create ~window:4 ~store:(Store.create ())
+let genesis_view () = Window_view.Cache.view (genesis_cache ()) ~head:Types.genesis_hash
 
 let test_view_genesis () =
   let v = genesis_view () in
@@ -202,8 +201,9 @@ let test_view_stale_pointer () =
 
 let test_buffer_add_and_candidates () =
   let o = easy_oracle () and rng = Rng.of_seed 7L in
-  let buf = Buffer_f.create () in
-  let view = genesis_view () in
+  let views = genesis_cache () in
+  let buf = Buffer_f.create views in
+  let view = Window_view.Cache.view views ~head:Types.genesis_hash in
   let f1 = mine_fruit o rng ~pointer:Types.genesis_hash () in
   let f2 = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "elsewhere")) () in
   Alcotest.(check bool) "f1 new" true (Buffer_f.add buf f1);
@@ -216,24 +216,54 @@ let test_buffer_add_and_candidates () =
 
 let test_buffer_idempotent () =
   let o = easy_oracle () and rng = Rng.of_seed 8L in
-  let buf = Buffer_f.create () in
+  let views = genesis_cache () in
+  let buf = Buffer_f.create views in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   Alcotest.(check bool) "first add is new" true (Buffer_f.add buf f);
   Alcotest.(check bool) "second add is not" false (Buffer_f.add buf f);
   Alcotest.(check bool) "member" true (Buffer_f.mem buf f);
   Alcotest.(check int) "no duplicate" 1 (Buffer_f.size buf);
   Alcotest.(check int) "one candidate" 1
-    (List.length (Buffer_f.candidates buf ~view:(genesis_view ())))
+    (List.length
+       (Buffer_f.candidates buf ~view:(Window_view.Cache.view views ~head:Types.genesis_hash)))
+
+let test_buffer_one_hash_two_pointers () =
+  (* Identity is (pointer, hash): a fruit whose header is changed to hang
+     from another recent block keeps its hash and is a second fruit. *)
+  let o = easy_oracle () and rng = Rng.of_seed 13L in
+  let store = Store.create () in
+  let b1 = mine_block o rng ~parent:Types.genesis_hash [] in
+  Store.add store b1;
+  let views = Window_view.Cache.create ~window:4 ~store in
+  let view = Window_view.Cache.view views ~head:b1.Types.b_hash in
+  let buf = Buffer_f.create views in
+  let f1 = mine_fruit o rng ~pointer:Types.genesis_hash () in
+  let f2 = { f1 with f_header = { f1.f_header with pointer = b1.Types.b_hash } } in
+  Alcotest.(check bool) "first pointer new" true (Buffer_f.add buf f1);
+  Alcotest.(check bool) "second pointer new" true (Buffer_f.add buf f2);
+  Alcotest.(check bool) "second pointer again" false (Buffer_f.add buf f2);
+  Alcotest.(check int) "both held" 2 (Buffer_f.size buf);
+  Alcotest.(check bool) "both members" true (Buffer_f.mem buf f1 && Buffer_f.mem buf f2);
+  let pointers =
+    List.map (fun (f : Types.fruit) -> f.f_header.pointer) (Buffer_f.candidates buf ~view)
+  in
+  Alcotest.(check int) "both in F'" 2 (List.length pointers);
+  Alcotest.(check bool) "one per pointer" true
+    (List.exists (Hash.equal Types.genesis_hash) pointers
+    && List.exists (Hash.equal b1.Types.b_hash) pointers)
 
 let test_buffer_candidates_sorted () =
   let o = easy_oracle () and rng = Rng.of_seed 9L in
-  let buf = Buffer_f.create () in
+  let views = genesis_cache () in
+  let buf = Buffer_f.create views in
   for i = 0 to 9 do
     ignore
       (Buffer_f.add buf (mine_fruit o rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ()))
   done;
   let hashes =
-    List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf ~view:(genesis_view ()))
+    List.map
+      (fun (f : Types.fruit) -> f.f_hash)
+      (Buffer_f.candidates buf ~view:(Window_view.Cache.view views ~head:Types.genesis_hash))
   in
   let sorted = List.sort Hash.compare hashes in
   Alcotest.(check int) "all ten" 10 (List.length hashes);
@@ -250,13 +280,13 @@ let test_buffer_expire_vs_prune () =
   in
   let b1 = mine_block o rng ~parent:Types.genesis_hash [ List.nth fruits 0; List.nth fruits 1 ] in
   Store.add store b1;
-  let incremental = Buffer_f.create () in
-  let reference = Buffer_f.create () in
+  let views = Window_view.Cache.create ~window ~store in
+  let incremental = Buffer_f.create views in
+  let reference = Buffer_f.create views in
   List.iter (fun f ->
       ignore (Buffer_f.add incremental f : bool);
       ignore (Buffer_f.add reference f : bool))
     fruits;
-  let views = Window_view.Cache.create ~window ~store in
   let view1 = Window_view.Cache.view views ~head:b1.Types.b_hash in
   Buffer_f.expire incremental ~view:view1;
   Buffer_f.prune reference ~store ~view:view1;
@@ -284,8 +314,8 @@ let test_buffer_expire_vs_prune () =
 let test_buffer_recency_disabled () =
   let o = easy_oracle () and rng = Rng.of_seed 11L in
   let store = Store.create () in
-  let buf = Buffer_f.create () in
   let views = Window_view.Cache.whole_chain ~store in
+  let buf = Buffer_f.create views in
   let view = Window_view.Cache.view views ~head:Types.genesis_hash in
   let f = mine_fruit o rng ~pointer:(Hash.of_raw (Sha256.digest "anywhere")) () in
   ignore (Buffer_f.add buf f : bool);
@@ -301,7 +331,7 @@ let test_buffer_recency_disabled_remembers_chain () =
   let o = easy_oracle () and rng = Rng.of_seed 12L in
   let store = Store.create () in
   let views = Window_view.Cache.whole_chain ~store in
-  let buf = Buffer_f.create () in
+  let buf = Buffer_f.create views in
   let f = mine_fruit o rng ~pointer:Types.genesis_hash () in
   ignore (Buffer_f.add buf f : bool);
   let grow head fruits_per_block =
@@ -509,6 +539,21 @@ let test_node_two_for_one_same_query () =
       | None -> Alcotest.fail "p=1 must mine")
   | _ -> Alcotest.fail "p=pf=1 must win both"
 
+let test_node_release_starts_empty () =
+  (* A node spawned after another released its buffer's slot holds
+     nothing, even on that slot: it takes a fruit the released node held. *)
+  let params, oracle, store, views, node = node_setup ~seed:14L () in
+  let f = mine_fruit oracle (Rng.of_seed 15L) ~pointer:Types.genesis_hash () in
+  Node.receive node oracle (Message.fruit_announce ~sender:9 ~sent_at:0 f);
+  Alcotest.(check int) "held" 1 (Node.buffer_size node);
+  Node.release node;
+  let reborn = Node.create ~id:0 ~params ~store ~views ~rng:(Rng.of_seed 16L) () in
+  Alcotest.(check int) "starts empty" 0 (Node.buffer_size reborn);
+  Alcotest.(check int) "no candidates" 0 (List.length (Node.candidate_fruits reborn));
+  Node.receive reborn oracle (Message.fruit_announce ~sender:9 ~sent_at:0 f);
+  Alcotest.(check int) "takes the fruit" 1 (Node.buffer_size reborn);
+  Alcotest.(check int) "a candidate" 1 (List.length (Node.candidate_fruits reborn))
+
 let test_node_step_broadcasts () =
   let _, oracle, _, _, node = node_setup ~p:1.0 ~pf:1.0 ~seed:10L () in
   let out = Node.step node oracle ~round:0 ~record:"m" ~incoming:[] in
@@ -612,10 +657,10 @@ let test_gossip_spreads_targeted_delivery () =
   Alcotest.(check bool) "node 2 has it" true (has nodes.(2))
 
 let test_gossip_relays_once_in_large_group () =
-  (* More fruits on one pointer than a buffer group scans, so the group
-     switches to its index part-way through; the first fruit (indexed when
-     the group switched) and the last (indexed since) delivered again must
-     still be known. Block mining is off (p ~ 0). *)
+  (* 72 fruits on one pointer, past the 64 a buffer group once scanned before
+     it switched to an index (the case keeps that name) and far past a usual
+     hang-point group (about p_f/p = 10 fruits); the first and the last
+     delivered again must still be known. Block mining is off (p ~ 0). *)
   let params = Params.make ~p:1e-12 ~pf:0.5 ~kappa:2 ~recency_r:2 () in
   let oracle = Oracle.real ~p:params.Params.p ~pf:params.Params.pf in
   let store = Store.create () in
@@ -623,7 +668,7 @@ let test_gossip_relays_once_in_large_group () =
   let node = Node.create ~gossip:true ~id:0 ~params ~store ~views ~rng:(Rng.of_seed 3L) () in
   let rng = Rng.of_seed 93L in
   let fruits =
-    List.init (Buffer_f.scan_limit + 8) (fun i ->
+    List.init 72 (fun i ->
         mine_fruit oracle rng ~pointer:Types.genesis_hash ~record:(string_of_int i) ())
   in
   let deliver round fs =
@@ -686,6 +731,7 @@ let () =
         [
           Alcotest.test_case "add and candidates" `Quick test_buffer_add_and_candidates;
           Alcotest.test_case "idempotent add" `Quick test_buffer_idempotent;
+          Alcotest.test_case "one hash on two pointers" `Quick test_buffer_one_hash_two_pointers;
           Alcotest.test_case "canonical order" `Quick test_buffer_candidates_sorted;
           Alcotest.test_case "expire = prune" `Quick test_buffer_expire_vs_prune;
           Alcotest.test_case "recency disabled" `Quick test_buffer_recency_disabled;
@@ -704,6 +750,7 @@ let () =
           Alcotest.test_case "rebuffers on reorg" `Quick test_node_rebuffers_fruits_on_reorg;
           Alcotest.test_case "2-for-1 same query" `Quick test_node_two_for_one_same_query;
           Alcotest.test_case "step broadcasts" `Quick test_node_step_broadcasts;
+          Alcotest.test_case "released slot starts empty" `Quick test_node_release_starts_empty;
         ] );
       ( "gossip",
         [

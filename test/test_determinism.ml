@@ -353,8 +353,8 @@ let allocated_words f =
   (result, words () -. before)
 
 (* Allocation regression tripwire for the round loop, in bytes per round
-   at quick-scale parameters: 2,449 (Nakamoto) and 3,934 (FruitChain) in
-   the dev profile, 2,446 and 3,791 in release, dominated by trace events
+   at quick-scale parameters: 2,419 (Nakamoto) and 3,767 (FruitChain) in
+   the dev profile, 2,417 and 3,624 in release, dominated by trace events
    and message delivery, with mining queries allocation-free on the miss
    path (a boxed float per Bernoulli draw and a boxed Int64 per bounded
    draw cost ~640 B/round more). Runs are seeded and sequential, and each
@@ -376,12 +376,41 @@ let alloc_per_round protocol =
 let test_round_loop_allocation () =
   let nakamoto = alloc_per_round Sim_config.Nakamoto in
   Alcotest.(check bool)
-    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 3680)" nakamoto)
-    true (nakamoto < 3680.);
+    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 3630)" nakamoto)
+    true (nakamoto < 3630.);
   let fruitchain = alloc_per_round Sim_config.Fruitchain in
   Alcotest.(check bool)
-    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 5910)" fruitchain)
-    true (fruitchain < 5910.)
+    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 5650)" fruitchain)
+    true (fruitchain < 5650.)
+
+(* Retention tripwire for the FruitChain round loop: words promoted to the
+   major heap per round, at n = 100 under the honest coalition. Nearly
+   every fruit reaches every party, and each party's buffer holds it for
+   the ~80 rounds its hang point stays in the window, so whatever a buffer
+   keeps per received fruit survives the minor heap. With one copy of each
+   fruit per run (the fruit plane) the loop promotes 171 words per round in
+   both build profiles (28 at n = 20); with a cons cell per receipt it
+   promoted 695 (45 at n = 20). The bound is 1.5x that 171. Promotions
+   happen at minor collections, which fall at the same allocations in
+   every run, so the count is exact. *)
+let promoted_per_round () =
+  Pool.set_default_jobs 1;
+  let params = Exp.default_params () in
+  let config =
+    Runs.config ~n:100 ~protocol:Sim_config.Fruitchain ~rho:0.25 ~rounds:20_000 ~params ~seed:7L ()
+  in
+  Gc.full_major ();
+  let _, before, _ = Gc.counters () in
+  ignore (Runs.run config ~strategy:Runs.honest_coalition ());
+  let _, after, _ = Gc.counters () in
+  (after -. before) /. 20_000.
+
+let test_round_loop_retention () =
+  let per_round = promoted_per_round () in
+  Alcotest.(check bool)
+    (Printf.sprintf "fruitchain round loop at n = 100: %.0f promoted words/round (bound 257)"
+       per_round)
+    true (per_round < 257.)
 
 (* The tracing share of a run's allocation: the bytes per round a
    buffering tracer adds over a metrics-only scope on one partition_small
@@ -586,6 +615,7 @@ let () =
         [
           Alcotest.test_case "100k-round sweep jobs 1 == 4" `Slow test_soak_jobs_invariance;
           Alcotest.test_case "round-loop allocation bound" `Slow test_round_loop_allocation;
+          Alcotest.test_case "round-loop retention bound" `Slow test_round_loop_retention;
           Alcotest.test_case "tracing allocation bound" `Slow test_tracing_allocation;
           Alcotest.test_case "network create allocation" `Quick test_network_create_allocation;
           Alcotest.test_case "network delivery allocation" `Quick

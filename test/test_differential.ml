@@ -1051,8 +1051,9 @@ module Ref_buffer = struct
   let candidate_count t = Hashtbl.length t.candidate_set
 end
 
-(* Both buffers follow one owner through random operation sequences over
-   a shared store and view cache, the way [Node] drives its buffer: fruits
+(* Each buffer follows its owner through random operation sequences over
+   a shared store and view cache, the way [Node] drives its buffer, and is
+   checked against its own reference: fruits
    hang from any stored block (fork, stale or in-window) or from an unknown
    reference; blocks record random fruits, including ones already recorded
    and ones never buffered; the owner learns a block's fruits before
@@ -1064,48 +1065,66 @@ end
    and prunes pile up between two F′ and the buffer must derive the new F′
    from a memo several steps old. The crowded form runs longer, mostly
    announces fruits and hangs them from the two oldest blocks, so most
-   of its cases push a group past [Fruit_buffer.scan_limit] and take the
-   group's indexed membership path, before and after the switch. In every
+   of its cases push a group past [crowded_group] fruits. The multi-owner
+   form gives three owners buffers of the one cache, at heads of their
+   own; each operation acts for one owner, every owner is checked after
+   every operation, and half-way through the acting owner's buffer is
+   released and replaced by a fresh one, starting at genesis. In every
    form [add] must report a fruit new exactly when the reference did not
    hold it. Each operation is small ints interpreted modulo the current
    state, so failing sequences shrink. *)
 let buffer_cases = ref 0
-let buffer_cases_crossed = ref 0
+let buffer_cases_crowded = ref 0
+let crowded_group = 64
 
-let buffer_property ?(crowded = false) ~name ~at_gaps () =
+type owner = {
+  reference : Ref_buffer.t;
+  buffer : Fruit_buffer.t;
+  mutable head : Hash.t;
+  mutable view : Window_view.t;
+}
+
+let buffer_property ?(crowded = false) ?(owners = 1) ~name ~at_gaps () =
   let kind, length, count =
     if crowded then QCheck.(frequency [ (20, int_bound 3); (1, int_bound 9) ], (200, 400), 100)
     else (QCheck.int_bound 9, (1, 150), 300)
   in
+  (* The last int is the F′ gap, and with several owners also the acting
+     owner ([sel / 4]); one owner keeps the single-owner generator. *)
   QCheck.Test.make ~name ~count
     QCheck.(
       triple bool (int_range 1 5)
         (list_of_size Gen.(int_range (fst length) (snd length))
-           (quad kind small_nat small_nat (int_bound 3))))
+           (quad kind small_nat small_nat (int_bound ((4 * owners) - 1)))))
     (fun (enforce_recency, window, ops) ->
       let store = Store.create () in
       let views =
         if enforce_recency then Window_view.Cache.create ~window ~store
         else Window_view.Cache.whole_chain ~store
       in
-      let reference = Ref_buffer.create ~enforce_recency () in
-      let buffer = Fruit_buffer.create () in
+      let spawn () =
+        {
+          reference = Ref_buffer.create ~enforce_recency ();
+          buffer = Fruit_buffer.create views;
+          head = Types.genesis.b_hash;
+          view = Window_view.Cache.view views ~head:Types.genesis.b_hash;
+        }
+      in
+      let all = Array.init owners (fun _ -> spawn ()) in
       let counter = ref 0 in
       let fresh tag =
         incr counter;
         Hash.of_raw (Sha256.digest (Printf.sprintf "%s%d" tag !counter))
       in
       let blocks = ref [| Types.genesis |] and pool = ref [||] in
-      let head = ref Types.genesis.b_hash in
-      let view = ref (Window_view.Cache.view views ~head:!head) in
       let pick arr i = arr.(i mod Array.length arr) in
-      let added_agrees = ref true and crossed = ref false in
-      let learn (f : Types.fruit) =
-        let unheld = not (Ref_buffer.mem reference f.f_hash) in
-        Ref_buffer.add reference ~view:!view f;
-        if not (Bool.equal unheld (Fruit_buffer.add buffer f)) then added_agrees := false;
-        let group = Hashtbl.find reference.by_pointer f.f_header.pointer in
-        if List.length group > Fruit_buffer.scan_limit then crossed := true
+      let added_agrees = ref true and crowded_case = ref false in
+      let learn o (f : Types.fruit) =
+        let unheld = not (Ref_buffer.mem o.reference f.f_hash) in
+        Ref_buffer.add o.reference ~view:o.view f;
+        if not (Bool.equal unheld (Fruit_buffer.add o.buffer f)) then added_agrees := false;
+        let group = Hashtbl.find o.reference.by_pointer f.f_header.pointer in
+        if List.length group > crowded_group then crowded_case := true
       in
       let new_block ~parent sel =
         let fruits =
@@ -1125,9 +1144,9 @@ let buffer_property ?(crowded = false) ~name ~at_gaps () =
         blocks := Array.append !blocks [| b |];
         b
       in
-      let adopt target =
+      let adopt o target =
         let rec path_to acc h steps =
-          if Hash.equal h !head then Some acc
+          if Hash.equal h o.head then Some acc
           else if steps = 0 || Hash.equal h Types.genesis.b_hash then None
           else
             let b = Store.find_exn store h in
@@ -1137,17 +1156,17 @@ let buffer_property ?(crowded = false) ~name ~at_gaps () =
         | Some path ->
             List.iter
               (fun (b : Types.block) ->
-                view := Window_view.Cache.view views ~head:b.b_hash;
-                Ref_buffer.advance reference ~view:!view ~block:b;
-                Fruit_buffer.expire buffer ~view:!view)
+                o.view <- Window_view.Cache.view views ~head:b.b_hash;
+                Ref_buffer.advance o.reference ~view:o.view ~block:b;
+                Fruit_buffer.expire o.buffer ~view:o.view)
               path
         | None ->
-            view := Window_view.Cache.view views ~head:target;
-            Ref_buffer.refresh reference ~store ~view:!view;
-            Fruit_buffer.prune buffer ~store ~view:!view);
-        head := target
+            o.view <- Window_view.Cache.view views ~head:target;
+            Ref_buffer.refresh o.reference ~store ~view:o.view;
+            Fruit_buffer.prune o.buffer ~store ~view:o.view);
+        o.head <- target
       in
-      let step (kind, a, b) =
+      let step o (kind, a, b) =
         match kind with
         | 0 | 1 | 2 ->
             let n = Array.length !blocks in
@@ -1158,75 +1177,84 @@ let buffer_property ?(crowded = false) ~name ~at_gaps () =
               else (pick !blocks a).b_hash
             in
             let header =
-              { Types.parent = !head; pointer; nonce = Int64.of_int b; digest = Hash.zero; record = "" }
+              { Types.parent = o.head; pointer; nonce = Int64.of_int b; digest = Hash.zero; record = "" }
             in
             let f = { Types.f_header = header; f_hash = fresh "f"; f_prov = None } in
             pool := Array.append !pool [| f |];
             (* Some fruits are never announced to the owner, only recorded. *)
-            if b mod 5 <> 0 then learn f
-        | 3 -> if Array.length !pool > 0 then learn (pick !pool a)
+            if b mod 5 <> 0 then learn o f
+        | 3 -> if Array.length !pool > 0 then learn o (pick !pool a)
         | 4 | 5 ->
-            let blk = new_block ~parent:!head b in
-            List.iter learn blk.fruits;
-            adopt blk.b_hash
+            let blk = new_block ~parent:o.head b in
+            List.iter (learn o) blk.fruits;
+            adopt o blk.b_hash
         | 6 ->
             let blk = new_block ~parent:(pick !blocks a).b_hash b in
-            if b mod 2 = 0 then List.iter learn blk.fruits
-        | 7 -> adopt (pick !blocks a).b_hash
+            if b mod 2 = 0 then List.iter (learn o) blk.fruits
+        | 7 -> adopt o (pick !blocks a).b_hash
         | 8 ->
             (* Re-adopting the current head: the strategies' rescan path. *)
-            Ref_buffer.refresh reference ~store ~view:!view;
-            Fruit_buffer.prune buffer ~store ~view:!view
+            Ref_buffer.refresh o.reference ~store ~view:o.view;
+            Fruit_buffer.prune o.buffer ~store ~view:o.view
         | _ ->
             (* Extend the head without learning the block's fruits first,
                as for a block some other party already put in the store. *)
-            let blk = new_block ~parent:!head (a * 11) in
-            adopt blk.b_hash
+            let blk = new_block ~parent:o.head (a * 11) in
+            adopt o blk.b_hash
       in
       let hashes = List.map (fun (f : Types.fruit) -> Hash.to_raw f.f_hash) in
-      let same_candidates () =
-        let expected = hashes (Ref_buffer.candidates reference) in
-        let first = Fruit_buffer.candidates buffer ~view:!view in
-        let again = Fruit_buffer.candidates buffer ~view:!view in
+      let same_candidates o =
+        let expected = hashes (Ref_buffer.candidates o.reference) in
+        let first = Fruit_buffer.candidates o.buffer ~view:o.view in
+        let again = Fruit_buffer.candidates o.buffer ~view:o.view in
         List.equal String.equal expected (hashes first)
         && List.equal String.equal expected (hashes again)
-        && Int.equal (Ref_buffer.candidate_count reference) (List.length expected)
+        && Int.equal (Ref_buffer.candidate_count o.reference) (List.length expected)
       in
-      let same_contents () =
-        Int.equal (Ref_buffer.size reference) (Fruit_buffer.size buffer)
+      let same_contents o =
+        Int.equal (Ref_buffer.size o.reference) (Fruit_buffer.size o.buffer)
         && Array.for_all
              (fun (f : Types.fruit) ->
-               Bool.equal (Ref_buffer.mem reference f.f_hash) (Fruit_buffer.mem buffer f))
+               Bool.equal (Ref_buffer.mem o.reference f.f_hash) (Fruit_buffer.mem o.buffer f))
              !pool
       in
+      let half = List.length ops / 2 in
       let agree =
         List.for_all
-          (fun (kind, a, b, gap) ->
-            step (kind, a, b);
-            !added_agrees && same_contents () && ((at_gaps && gap > 0) || same_candidates ()))
-          ops
-        && same_candidates ()
+          (fun (i, (kind, a, b, sel)) ->
+            let acting = sel / 4 and gap = sel mod 4 in
+            if owners > 1 && i = half then begin
+              Fruit_buffer.release all.(acting).buffer;
+              all.(acting) <- spawn ()
+            end;
+            step all.(acting) (kind, a, b);
+            !added_agrees
+            && Array.for_all same_contents all
+            && ((at_gaps && gap > 0) || Array.for_all same_candidates all))
+          (List.mapi (fun i op -> (i, op)) ops)
+        && Array.for_all same_candidates all
       in
       incr buffer_cases;
-      if !crossed then incr buffer_cases_crossed;
+      if !crowded_case then incr buffer_cases_crowded;
       agree)
 
-(* Runs one form and prints the share of its cases that pushed a group past
-   the scan limit; [min_share], when given, is a floor on that share. *)
+(* Runs one form and prints the share of its cases that pushed a group
+   past [crowded_group] fruits; [min_share], when given, is a floor on
+   that share. *)
 let buffer_case ?min_share test =
   let name, speed, run = QCheck_alcotest.to_alcotest test in
   ( name,
     speed,
     fun () ->
       buffer_cases := 0;
-      buffer_cases_crossed := 0;
+      buffer_cases_crowded := 0;
       run ();
-      Printf.printf "%d of %d cases pushed a group past the scan limit (%d)\n"
-        !buffer_cases_crossed !buffer_cases Fruit_buffer.scan_limit;
+      Printf.printf "%d of %d cases pushed a group past %d fruits\n"
+        !buffer_cases_crowded !buffer_cases crowded_group;
       Option.iter
         (fun share ->
-          Alcotest.(check bool) "share of cases past the scan limit" true
-            (float_of_int !buffer_cases_crossed >= share *. float_of_int !buffer_cases))
+          Alcotest.(check bool) "share of cases with a group past 64 fruits" true
+            (float_of_int !buffer_cases_crowded >= share *. float_of_int !buffer_cases))
         min_share )
 
 let buffer_differential =
@@ -1238,6 +1266,10 @@ let buffer_gap_differential =
 let buffer_crowded_differential =
   buffer_property ~crowded:true
     ~name:"hang-point buffer = eager candidate set, crowded groups" ~at_gaps:true ()
+
+let buffer_owners_differential =
+  buffer_property ~owners:3
+    ~name:"hang-point buffers of three owners = eager candidate sets" ~at_gaps:true ()
 
 (* ------------------------------------------------------------------ *)
 (* Reference window view: the persistent-map views (a map of the       *)
@@ -2385,6 +2417,7 @@ let () =
           buffer_case buffer_differential;
           buffer_case buffer_gap_differential;
           buffer_case ~min_share:0.5 buffer_crowded_differential;
+          buffer_case buffer_owners_differential;
         ] );
       ( "views",
         [ QCheck_alcotest.to_alcotest view_differential ] );

@@ -92,14 +92,14 @@ let qcheck_buffer_expire_equals_prune =
     QCheck.(pair (int_bound 1000) (int_range 1 8))
     (fun (seed, window) ->
       let store, blocks, pool = random_chain seed ~length:10 ~pool_size:12 in
-      let incremental = Buffer_f.create () in
-      let reference = Buffer_f.create () in
+      let views = Window_view.Cache.create ~window ~store in
+      let incremental = Buffer_f.create views in
+      let reference = Buffer_f.create views in
       List.iter
         (fun f ->
           ignore (Buffer_f.add incremental f : bool);
           ignore (Buffer_f.add reference f : bool))
         pool;
-      let views = Window_view.Cache.create ~window ~store in
       let final_view =
         List.fold_left
           (fun _ (b : Types.block) ->

@@ -75,6 +75,24 @@ let test_s3_parties () =
   check_codes "not covering" [ "S3" ]
     (make [ Scenario.Partition { from = 1; until = 2; groups = [ [ 0; 1 ]; [ 2; 3 ] ] } ])
 
+(* The cover test counts a partition's distinct in-range members; it
+   used to list all n parties and look each up among the members, so a
+   huge n exhausted memory before the diagnostic. *)
+let test_s3_cover_at_huge_n () =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let events = [ Scenario.Partition { from = 1; until = 2; groups = [ [ 0 ]; [ 1 ] ] } ] in
+  Gc.full_major ();
+  let before = words () in
+  let result = Scenario.make ~name:"t" ~n:1_000_000 ~rounds:1000 ~events () in
+  let allocated = words () -. before in
+  check_codes "not covering" [ "S3" ] result;
+  Alcotest.(check bool)
+    (Printf.sprintf "validation allocates %.0f words (bound 100000)" allocated)
+    true (allocated < 100_000.)
+
 let test_s4_duplicates_and_overlaps () =
   let e = partition ~from:100 ~until:200 ~n:10 in
   check_codes "exact duplicate" [ "S4" ] (make [ e; e ]);
@@ -311,6 +329,7 @@ let () =
           Alcotest.test_case "S1 scenario level" `Quick test_s1_scenario_level;
           Alcotest.test_case "S2 windows" `Quick test_s2_windows;
           Alcotest.test_case "S3 parties" `Quick test_s3_parties;
+          Alcotest.test_case "S3 cover at n = 10^6" `Quick test_s3_cover_at_huge_n;
           Alcotest.test_case "S4 duplicates/overlaps" `Quick test_s4_duplicates_and_overlaps;
           Alcotest.test_case "S5 contradictions" `Quick test_s5_contradictions;
           Alcotest.test_case "S6 spike magnitude" `Quick test_s6_spike;
