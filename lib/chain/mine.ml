@@ -33,9 +33,9 @@ let settle oracle mask header ~fruits ~miner ~round ~honest =
 
 let mine oracle rng ~miner ~round ~honest ~parent ~pointer ~fruits ~record =
   (* The nonce is drawn before the query on both paths. The query draws
-     from the oracle's own generator, so the nonce stays readable in the
-     scratch slots of [rng] until a win needs it, and boxing it waits for
-     that win. *)
+     from the oracle's own generator, so the nonce stays readable as the
+     last draw of [rng] until a win needs it, and boxing it waits for that
+     win. *)
   Rng.draw rng;
   if Oracle.needs_input oracle then begin
     let fruits = fruits () in

@@ -134,10 +134,23 @@ let mine t oracle ~round ~record ~honest =
   (match mined.block with Some b -> adopt t (Store.add_id t.store b) | None -> ());
   mined
 
+(* A direct walk, not [List.iter (receive t oracle)]: the partial
+   application would be a closure per step, inbox empty or not. *)
+let rec receive_all t oracle = function
+  | [] -> ()
+  | msg :: rest ->
+      receive t oracle msg;
+      receive_all t oracle rest
+
 let step t oracle ~round ~record ~incoming =
-  List.iter (receive t oracle) incoming;
-  let relays = List.rev t.pending_relays in
-  t.pending_relays <- [];
+  receive_all t oracle incoming;
+  let relays =
+    match t.pending_relays with
+    | [] -> []
+    | pending ->
+        t.pending_relays <- [];
+        List.rev pending
+  in
   let { fruit; block } = mine t oracle ~round ~record ~honest:true in
   (* Fruit announcement first, then the block announcement, then relays —
      the historical emission order, built without intermediate lists so the

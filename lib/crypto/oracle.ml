@@ -1,8 +1,26 @@
 module Rng = Fruitchain_util.Rng
 
+(* An attempt's draws stay in the slots of the oracle's own generator, one
+   slot per draw in draw order: the block coin, the block view's raw word,
+   the fruit coin, the fruit view's raw word, then the two filler words
+   right-to-left. Only {!attempt} draws from that generator, so the slots
+   hold the most recent attempt until {!attempt_hash} reads them. *)
+let block_coin = 0
+let block_raw = 1
+let fruit_coin = 2
+let fruit_raw = 3
+let filler2 = 4
+let filler1 = 5
+
 type backend =
   | Real
-  | Sim of { rng : Rng.t; memo : (string, Hash.t) Hashtbl.t option }
+  | Sim of {
+      rng : Rng.t;
+      memo : (string, Hash.t) Hashtbl.t option;
+      (* Both probabilities in (0, 1) with non-zero limits: every attempt
+         takes all six draws, in one pass. *)
+      plain : bool;
+    }
 
 type t = {
   backend : backend;
@@ -19,24 +37,15 @@ type t = {
      these once per run instead of paying an instrument update per query. *)
   mutable block_wins : int;
   mutable fruit_wins : int;
-  (* State of the most recent attempt, so that {!attempt} can defer digest
-     materialization: ~99% of mining attempts lose on both difficulties and
-     their digest is never looked at. The sampling backend keeps the raw
-     64-bit draws as native (hi, lo) halves plus the Bernoulli outcomes —
-     immediate-int stores, no boxing on the miss path; the view arithmetic
-     (folding a raw draw into the win or lose range) runs only when the
-     digest is materialized. [last_hash] caches the materialized digest;
-     [last_hash_valid] says whether it is current. *)
+  (* The Bernoulli outcomes of the most recent attempt, so that {!attempt}
+     can defer digest materialization: ~99% of mining attempts lose on both
+     difficulties and their digest is never looked at. The raw draws wait
+     in the generator's slots; the view arithmetic (folding a raw draw into
+     the win or lose range) runs only when the digest is materialized.
+     [last_hash] caches the materialized digest; [last_hash_valid] says
+     whether it is current. *)
   mutable last_bwin : bool;
   mutable last_fwin : bool;
-  mutable last_braw_hi : int;
-  mutable last_braw_lo : int;
-  mutable last_fraw_hi : int;
-  mutable last_fraw_lo : int;
-  mutable last_f1_hi : int;
-  mutable last_f1_lo : int;
-  mutable last_f2_hi : int;
-  mutable last_f2_lo : int;
   mutable last_hash : Hash.t;
   mutable last_hash_valid : bool;
 }
@@ -53,14 +62,6 @@ let make backend ~p ~pf =
     fruit_wins = 0;
     last_bwin = false;
     last_fwin = false;
-    last_braw_hi = 0;
-    last_braw_lo = 0;
-    last_fraw_hi = 0;
-    last_fraw_lo = 0;
-    last_f1_hi = 0;
-    last_f1_lo = 0;
-    last_f2_hi = 0;
-    last_f2_lo = 0;
     last_hash = Hash.zero;
     last_hash_valid = false;
   }
@@ -69,10 +70,8 @@ let real ~p ~pf = make Real ~p ~pf
 
 let sim ?(memo = false) ~p ~pf rng =
   let memo = if memo then Some (Hashtbl.create 1024) else None in
-  make (Sim { rng; memo }) ~p ~pf
-
-let int64_of_split hi lo =
-  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+  let inside q = q > 0.0 && q < 1.0 && not (Int64.equal (Hash.threshold q) 0L) in
+  make (Sim { rng; memo; plain = inside p && inside pf }) ~p ~pf
 
 (* Fold a raw 64-bit draw into a view that is below [limit] exactly when
    [success] — the deferred half of the historical [sample_view], which drew
@@ -80,8 +79,8 @@ let int64_of_split hi lo =
    range. The draw itself happened at attempt time (the RNG sequence is the
    determinism contract); only this arithmetic is deferred, because on the
    ~99% of attempts that lose, nobody ever looks at the view. *)
-let view_of_raw ~limit ~success hi lo =
-  let r63 = Int64.shift_right_logical (int64_of_split hi lo) 1 in
+let view_of_raw ~limit ~success raw =
+  let r63 = Int64.shift_right_logical raw 1 in
   if success then
     if Int64.equal limit 0L then 0L (* p rounded to 0 yet success sampled: no draw taken *)
     else if Int64.compare limit 0L < 0 then
@@ -100,21 +99,18 @@ let view_of_raw ~limit ~success hi lo =
   end
 
 let attempt_hash t =
-  if t.last_hash_valid then t.last_hash
-  else begin
-    let bv =
-      view_of_raw ~limit:t.block_limit ~success:t.last_bwin t.last_braw_hi t.last_braw_lo
-    in
-    let fv =
-      view_of_raw ~limit:t.fruit_limit ~success:t.last_fwin t.last_fraw_hi t.last_fraw_lo
-    in
-    let f1 = int64_of_split t.last_f1_hi t.last_f1_lo in
-    let f2 = int64_of_split t.last_f2_hi t.last_f2_lo in
-    let h = Hash.of_views ~block_view:bv ~fruit_view:fv ~filler:(f1, f2) in
-    t.last_hash <- h;
-    t.last_hash_valid <- true;
-    h
-  end
+  match t.backend with
+  | Sim { rng; _ } when not t.last_hash_valid ->
+      let block_view =
+        view_of_raw ~limit:t.block_limit ~success:t.last_bwin (Rng.slot_bits64 rng block_raw)
+      and fruit_view =
+        view_of_raw ~limit:t.fruit_limit ~success:t.last_fwin (Rng.slot_bits64 rng fruit_raw)
+      and filler = (Rng.slot_bits64 rng filler1, Rng.slot_bits64 rng filler2) in
+      let h = Hash.of_views ~block_view ~fruit_view ~filler in
+      t.last_hash <- h;
+      t.last_hash_valid <- true;
+      h
+  | Sim _ | Real -> t.last_hash
 
 let fruit_flag = 1
 let block_flag = 2
@@ -138,53 +134,40 @@ let attempt t input =
         mask := !mask lor fruit_flag
       end;
       !mask
-  | Sim { rng; memo } ->
+  | Sim { rng; memo; plain } ->
       (* Draw order is load-bearing: it reproduces draw-for-draw the RNG
          consumption of the historical per-query implementation — block
          Bernoulli, block view, fruit Bernoulli, fruit view, then the filler
          words right-to-left (the original filler tuple was evaluated
          right-to-left). The differential suite pins this against a
-         reference copy of that implementation. A success against a zero
-         limit took no view draw historically, so none is taken here. *)
-      let bwin = Rng.bernoulli rng t.p in
-      (if bwin && Int64.equal t.block_limit 0L then begin
-         t.last_braw_hi <- 0;
-         t.last_braw_lo <- 0
-       end
-       else begin
-         Rng.draw rng;
-         t.last_braw_hi <- Rng.out_hi rng;
-         t.last_braw_lo <- Rng.out_lo rng
-       end);
-      let fwin = Rng.bernoulli rng t.pf in
-      (if fwin && Int64.equal t.fruit_limit 0L then begin
-         t.last_fraw_hi <- 0;
-         t.last_fraw_lo <- 0
-       end
-       else begin
-         Rng.draw rng;
-         t.last_fraw_hi <- Rng.out_hi rng;
-         t.last_fraw_lo <- Rng.out_lo rng
-       end);
-      Rng.draw rng;
-      t.last_f2_hi <- Rng.out_hi rng;
-      t.last_f2_lo <- Rng.out_lo rng;
-      Rng.draw rng;
-      t.last_f1_hi <- Rng.out_hi rng;
-      t.last_f1_lo <- Rng.out_lo rng;
-      t.last_bwin <- bwin;
-      t.last_fwin <- fwin;
+         reference copy of that implementation. A certain or impossible
+         outcome (p of 0 or 1) took no Bernoulli draw, and a success
+         against a zero limit no view draw, so those attempts draw one by
+         one; every other attempt takes its six draws in one pass. *)
+      if plain then begin
+        Rng.draws rng 6;
+        t.last_bwin <- Rng.slot_below rng block_coin t.p;
+        t.last_fwin <- Rng.slot_below rng fruit_coin t.pf
+      end
+      else begin
+        t.last_bwin <- Rng.bernoulli rng t.p;
+        if not (t.last_bwin && Int64.equal t.block_limit 0L) then Rng.draw_to rng block_raw;
+        t.last_fwin <- Rng.bernoulli rng t.pf;
+        if not (t.last_fwin && Int64.equal t.fruit_limit 0L) then Rng.draw_to rng fruit_raw;
+        Rng.draw_to rng filler2;
+        Rng.draw_to rng filler1
+      end;
       t.last_hash_valid <- false;
       (match memo with Some tbl -> Hashtbl.replace tbl input (attempt_hash t) | None -> ());
       (* A sampled success lands below the limit by construction — except
          against a zero limit, where the view is 0 and the threshold check
          it stands in for would fail; mirror that. *)
       let mask = ref 0 in
-      if bwin && not (Int64.equal t.block_limit 0L) then begin
+      if t.last_bwin && not (Int64.equal t.block_limit 0L) then begin
         t.block_wins <- t.block_wins + 1;
         mask := !mask lor block_flag
       end;
-      if fwin && not (Int64.equal t.fruit_limit 0L) then begin
+      if t.last_fwin && not (Int64.equal t.fruit_limit 0L) then begin
         t.fruit_wins <- t.fruit_wins + 1;
         mask := !mask lor fruit_flag
       end;
@@ -204,17 +187,13 @@ let sample_win t ~block ~fruit rng =
      the view) — mirror {!attempt} and treat it as a loss. *)
   let block = block && not (Int64.equal t.block_limit 0L) in
   let fruit = fruit && not (Int64.equal t.fruit_limit 0L) in
-  Rng.draw rng;
-  let bv = view_of_raw ~limit:t.block_limit ~success:block (Rng.out_hi rng) (Rng.out_lo rng) in
-  Rng.draw rng;
-  let fv = view_of_raw ~limit:t.fruit_limit ~success:fruit (Rng.out_hi rng) (Rng.out_lo rng) in
-  Rng.draw rng;
-  let f2 = Rng.last_bits64 rng in
-  Rng.draw rng;
-  let f1 = Rng.last_bits64 rng in
+  Rng.draws rng 4;
+  let bv = view_of_raw ~limit:t.block_limit ~success:block (Rng.slot_bits64 rng 0) in
+  let fv = view_of_raw ~limit:t.fruit_limit ~success:fruit (Rng.slot_bits64 rng 1) in
   if block then t.block_wins <- t.block_wins + 1;
   if fruit then t.fruit_wins <- t.fruit_wins + 1;
-  Hash.of_views ~block_view:bv ~fruit_view:fv ~filler:(f1, f2)
+  Hash.of_views ~block_view:bv ~fruit_view:fv
+    ~filler:(Rng.slot_bits64 rng 3, Rng.slot_bits64 rng 2)
 
 let query t input =
   let _mask = attempt t input in
@@ -235,7 +214,6 @@ let needs_input t =
   match t.backend with Real | Sim { memo = Some _; _ } -> true | Sim { memo = None; _ } -> false
 
 let queries t = t.queries
-let reset_queries t = t.queries <- 0
 let block_wins t = t.block_wins
 let fruit_wins t = t.fruit_wins
 let mined_block t h = Int64.unsigned_compare (Hash.prefix64 h) t.block_limit < 0

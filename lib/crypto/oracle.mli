@@ -4,8 +4,8 @@
     The model charges one [H] query per honest party per round and [q]
     sequential queries per round to an adversary controlling [q] parties,
     while verification queries [H.ver] are free. Accordingly an oracle
-    carries a counter that {!query} increments and {!verify} does not; the
-    round engine reads and resets it to enforce the budget.
+    carries a counter that {!query} increments and {!verify} does not; a
+    run's trace reads it once, at the end of the run.
 
     Two instantiations share this interface:
 
@@ -91,10 +91,7 @@ val verify : t -> string -> Hash.t -> bool
 (** [H.ver]: does this input evaluate to this digest? Not counted. *)
 
 val queries : t -> int
-(** Mining queries since creation or the last {!reset_queries}. *)
-
-(* fruitlint: allow R12 test_crypto "reset queries" *)
-val reset_queries : t -> unit
+(** Mining queries since creation. *)
 
 val block_wins : t -> int
 (** Queries whose digest met the block difficulty, since creation. Kept as

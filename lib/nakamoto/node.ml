@@ -47,8 +47,16 @@ let mine t oracle ~round ~record ~honest =
   (match block with Some b -> t.head_id <- Store.add_id t.store b | None -> ());
   block
 
+(* A direct walk: [List.iter (receive t oracle)] would build a closure per
+   step. *)
+let rec receive_all t oracle = function
+  | [] -> ()
+  | msg :: rest ->
+      receive t oracle msg;
+      receive_all t oracle rest
+
 let step t oracle ~round ~record ~incoming =
-  List.iter (receive t oracle) incoming;
+  receive_all t oracle incoming;
   match mine t oracle ~round ~record ~honest:true with
   | None -> []
   | Some block ->

@@ -32,33 +32,33 @@ let add_escape b c =
       Buffer.add_char b hex_digits.[Char.code c land 0xf]
 
 (* Runs of bytes that need no escape are copied whole, so a string without
-   any (every key, and nearly every value, of a trace line) is one copy. *)
-let add_escaped b s =
-  let n = String.length s in
-  let rec go start i =
-    if i = n then Buffer.add_substring b s start (n - start)
-    else if needs_escape (String.unsafe_get s i) then begin
-      Buffer.add_substring b s start (i - start);
-      add_escape b (String.unsafe_get s i);
-      go (i + 1) (i + 1)
-    end
-    else go start (i + 1)
-  in
-  go 0 0
+   any (every key, and nearly every value, of a trace line) is one copy.
+   Both writers below are top-level functions that take the buffer as an
+   argument: a local helper would be a closure over it per call. *)
+let rec add_escaped_from b s n start i =
+  if i = n then Buffer.add_substring b s start (n - start)
+  else if needs_escape (String.unsafe_get s i) then begin
+    Buffer.add_substring b s start (i - start);
+    add_escape b (String.unsafe_get s i);
+    add_escaped_from b s n (i + 1) (i + 1)
+  end
+  else add_escaped_from b s n start (i + 1)
+
+let add_escaped b s = add_escaped_from b s (String.length s) 0 0
 
 (* Decimal digits written in place of [string_of_int]'s string. They are
    computed on the non-positive side, where every int, [min_int] included,
    has a value: negating [min_int] would overflow. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.chr (Char.code '0' - (n mod 10)))
+
 let add_int b i =
-  let rec digits n =
-    if n <= -10 then digits (n / 10);
-    Buffer.add_char b (Char.chr (Char.code '0' - (n mod 10)))
-  in
   if i < 0 then begin
     Buffer.add_char b '-';
-    digits i
+    add_digits b i
   end
-  else digits (-i)
+  else add_digits b (-i)
 
 let float_repr f =
   if not (Float.is_finite f) then "null"

@@ -16,7 +16,10 @@ type engine = Exact | Sparse
     §14 for the argument and the known divergences), and the only way to
     reach n ≈ 10⁵ parties. *)
 
-type t = {
+(** Private: only {!make} builds one, so every record has passed its checks
+    and its schedules are sorted, which the exact engine's schedule cursors
+    rely on. *)
+type t = private {
   protocol : protocol;
   engine : engine;  (** Simulation plane; default [Exact]. *)
   n : int;  (** Number of parties activated by Z. *)

@@ -21,6 +21,15 @@ let head_of = function
   | Fruit node -> Some (Fruit_node.head_id node)
   | Corrupt -> None
 
+(* [Config.make] sorts every schedule by round, so each is walked by a
+   cursor: [due round act pending] applies [act] to the entries due at
+   [round], in order, and returns the entries still ahead. *)
+let rec due round act = function
+  | (r, x) :: rest when r <= round ->
+      if Int.equal r round then act x;
+      due round act rest
+  | pending -> pending
+
 let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_ -> "")
     ?net_policy ?round_hook ?scope () =
   let scope = match scope with Some s -> s | None -> Pool.current_scope () in
@@ -68,36 +77,32 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
   let strat = Strategy.instantiate strategy ctx in
   Trace.start trace;
   let head_at i = head_of parties.(i) in
+  (* Scheduled gossip toggles (scenario sugar; no-op for Nakamoto). *)
+  let toggle_gossip on =
+    gossip_now := on;
+    Array.iter (fun p -> match p with Fruit node -> Fruit_node.set_gossip node on | _ -> ()) parties
+  in
+  (* Adaptive corruption: Z hands the party to A at its scheduled round;
+     the node stops acting and its query moves into the adversary's
+     budget (Strategy.q_at). Its buffer's slot goes back to the fruit
+     plane, for a node respawned later. *)
+  let corrupt party =
+    (match parties.(party) with Fruit node -> Fruit_node.release node | Nak _ | Corrupt -> ());
+    parties.(party) <- Corrupt
+  in
+  (* Uncorruption: the released party re-spawns as a freshly initialized
+     honest node (the paper treats it exactly like a new player). *)
+  let uncorrupt party = parties.(party) <- spawn party in
+  let gossip_due = ref config.Config.gossip_schedule in
+  let corrupt_due = ref config.Config.corruption_schedule in
+  let uncorrupt_due = ref config.Config.uncorruption_schedule in
   for round = 0 to config.Config.rounds - 1 do
     (* Scenario driver hook (fruitstorm): applied before the round's three
        phases so fault windows opening at [round] already govern it. *)
     (match round_hook with None -> () | Some hook -> hook ~scope ~round);
-    (* Scheduled gossip toggles (scenario sugar; no-op for Nakamoto). *)
-    List.iter
-      (fun (r, on) ->
-        if Int.equal r round then begin
-          gossip_now := on;
-          Array.iter
-            (fun p -> match p with Fruit node -> Fruit_node.set_gossip node on | _ -> ())
-            parties
-        end)
-      config.Config.gossip_schedule;
-    (* Adaptive corruption: Z hands the party to A at its scheduled round;
-       the node stops acting and its query moves into the adversary's
-       budget (Strategy.q_at). Its buffer's slot goes back to the fruit
-       plane, for a node respawned later. *)
-    List.iter
-      (fun (r, party) ->
-        if Int.equal r round then begin
-          (match parties.(party) with Fruit node -> Fruit_node.release node | Nak _ | Corrupt -> ());
-          parties.(party) <- Corrupt
-        end)
-      config.Config.corruption_schedule;
-    (* Uncorruption: the released party re-spawns as a freshly initialized
-       honest node (the paper treats it exactly like a new player). *)
-    List.iter
-      (fun (r, party) -> if Int.equal r round then parties.(party) <- spawn party)
-      config.Config.uncorruption_schedule;
+    gossip_due := due round toggle_gossip !gossip_due;
+    corrupt_due := due round corrupt !corrupt_due;
+    uncorrupt_due := due round uncorrupt !uncorrupt_due;
     Trace.round_start trace ~round;
     let broadcasts = ref [] in
     for i = 0 to config.Config.n - 1 do
@@ -114,13 +119,15 @@ let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_
             | Corrupt -> assert false
           in
           Trace.minted trace ~round ~miner:i out;
-          List.iter
-            (fun msg ->
-              broadcasts := msg :: !broadcasts;
-              Network.broadcast network ~now:round
-                ~schedule:(fun ~recipient -> Strategy.schedule_honest strat msg ~recipient)
-                ~rng:net_rng msg)
-            out
+          (* An idle party sends nothing: no closure for an empty outbox. *)
+          if not (List.is_empty out) then
+            List.iter
+              (fun msg ->
+                broadcasts := msg :: !broadcasts;
+                Network.broadcast network ~now:round
+                  ~schedule:(fun ~recipient -> Strategy.schedule_honest strat msg ~recipient)
+                  ~rng:net_rng msg)
+              out
     done;
     Strategy.act strat ~round ~honest_broadcasts:(List.rev !broadcasts);
     Trace.heads trace ~round head_at;

@@ -8,6 +8,9 @@ type t = {
   prob : float array;  (* acceptance probability of the cell's own index *)
   alias : int array;   (* donor index used when the cell rejects *)
   weight : float array; (* normalized input weights, kept for inspection *)
+  (* No cell started small, so none was paired and every [prob] is 1.0:
+     every cell accepts (uniform power, the sparse plane's default). *)
+  accepts_all : bool;
 }
 
 let create weights =
@@ -38,6 +41,7 @@ let create weights =
       incr nl
     end
   done;
+  let accepts_all = Int.equal !ns 0 in
   (* The work lists behave as stacks; both were filled in ascending index
      order, so the pairing below is deterministic. *)
   while !ns > 0 && !nl > 0 do
@@ -62,10 +66,18 @@ let create weights =
     decr nl;
     prob.(large.(!nl)) <- 1.0
   done;
-  { prob; alias; weight }
+  { prob; alias; weight; accepts_all }
 
+(* When every cell accepts, the acceptance draw is taken and not compared:
+   a uniform float in [0, 1) is always below 1.0, and at n = 10^5 reading
+   [prob.(i)] is a cache miss per sample. *)
 let sample t rng =
   let i = Rng.int rng (Array.length t.prob) in
-  if Rng.float rng < t.prob.(i) then i else t.alias.(i)
+  if t.accepts_all then begin
+    Rng.draw rng;
+    i
+  end
+  else if Rng.float rng < t.prob.(i) then i
+  else t.alias.(i)
 
 let probability t i = t.weight.(i)

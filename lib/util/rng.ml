@@ -1,5 +1,6 @@
-(* xoshiro256++ with its state in one 40-byte buffer: the four state words
-   s0-s3 at offsets 0, 8, 16 and 24 and the most recent draw at 32, each a
+(* xoshiro256++ with its state in one 88-byte buffer: the four state words
+   s0-s3 at offsets 0, 8, 16 and 24, the most recent draw at 32, and six
+   slots at 40-80 that a k-step draw fills with its outputs, each a
    native-endian 64-bit word. A step reads the words through the
    compiler's unchecked 64-bit bytes intrinsics into unboxed [Int64]
    locals, runs the published algorithm on them and writes them back, so a
@@ -11,21 +12,27 @@
    R11 keeps [external] declarations in lib/crypto/sha256.ml because the
    effect rules cannot see into C. The two below are allowed by name: each
    is a compiler intrinsic that names no C symbol and compiles to one load
-   or store, so it hides no effect, and its offsets are constants inside a
-   buffer whose length the abstract [t] fixes at 40 (only [of_seed] makes
-   one). *)
+   or store, so it hides no effect, and every offset it is given lies
+   inside a buffer whose length the abstract [t] fixes at 88 (only
+   [of_seed] makes one): a constant below 40, or the offset of a slot whose
+   index is checked against [slots] first. *)
 
 type t = Bytes.t
 
-(* A compiler intrinsic: no C symbol, no hidden effect; constant offsets
-   inside the 40 bytes of a [t]. fruitlint: allow R11 *)
+(* A compiler intrinsic: no C symbol, no hidden effect; constant offsets,
+   or checked slot offsets, inside the 88 bytes of a [t]. fruitlint: allow R11 *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-(* A compiler intrinsic: no C symbol, no hidden effect; constant offsets
-   inside the 40 bytes of a [t]. fruitlint: allow R11 *)
+(* A compiler intrinsic: no C symbol, no hidden effect; constant offsets,
+   or checked slot offsets, inside the 88 bytes of a [t]. fruitlint: allow R11 *)
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let last = 32
+let slots = 6
+let[@inline] slot j = 40 + (8 * j)
+
+let[@inline] check_slot j =
+  if j < 0 || j >= slots then invalid_arg "Rng: slot index out of range"
 
 (* splitmix64: used only to expand a 64-bit seed into the 256-bit xoshiro
    state, and to derive split-off seeds — cold paths. *)
@@ -50,12 +57,12 @@ let of_seed seed =
     if Int64.(equal (logor (logor s0 s1) (logor s2 s3)) 0L) then (1L, 2L, 3L, 4L)
     else (s0, s1, s2, s3)
   in
-  let g = Bytes.create 40 in
+  (* The state, the last draw and the slots, the last two zeroed. *)
+  let g = Bytes.make (slot slots) '\000' in
   set64 g 0 s0;
   set64 g 8 s1;
   set64 g 16 s2;
   set64 g 24 s3;
-  set64 g last 0L;
   g
 
 (* One generator step: the drawn value rotl(s0 + s3, 23) + s0 goes to the
@@ -71,9 +78,52 @@ let draw g =
   set64 g 16 (logxor s2 (shift_left s1 17));
   set64 g 24 (logor (shift_left s3 45) (shift_right_logical s3 19))
 
-let out_hi g = Int64.to_int (Int64.shift_right_logical (get64 g last) 32)
-let out_lo g = Int64.to_int (get64 g last) land 0xffffffff
 let last_bits64 g = get64 g last
+
+(* [k] steps with the state in locals, output [j] to slot [j]: the loop
+   over [Int64] refs keeps the state unboxed, and one pass reads and
+   writes the state words once instead of [k] times. *)
+let draws g k =
+  if k < 0 || k > slots then invalid_arg "Rng.draws: count out of range";
+  let open Int64 in
+  let s0 = ref (get64 g 0) and s1 = ref (get64 g 8) in
+  let s2 = ref (get64 g 16) and s3 = ref (get64 g 24) in
+  for j = 0 to k - 1 do
+    let a = !s0 and b = !s1 in
+    let sum = add a !s3 in
+    set64 g (slot j) (add (logor (shift_left sum 23) (shift_right_logical sum 41)) a);
+    let c = logxor !s2 a and d = logxor !s3 b in
+    s1 := logxor b c;
+    s0 := logxor a d;
+    s2 := logxor c (shift_left b 17);
+    s3 := logor (shift_left d 45) (shift_right_logical d 19)
+  done;
+  set64 g 0 !s0;
+  set64 g 8 !s1;
+  set64 g 16 !s2;
+  set64 g 24 !s3;
+  if k > 0 then set64 g last (get64 g (slot (k - 1)))
+
+let draw_to g j =
+  check_slot j;
+  draw g;
+  set64 g (slot j) (get64 g last)
+
+let slot_bits64 g j =
+  check_slot j;
+  get64 g (slot j)
+
+(* The top 53 bits of a word as a uniform dyadic rational in [0, 1). They
+   fit a native int, whose conversion is one instruction, where
+   [Int64.to_float] is a call into C; both are exact below 2^53. *)
+let[@inline] unit_float w =
+  float_of_int (Int64.to_int (Int64.shift_right_logical w 11)) *. 0x1p-53
+
+(* [float]'s test on a slot's word, compared unboxed. Inlined, so that
+   the oracle's two tests per attempt make no call. *)
+let[@inline] slot_below g j p =
+  check_slot j;
+  unit_float (get64 g (slot j)) < p
 
 let bits64 g =
   draw g;
@@ -96,12 +146,11 @@ let derive master ~index =
      derivation independent of unit execution order. *)
   mix (mix (add master (mul (of_int (index + 1)) 0x9e3779b97f4a7c15L)))
 
-(* Top 53 bits of a fresh draw, a uniform dyadic rational in [0, 1):
-   Int64.to_float is exact below 2^53. Inlined, so that a caller compares
-   or scales the result unboxed. *)
+(* Top 53 bits of a fresh draw. Inlined, so that a caller compares or
+   scales the result unboxed. *)
 let[@inline] float g =
   draw g;
-  Int64.to_float (Int64.shift_right_logical (get64 g last) 11) *. 0x1p-53
+  unit_float (get64 g last)
 
 (* Plain remainder of the top 63 bits of a fresh draw: for the bounds used
    here (≤ 2^32) the modulo bias is below 2^-31 of the bucket probability,

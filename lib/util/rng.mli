@@ -38,21 +38,37 @@ val bits64 : t -> int64
 val draw : t -> unit
 (** Advance the generator by one draw — the same state step as {!bits64} —
     and keep the drawn 64 bits in the generator, readable through
-    {!out_hi}/{!out_lo}/{!last_bits64} until the next draw. The hot-path
-    entry point: the step runs on unboxed 64-bit words and allocates
-    nothing, where {!bits64} boxes its result. *)
-
-val out_hi : t -> int
-(** High 32 bits of the most recent draw, as a non-negative native int
-    (0 before the first draw). Allocates nothing. *)
-
-val out_lo : t -> int
-(** Low 32 bits of the most recent draw, as a non-negative native int
-    (0 before the first draw). Allocates nothing. *)
+    {!last_bits64} until the next draw. The hot-path entry point: the step
+    runs on unboxed 64-bit words and allocates nothing, where {!bits64}
+    boxes its result. *)
 
 val last_bits64 : t -> int64
-(** The most recent draw as a boxed [int64] ([bits64 g] is
-    [draw g; last_bits64 g]). *)
+(** The most recent draw as a boxed [int64] (0 before the first draw;
+    [bits64 g] is [draw g; last_bits64 g]). *)
+
+(** {1 Slots}
+
+    A generator holds six slots of 64 bits beside its state, for callers
+    that make several draws at once and read few of them back. A slot
+    keeps its word until a {!draws} or {!draw_to} writes it again; no
+    other call touches the slots. A slot index [j] is in [\[0, 6)]; any
+    other raises [Invalid_argument]. *)
+
+val draws : t -> int -> unit
+(** [draws g k] is [k] draws in one pass, the [j]-th into slot [j]: the
+    state, every slot and {!last_bits64} end as after [draw_to g 0; ...;
+    draw_to g (k - 1)]. [k] is in [\[0, 6\]]. Allocates nothing. *)
+
+val draw_to : t -> int -> unit
+(** [draw_to g j] is {!draw} that also keeps the drawn word in slot [j]. *)
+
+val slot_bits64 : t -> int -> int64
+(** The word in slot [j], boxed (0 until a draw writes it). *)
+
+val slot_below : t -> int -> float -> bool
+(** [slot_below g j p] is the Bernoulli test that {!bernoulli} makes for a
+    [p] in (0, 1), on slot [j]'s word instead of a fresh draw: its top 53
+    bits as a uniform in [\[0, 1)], compared with [p]. Allocates nothing. *)
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. Uses the top 53 bits. *)

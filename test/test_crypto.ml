@@ -273,12 +273,6 @@ let test_sim_oracle_memo_verify () =
   Alcotest.(check bool) "memo verify accepts" true (Oracle.verify o "payload" h);
   Alcotest.(check bool) "memo verify rejects unknown" false (Oracle.verify o "nope" h)
 
-let test_oracle_reset_queries () =
-  let o = Oracle.sim ~p:0.5 ~pf:0.5 (Rng.of_seed 4L) in
-  ignore (Oracle.query o "");
-  Oracle.reset_queries o;
-  Alcotest.(check int) "reset" 0 (Oracle.queries o)
-
 let test_real_oracle_rate () =
   (* The SHA-256 backend must also hit its configured marginal. *)
   let p = 1.0 /. 16.0 in
@@ -365,7 +359,6 @@ let () =
           Alcotest.test_case "sim rates" `Quick test_sim_oracle_rates;
           Alcotest.test_case "sim hash uniqueness" `Quick test_sim_oracle_hash_uniqueness;
           Alcotest.test_case "sim memo verify" `Quick test_sim_oracle_memo_verify;
-          Alcotest.test_case "reset queries" `Quick test_oracle_reset_queries;
           Alcotest.test_case "real rate" `Slow test_real_oracle_rate;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

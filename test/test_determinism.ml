@@ -353,11 +353,12 @@ let allocated_words f =
   (result, words () -. before)
 
 (* Allocation regression tripwire for the round loop, in bytes per round
-   at quick-scale parameters: 2,419 (Nakamoto) and 3,767 (FruitChain) in
-   the dev profile, 2,417 and 3,624 in release, dominated by trace events
-   and message delivery, with mining queries allocation-free on the miss
-   path (a boxed float per Bernoulli draw and a boxed Int64 per bounded
-   draw cost ~640 B/round more). Runs are seeded and sequential, and each
+   at quick-scale parameters: 603 (Nakamoto) and 1,970 (FruitChain) in
+   the dev profile, 600 and 1,827 in release, dominated by trace events
+   and message delivery, with an idle party-round allocation-free (closures
+   around each step's empty inbox and outbox, and three a round over the
+   schedules, cost ~1,800 B/round more; a boxed float per Bernoulli draw
+   and a boxed Int64 per bounded draw ~640 B/round more). Runs are seeded and sequential, and each
    measurement starts from a full major collection, so it is
    deterministic. Each bound is 1.5x the
    larger of the two: the headroom covers code drift, not noise, and a
@@ -376,21 +377,22 @@ let alloc_per_round protocol =
 let test_round_loop_allocation () =
   let nakamoto = alloc_per_round Sim_config.Nakamoto in
   Alcotest.(check bool)
-    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 3630)" nakamoto)
-    true (nakamoto < 3630.);
+    (Printf.sprintf "nakamoto round loop: %.0f B/round (bound 905)" nakamoto)
+    true (nakamoto < 905.);
   let fruitchain = alloc_per_round Sim_config.Fruitchain in
   Alcotest.(check bool)
-    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 5650)" fruitchain)
-    true (fruitchain < 5650.)
+    (Printf.sprintf "fruitchain round loop: %.0f B/round (bound 2955)" fruitchain)
+    true (fruitchain < 2955.)
 
 (* Retention tripwire for the FruitChain round loop: words promoted to the
    major heap per round, at n = 100 under the honest coalition. Nearly
    every fruit reaches every party, and each party's buffer holds it for
    the ~80 rounds its hang point stays in the window, so whatever a buffer
    keeps per received fruit survives the minor heap. With one copy of each
-   fruit per run (the fruit plane) the loop promotes 171 words per round in
-   both build profiles (28 at n = 20); with a cons cell per receipt it
-   promoted 695 (45 at n = 20). The bound is 1.5x that 171. Promotions
+   fruit per run (the fruit plane) the loop promoted 171 words per round in
+   both build profiles (28 at n = 20), and 168 in release and 170 in dev
+   once an idle party-round stopped allocating; with a cons cell per
+   receipt it promoted 695 (45 at n = 20). The bound is 1.5x that 171. Promotions
    happen at minor collections, which fall at the same allocations in
    every run, so the count is exact. *)
 let promoted_per_round () =
@@ -412,11 +414,38 @@ let test_round_loop_retention () =
        per_round)
     true (per_round < 257.)
 
+(* Idle-round tripwire: a party that receives nothing, relays nothing and
+   loses its query allocates nothing. At n = 200 and difficulties at which
+   no query wins (p = 10^-15, p_f = 10^-14), with a null scope, what is
+   left is per round (the strategy's step, the engine's broadcast list,
+   height snapshots) spread over 200 parties: 0.26 words per party-round
+   in both build profiles, against 14.4 when each step built closures
+   around its empty lists (1.9 against 16.9 at n = 20). The bound is 1.5x
+   that 0.26, so one word per party-round fails it. *)
+let idle_words_per_party_round () =
+  Pool.set_default_jobs 1;
+  let n = 200 and rounds = 20_000 in
+  let params = Fruitchain_core.Params.make ~p:1e-15 ~pf:1e-14 ~kappa:8 () in
+  let config = Sim_config.make ~n ~rounds ~seed:7L ~params () in
+  let trace, words =
+    allocated_words (fun () ->
+        Fruitchain_sim.Engine.run ~config ~strategy:Runs.honest_coalition ~scope:Scope.null ())
+  in
+  (Sim_trace.oracle_queries trace, words /. float_of_int (n * rounds))
+
+let test_idle_round_allocation () =
+  let queries, per_party_round = idle_words_per_party_round () in
+  Alcotest.(check int) "one query per party-round" (200 * 20_000) queries;
+  Alcotest.(check bool)
+    (Printf.sprintf "idle party-round: %.2f words (bound 0.39)" per_party_round)
+    true (per_party_round < 0.39)
+
 (* The tracing share of a run's allocation: the bytes per round a
    buffering tracer adds over a metrics-only scope on one partition_small
    trial (spans, mints, snapshots and reorgs through a partition and its
-   heal), counted in words like the other tripwires: 1,206 B/round in
-   both build profiles. The bound is 1.5x that. *)
+   heal), counted in words like the other tripwires: 704 B/round in both
+   build profiles (1,206 when the JSON writer built a closure per string
+   and per integer). The bound is 1.5x that. *)
 let traced_alloc_per_round () =
   Pool.set_default_jobs 1;
   let s = scenario_fixture () in
@@ -431,8 +460,8 @@ let traced_alloc_per_round () =
 let test_tracing_allocation () =
   let per_round = traced_alloc_per_round () in
   Alcotest.(check bool)
-    (Printf.sprintf "tracer over metrics-only: %.0f B/round (bound 1810)" per_round)
-    true (per_round < 1810.)
+    (Printf.sprintf "tracer over metrics-only: %.0f B/round (bound 1056)" per_round)
+    true (per_round < 1056.)
 
 (* Network allocation tripwires, in words. A recipient's ring is made on
    its first delivery, so [Network.create] allocates the inbox array and
@@ -544,9 +573,10 @@ let test_network_held_allocation () =
 
 module Oracle = Fruitchain_crypto.Oracle
 
-(* The generator's hot entry points and a losing sampled oracle query
-   allocate nothing: the state is read and written as unboxed 64-bit
-   words. [allocated_words] of an empty thunk is its own overhead. *)
+(* The generator's hot entry points, its six-step draw and a losing
+   sampled oracle query allocate nothing: the state is read and written as
+   unboxed 64-bit words. [allocated_words] of an empty thunk is its own
+   overhead. *)
 let test_rng_allocation () =
   let calls = 100_000 in
   let g = Rng.of_seed 3L in
@@ -555,6 +585,7 @@ let test_rng_allocation () =
   let cases =
     [
       ("Rng.draw", fun () -> Rng.draw g);
+      ("Rng.draws 6", fun () -> Rng.draws g 6);
       ("Rng.bernoulli", fun () -> if Rng.bernoulli g 0.3 then incr sink);
       ("Rng.int", fun () -> sink := !sink + Rng.int g 7);
       ("losing Oracle.attempt", fun () -> sink := !sink + Oracle.attempt oracle "");
@@ -616,6 +647,7 @@ let () =
           Alcotest.test_case "100k-round sweep jobs 1 == 4" `Slow test_soak_jobs_invariance;
           Alcotest.test_case "round-loop allocation bound" `Slow test_round_loop_allocation;
           Alcotest.test_case "round-loop retention bound" `Slow test_round_loop_retention;
+          Alcotest.test_case "idle-round allocation bound" `Slow test_idle_round_allocation;
           Alcotest.test_case "tracing allocation bound" `Slow test_tracing_allocation;
           Alcotest.test_case "network create allocation" `Quick test_network_create_allocation;
           Alcotest.test_case "network delivery allocation" `Quick

@@ -153,8 +153,6 @@ module Ref_rng = struct
     g.last <- result;
     result
 
-  let out_hi g = to_int (shift_right_logical g.last 32)
-  let out_lo g = to_int (logand g.last 0xffffffffL)
   let float g = to_float (shift_right_logical (next g) 11) *. 0x1p-53
   let int64_range g bound = rem (shift_right_logical (next g) 1) bound
   let int g bound = to_int (int64_range g (of_int bound))
@@ -390,15 +388,20 @@ let store_differential =
 
 (* A random program of generator calls, run on [Rng] and on [Ref_rng]
    from the same seed: every output must be equal, and so must the last
-   draw as [out_hi]/[out_lo]/[last_bits64] after any call (a Bernoulli
-   with p outside (0, 1) draws nothing; a fresh or split-off generator
-   reads 0). Each op carries an int that picks its bound, probability,
-   branch of a split, or derivation index. *)
+   draw ([last_bits64]) and all six slots after any call (a Bernoulli with
+   p outside (0, 1) draws nothing; a fresh or split-off generator reads 0).
+   A k-step [draws] must equal k reference draws, slot by slot, interleaved
+   with single draws; the slots it does not write keep their words. Each op
+   carries an int that picks its bound, probability, branch of a split,
+   derivation index, draw count or slot. The state is checked by every
+   later output, and by four more at the end of the program. *)
 let rng_differential =
   QCheck.Test.make ~name:"Rng = boxed-Int64 xoshiro256++ reference" ~count:300
-    QCheck.(pair int64 (list_of_size Gen.(int_range 1 200) (pair (int_bound 7) int)))
+    QCheck.(pair int64 (list_of_size Gen.(int_range 1 200) (pair (int_bound 10) int)))
     (fun (seed, ops) ->
       let g = ref (Rng.of_seed seed) and r = ref (Ref_rng.of_seed seed) in
+      let slots = Array.make 6 0L in
+      let below w p = Int64.to_float (Int64.shift_right_logical w 11) *. 0x1p-53 < p in
       List.iter
         (fun (op, k) ->
           (match op with
@@ -424,16 +427,34 @@ let rng_differential =
               let child = Rng.split !g and ref_child = Ref_rng.split !r in
               if Int.equal (k land 1) 0 then begin
                 g := child;
-                r := ref_child
+                r := ref_child;
+                Array.fill slots 0 6 0L
               end
-          | _ ->
+          | 7 ->
               let master = Int64.logxor seed (Int64.of_int k) and index = k land 0xffff in
               Alcotest.(check int64) "derive" (Ref_rng.derive master ~index)
-                (Rng.derive master ~index));
-          Alcotest.(check int) "out_hi" (Ref_rng.out_hi !r) (Rng.out_hi !g);
-          Alcotest.(check int) "out_lo" (Ref_rng.out_lo !r) (Rng.out_lo !g);
+                (Rng.derive master ~index)
+          | 8 ->
+              let count = (k land 0xffff) mod 7 in
+              Rng.draws !g count;
+              for j = 0 to count - 1 do
+                slots.(j) <- Ref_rng.next !r
+              done
+          | 9 ->
+              let j = (k land 0xffff) mod 6 in
+              Rng.draw_to !g j;
+              slots.(j) <- Ref_rng.next !r
+          | _ ->
+              let j = (k land 0xffff) mod 6 and p = float_of_int (k land 0xfff) /. 4096. in
+              Alcotest.(check bool) "slot_below" (below slots.(j) p) (Rng.slot_below !g j p));
+          Array.iteri
+            (fun j w -> Alcotest.(check int64) (Printf.sprintf "slot %d" j) w (Rng.slot_bits64 !g j))
+            slots;
           Alcotest.(check int64) "last_bits64" !r.Ref_rng.last (Rng.last_bits64 !g))
         ops;
+      for _ = 1 to 4 do
+        Alcotest.(check int64) "state" (Ref_rng.next !r) (Rng.bits64 !g)
+      done;
       true)
 
 (* Known answers of the reference C code (xoshiro256plusplus.c, seeded
@@ -475,6 +496,9 @@ let rng_known_answers () =
    mid p, p >= 1/2 (success range overflows), p = 1 (certain success). *)
 let interesting_probs = [| 0.0; 1e-9; 1e-4; 0.02; 0.3; 0.5; 0.9; 1.0 |]
 
+(* The memoizing oracle materializes every digest inside [attempt], before
+   the next attempt's draws; both must match the reference digest for
+   digest, and the memo must bind each input to its digest. *)
 let oracle_differential =
   QCheck.Test.make ~name:"deferred oracle = per-query sampling (same seed)" ~count:60
     QCheck.(triple small_nat (int_bound (Array.length interesting_probs - 1))
@@ -483,13 +507,21 @@ let oracle_differential =
       let p = interesting_probs.(pi) and pf = interesting_probs.(pfi) in
       let seed = Int64.of_int (seed + 17) in
       let oracle = Oracle.sim ~p ~pf (Rng.of_seed seed) in
+      let memo = Oracle.sim ~memo:true ~p ~pf (Rng.of_seed seed) in
       let reference = Ref_oracle.sim ~p ~pf (Rng.of_seed seed) in
-      for _ = 1 to 300 do
+      for i = 1 to 300 do
         let mask = Oracle.attempt oracle "" in
+        let input = string_of_int i in
+        let memo_mask = Oracle.attempt memo input in
         let expect = Ref_oracle.query reference in
         let got = Oracle.attempt_hash oracle in
         if not (Hash.equal got expect) then
           Alcotest.failf "digest diverged: %a <> %a" Hash.pp got Hash.pp expect;
+        let memo_got = Oracle.attempt_hash memo in
+        if not (Hash.equal memo_got expect) then
+          Alcotest.failf "memo digest diverged: %a <> %a" Hash.pp memo_got Hash.pp expect;
+        Alcotest.(check bool) "memo binds the input" true (Oracle.verify memo input expect);
+        Alcotest.(check int) "memo mask" mask memo_mask;
         (* The win mask must agree with the threshold test on the digest it
            stands in for — the mask-equivalence contract of the rewrite. *)
         Alcotest.(check bool) "block win = threshold test"
@@ -501,6 +533,58 @@ let oracle_differential =
       done;
       Alcotest.(check int) "block wins" reference.Ref_oracle.block_wins (Oracle.block_wins oracle);
       Alcotest.(check int) "fruit wins" reference.Ref_oracle.fruit_wins (Oracle.fruit_wins oracle);
+      Alcotest.(check int) "memo block wins" reference.Ref_oracle.block_wins
+        (Oracle.block_wins memo);
+      Alcotest.(check int) "memo fruit wins" reference.Ref_oracle.fruit_wins
+        (Oracle.fruit_wins memo);
+      true)
+
+(* The sparse plane's forgery of a known win, drawn one word at a time from
+   a boxed [bits64] per draw, as it was before the k-step draw: block view
+   raw, fruit view raw, then the filler words right-to-left; a win against
+   a zero limit is a loss. The view fold is the one [Ref_oracle.sample_view]
+   applies after its Bernoulli draw. *)
+let ref_sample_win ~p ~pf ~block ~fruit rng =
+  let view limit success raw =
+    let r63 = Int64.shift_right_logical raw 1 in
+    if success then
+      if Int64.compare limit 0L < 0 then r63 else Int64.rem r63 limit
+    else
+      let range = Int64.sub 0L limit in
+      if Int64.compare range 0L > 0 then Int64.add limit (Int64.rem r63 range)
+      else Int64.add limit r63
+  in
+  let block_limit = Hash.threshold p and fruit_limit = Hash.threshold pf in
+  let block = block && not (Int64.equal block_limit 0L) in
+  let fruit = fruit && not (Int64.equal fruit_limit 0L) in
+  let block_view = view block_limit block (Rng.bits64 rng) in
+  let fruit_view = view fruit_limit fruit (Rng.bits64 rng) in
+  let f2 = Rng.bits64 rng in
+  let f1 = Rng.bits64 rng in
+  (Hash.of_views ~block_view ~fruit_view ~filler:(f1, f2), block, fruit)
+
+let oracle_sample_win =
+  QCheck.Test.make ~name:"sample_win = per-draw forgery (same seed)" ~count:60
+    QCheck.(triple small_nat (int_bound (Array.length interesting_probs - 1))
+              (int_bound (Array.length interesting_probs - 1)))
+    (fun (seed, pi, pfi) ->
+      let p = interesting_probs.(pi) and pf = interesting_probs.(pfi) in
+      let oracle = Oracle.sim ~p ~pf (Rng.of_seed 1L) in
+      let g = Rng.of_seed (Int64.of_int seed) and r = Rng.of_seed (Int64.of_int seed) in
+      let block_wins = ref 0 and fruit_wins = ref 0 in
+      for i = 1 to 100 do
+        let block = Int.equal (i land 1) 0 and fruit = Int.equal (i land 2) 0 in
+        let expect, won_block, won_fruit = ref_sample_win ~p ~pf ~block ~fruit r in
+        if won_block then incr block_wins;
+        if won_fruit then incr fruit_wins;
+        let got = Oracle.sample_win oracle ~block ~fruit g in
+        if not (Hash.equal got expect) then
+          Alcotest.failf "forged digest diverged: %a <> %a" Hash.pp got Hash.pp expect
+      done;
+      Alcotest.(check int64) "next draw" (Rng.bits64 r) (Rng.bits64 g);
+      Alcotest.(check int) "block wins" !block_wins (Oracle.block_wins oracle);
+      Alcotest.(check int) "fruit wins" !fruit_wins (Oracle.fruit_wins oracle);
+      Alcotest.(check int) "no query charged" 0 (Oracle.queries oracle);
       true)
 
 (* [query] must keep materializing exactly the attempt digest. *)
@@ -2436,6 +2520,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest oracle_differential;
           QCheck_alcotest.to_alcotest oracle_query_is_attempt;
+          QCheck_alcotest.to_alcotest oracle_sample_win;
         ] );
       ( "network",
         [

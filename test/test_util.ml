@@ -32,6 +32,24 @@ let test_rng_split_independent () =
   let ys = List.init 32 (fun _ -> Rng.bits64 child) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
+(* The slots are read and written through unchecked 64-bit intrinsics, so
+   every slot index and draw count outside the six slots must be refused
+   before any access, and leave the generator as it was. *)
+let test_rng_slot_bounds () =
+  let g = Rng.of_seed 9L and twin = Rng.of_seed 9L in
+  let refused name f =
+    Alcotest.(check bool) name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  refused "draws 7" (fun () -> Rng.draws g 7);
+  refused "draws -1" (fun () -> Rng.draws g (-1));
+  refused "draw_to 6" (fun () -> Rng.draw_to g 6);
+  refused "draw_to -1" (fun () -> Rng.draw_to g (-1));
+  refused "slot_bits64 6" (fun () -> ignore (Rng.slot_bits64 g 6 : int64));
+  refused "slot_below -1" (fun () -> ignore (Rng.slot_below g (-1) 0.5 : bool));
+  Rng.draws g 0;
+  Alcotest.(check int64) "refused calls and draws 0 draw nothing" (Rng.bits64 twin) (Rng.bits64 g)
+
 let test_rng_float_range () =
   let g = Rng.of_seed 3L in
   for _ = 1 to 10_000 do
@@ -312,6 +330,59 @@ let test_alias_two_draws () =
   ignore (Rng.bits64 b);
   Alcotest.(check int64) "exactly two draws per sample" (Rng.bits64 b) (Rng.bits64 a)
 
+(* The table walk that [Alias.sample] shortcuts when every cell accepts:
+   Vose's construction as [Alias.create] runs it, and a sample that reads
+   the acceptance probability of its cell. *)
+let walk_table weights =
+  let n = Array.length weights in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let scaled = Array.map (fun w -> w /. total *. float_of_int n) weights in
+  let prob = Array.make n 1.0 and alias = Array.init n Fun.id in
+  let small = Array.make n 0 and large = Array.make n 0 in
+  let ns = ref 0 and nl = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if x < 1.0 then (small.(!ns) <- i; incr ns) else (large.(!nl) <- i; incr nl))
+    scaled;
+  let none_small = Int.equal !ns 0 in
+  while !ns > 0 && !nl > 0 do
+    decr ns;
+    let s = small.(!ns) and l = large.(!nl - 1) in
+    prob.(s) <- scaled.(s);
+    alias.(s) <- l;
+    scaled.(l) <- scaled.(l) -. (1.0 -. scaled.(s));
+    if scaled.(l) < 1.0 then (decr nl; small.(!ns) <- l; incr ns)
+  done;
+  while !ns > 0 do decr ns; prob.(small.(!ns)) <- 1.0 done;
+  let sample rng =
+    let i = Rng.int rng n in
+    if Rng.float rng < prob.(i) then i else alias.(i)
+  in
+  (none_small, sample)
+
+(* Same draws, same index: uniform power at n = 100 (no cell starts small,
+   so [sample] never reads its table), n = 49 (every scaled weight is
+   1 - 2^-53 and starts small, so the table is read) and skewed weights. *)
+let test_alias_table_walk () =
+  let cases =
+    [
+      ("uniform, n = 100", Array.make 100 1.0, true);
+      ("uniform, n = 49", Array.make 49 1.0, false);
+      ("skewed", Array.init 20 (fun i -> float_of_int ((i * i) + 1)), false);
+    ]
+  in
+  List.iter
+    (fun (name, weights, expect_none_small) ->
+      let none_small, walk = walk_table weights in
+      Alcotest.(check bool) (name ^ ": no cell starts small") expect_none_small none_small;
+      let t = Alias.create weights in
+      let a = Rng.of_seed 41L and b = Rng.of_seed 41L in
+      for _ = 1 to 2000 do
+        Alcotest.(check int) (name ^ ": index") (walk b) (Alias.sample t a)
+      done;
+      Alcotest.(check int64) (name ^ ": next draw") (Rng.bits64 b) (Rng.bits64 a))
+    cases
+
 (* --- binomial_pos / gini ---------------------------------------------- *)
 
 let test_binomial_pos_edges () =
@@ -475,6 +546,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+          Alcotest.test_case "slot bounds" `Quick test_rng_slot_bounds;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "float mean" `Quick test_rng_float_mean;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
@@ -517,6 +589,7 @@ let () =
           Alcotest.test_case "probability normalizes" `Quick test_alias_probability_normalizes;
           Alcotest.test_case "deterministic construction" `Quick test_alias_deterministic;
           Alcotest.test_case "exactly two draws" `Quick test_alias_two_draws;
+          Alcotest.test_case "same draws as the table walk" `Quick test_alias_table_walk;
         ] );
       ( "hex",
         [
