@@ -47,7 +47,7 @@ let dropped t n =
 
 let expire t ~view =
   match Window_view.expired view with
-  | Some (block, _) -> dropped t (Fruit_plane.drop t.plane t.slot ~pointer:block)
+  | Some block -> dropped t (Fruit_plane.drop t.plane t.slot ~pointer:block)
   | None -> ()
 
 let prune t ~store ~view =

@@ -16,7 +16,7 @@ type t = {
   height : int;
   low : int; (* lowest height in the window *)
   chain : chain; (* holds every height from [max 0 (height - window)] up *)
-  expired : (Hash.t * Hash.t list) option;
+  expired : Hash.t option;
 }
 
 let head t = t.head
@@ -97,9 +97,7 @@ module Cache = struct
     let low, expired =
       match t.reach with
       | Last window when height >= window ->
-          let b = Store.block_at t.store (id_at chain (height - window)) in
-          let fruits = List.map (fun (f : Types.fruit) -> f.f_hash) b.fruits in
-          (height - window + 1, Some (b.b_hash, fruits))
+          (height - window + 1, Some (Store.hash_at t.store (id_at chain (height - window))))
       | Last _ | Whole_chain -> (0, None)
     in
     let recency = match t.reach with Last _ -> true | Whole_chain -> false in

@@ -37,13 +37,13 @@ val enforces_recency : t -> bool
 (** [false] for whole-chain views ({!Cache.whole_chain}), whose window is
     the entire chain: fruits may hang from anywhere and never go stale. *)
 
-val expired : t -> (Hash.t * Hash.t list) option
+val expired : t -> Hash.t option
 (** The block that left the window when the chain reached this view's head
-    — the block at height [height − window], with the references of the
-    fruits it records — or [None] while the chain is shorter than that, and
-    always for whole-chain views. A view depends on its head alone, however
-    it was built, so buffers that follow a chain one view at a time see
-    every block leave, exactly once, and can expire what hangs from it. *)
+    — the block at height [height − window] — or [None] while the chain is
+    shorter than that, and always for whole-chain views. A view depends on
+    its head alone, however it was built, so buffers that follow a chain
+    one view at a time see every block leave, exactly once, and can expire
+    what hangs from it. *)
 
 val fold_window : t -> init:'a -> f:('a -> Hash.t -> 'a) -> 'a
 (** Folds over the references of the blocks in the window — exactly the

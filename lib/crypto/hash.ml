@@ -4,8 +4,8 @@ let of_raw s =
   if not (Int.equal (String.length s) 32) then invalid_arg "Hash.of_raw: expected 32 bytes";
   s
 
-(* Total constructor for SHA-256 output: [Sha256.digest]/[finalize] always
-   produce exactly 32 bytes, so re-validating the length would only put a
+(* Total constructor for SHA-256 output: [Sha256.digest] always
+   produces exactly 32 bytes, so re-validating the length would only put a
    raise path under every validation entry point (R10). Boundary input
    (hex strings, decoded messages) must keep going through [of_raw]. *)
 let of_digest s = s

@@ -16,7 +16,7 @@ val of_raw : string -> t
 
 val of_digest : string -> t
 (** Total variant of {!of_raw} for strings that are 32 bytes by
-    construction — SHA-256 output ({!Sha256.digest}, [Sha256.finalize]).
+    construction — SHA-256 output ({!Sha256.digest}).
     Not validated: passing anything else breaks the digest invariant.
     Boundary input (hex, decoded messages) must use {!of_raw}. *)
 

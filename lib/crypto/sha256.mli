@@ -6,34 +6,14 @@
     by dune) in two versions computing the same compression: one on the
     x86 SHA extensions, and a portable one for every other host. A CPUID
     probe picks one once, when this module is initialised; no flag,
-    environment variable or argument can force either. Buffering and
-    padding stay in OCaml. Both block functions are validated against the
-    NIST test vectors and, in the differential suite, against a reference
-    copy of the earlier pure-OCaml implementation. *)
-
-type ctx
-(** Incremental hashing context (mutable). *)
-
-(* fruitlint: allow R12 test_crypto "incremental chunks" *)
-val init : unit -> ctx
-
-(* fruitlint: allow R12 test_crypto "incremental chunks", "sha256 split invariance" *)
-val update : ctx -> string -> unit
-(** Absorb bytes. May be called any number of times. *)
-
-(* fruitlint: allow R12 test_crypto "update_bytes bounds" *)
-val update_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
-(** Absorb [len] bytes of the buffer from [pos]. Raises [Invalid_argument]
-    unless [pos] and [len] are non-negative and [len <= length - pos]. *)
-
-(* fruitlint: allow R12 test_crypto "incremental chunks" *)
-val finalize : ctx -> string
-(** Returns the 32-byte digest. The context must not be used afterwards. *)
+    environment variable or argument can force either. Padding stays in
+    OCaml. Both block functions are validated against the NIST test
+    vectors and, in the differential suite, against a reference copy of
+    the earlier pure-OCaml implementation. *)
 
 val digest : string -> string
-(** One-shot: [digest s] is the 32-byte SHA-256 of [s]. Compresses the
-    whole blocks of [s] in place and pads in one scratch block; it builds
-    no {!ctx}. *)
+(** [digest s] is the 32-byte SHA-256 of [s]. Compresses the whole blocks
+    of [s] in place and pads the tail in one scratch block. *)
 
 val accelerated : bool
 (** Whether this host runs the SHA-extension block function (the CPU has
@@ -44,7 +24,3 @@ val digest_portable : string -> string
 (** [digest] over the portable block function whatever the host. It
     exists for the differential suite, which holds both block functions
     to the reference; everything else calls {!digest}. *)
-
-(* fruitlint: allow R12 test_crypto "hmac rfc4231 #1", "hmac rfc4231 #2" *)
-val hmac : key:string -> string -> string
-(** HMAC-SHA256 (RFC 2104); used for domain-separated derivations. *)

@@ -35,22 +35,18 @@ let metrics t = t.metrics
 let enabled t =
   Option.is_some t.metrics || Option.is_some t.tracer || Option.is_some t.flight
 
-let tracing t =
-  (match t.tracer with Some tr -> Tracer.enabled tr | None -> false)
-  || Option.is_some t.flight
+let tracing t = Option.is_some t.tracer || Option.is_some t.flight
 
 let emit t name fields =
-  match t.flight with
-  | None -> (
-      match t.tracer with Some tr -> Tracer.emit tr name fields | None -> ())
-  | Some fl -> (
-      match t.tracer with
-      | Some tr when Tracer.enabled tr ->
-          (* Render once, feed both sinks. *)
-          let line = Tracer.render tr name fields in
-          Tracer.append_line tr line;
-          Flight.record_line fl line
-      | Some _ | None -> Flight.record fl name fields)
+  match (t.tracer, t.flight) with
+  | Some tr, None -> Tracer.emit tr name fields
+  | Some tr, Some fl ->
+      (* Render once, feed both sinks. *)
+      let line = Tracer.render tr name fields in
+      Tracer.append_line tr line;
+      Flight.record_line fl line
+  | None, Some fl -> Flight.record fl name fields
+  | None, None -> ()
 
 let anomaly t ~reason fields =
   emit t "anomaly" (("reason", Json.Str reason) :: fields);
@@ -71,11 +67,11 @@ let fork t =
   else
     let metrics = Option.map (fun _ -> Metrics.create ()) t.metrics in
     match t.tracer with
-    | Some tr when Tracer.enabled tr ->
+    | Some _ ->
         (* A user tracer must write every line, so the child keeps them
            all; [merge_child] feeds them to the flight ring too. *)
         { metrics; tracer = Some (Tracer.buffer ()); flight = None }
-    | tracer -> { metrics; tracer; flight = Option.map Flight.fork t.flight }
+    | None -> { metrics; tracer = None; flight = Option.map Flight.fork t.flight }
 
 let anomaly_prefix = {|{"ev":"anomaly",|}
 let is_anomaly_line line = String.starts_with ~prefix:anomaly_prefix line

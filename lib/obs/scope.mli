@@ -20,8 +20,8 @@ val enabled : t -> bool
     gate for instrumentation work that is not worth doing into the void. *)
 
 val tracing : t -> bool
-(** Whether events are being kept — a live tracer or a flight recorder —
-    gate before allocating event field lists. *)
+(** Whether events are being kept — a tracer or a flight recorder is
+    attached — gate before allocating event field lists. *)
 
 val emit : t -> string -> (string * Json.t) list -> unit
 (** Emit one event to the tracer (if any) and the flight ring (if any).

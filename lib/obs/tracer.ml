@@ -1,11 +1,10 @@
 (* Structured event sink: one JSON object per event, streamed as JSONL.
 
-   The hot-path contract is that a disabled tracer costs exactly one
-   branch: call sites guard with [enabled] before building field lists,
-   and [emit] on a [Null] sink returns immediately.
+   There is no disabled tracer: a scope without one ([Scope.null]'s
+   [None]) is what disabled means, and call sites test for it before
+   building field lists.
 
    Sinks:
-   - [Null]      drop everything (the default; what disabled means);
    - [Channel]   stream lines to a file as they happen;
    - [Ring n]    keep the most recent [n] lines in memory (the flight
      recorder's ring);
@@ -31,7 +30,6 @@ type ring = {
 }
 
 type sink =
-  | Null
   | Channel of { oc : out_channel; mutable closed : bool }
   | Ring of ring
   | Buffer of { mutable rev_lines : string list }
@@ -41,7 +39,6 @@ type t = { sink : sink; mutable emitted : int; scratch : Buffer.t }
 (* The scratch buffer is per-tracer, not module-level: each parallel work
    unit owns its tracer, so sharing a scratch across domains would race. *)
 let make sink = { sink; emitted = 0; scratch = Buffer.create 256 }
-let null = make Null
 let to_channel oc = make (Channel { oc; closed = false })
 let to_file path = to_channel (open_out path)
 
@@ -58,7 +55,6 @@ let ring cap =
        })
 
 let buffer () = make (Buffer { rev_lines = [] })
-let enabled t = match t.sink with Null -> false | Channel _ | Ring _ | Buffer _ -> true
 let emitted t = t.emitted
 
 let write_event b name fields = Json.write b (Json.Obj (("ev", Json.Str name) :: fields))
@@ -81,7 +77,6 @@ let line_at r i = if r.lens.(i) < 0 then r.shared.(i) else Bytes.sub_string r.ow
 
 let append_line t line =
   match t.sink with
-  | Null -> ()
   | Channel c ->
       if not c.closed then begin
         output_string c.oc line;
@@ -98,7 +93,6 @@ let append_line t line =
 
 let emit t name fields =
   match t.sink with
-  | Null -> ()
   | Channel c ->
       (* Stream straight from the scratch buffer: no intermediate string
          per line on the hot path. *)
@@ -124,17 +118,17 @@ let latest t k =
   | Ring r ->
       let cap = Array.length r.lens and k = max 0 (min k r.length) in
       Array.init k (fun j -> line_at r ((r.next - k + j + cap) mod cap))
-  | Null | Channel _ | Buffer _ -> [||]
+  | Channel _ | Buffer _ -> [||]
 
 let lines t =
   match t.sink with
-  | Null | Channel _ -> []
+  | Channel _ -> []
   | Ring r -> Array.to_list (latest t r.length)
   | Buffer b -> List.rev b.rev_lines
 
 let close t =
   match t.sink with
-  | Null | Ring _ | Buffer _ -> ()
+  | Ring _ | Buffer _ -> ()
   | Channel c ->
       if not c.closed then begin
         c.closed <- true;

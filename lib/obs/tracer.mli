@@ -1,15 +1,11 @@
 (** Low-overhead structured event sink (JSONL).
 
-    Events are single-line JSON objects [{"ev":<name>,...fields}]. A
-    disabled tracer ({!null}) costs one branch per call; hot call sites
-    should additionally guard with {!enabled} so field lists are never
-    even allocated when tracing is off. *)
+    Events are single-line JSON objects [{"ev":<name>,...fields}]. Every
+    tracer records: disabled is a scope without one ({!Scope.null}), and
+    hot call sites test for that before building field lists, so none are
+    allocated when tracing is off. *)
 
 type t
-
-(* fruitlint: allow R12 test_obs "null" (tracer group) *)
-val null : t
-(** The disabled tracer: {!emit} is a no-op, {!enabled} is [false]. *)
 
 val to_file : string -> t
 (** [to_channel (open_out path)]. *)
@@ -24,7 +20,6 @@ val buffer : unit -> t
 (** Keep every event in memory — the fork/join vehicle for parallel work
     units ({!Scope.fork}); the pool flushes buffers in unit-index order. *)
 
-val enabled : t -> bool
 val emitted : t -> int
 (** Events accepted so far (lines dropped by a full ring still count). *)
 
@@ -40,8 +35,8 @@ val append_line : t -> string -> unit
     merging a child buffer into a parent sink. *)
 
 val lines : t -> string list
-(** Contents of a ring or buffer sink, oldest first; [[]] for null and
-    channel sinks. *)
+(** Contents of a ring or buffer sink, oldest first; [[]] for a channel
+    sink. *)
 
 val latest : t -> int -> string array
 (** The [k] most recent lines of a ring (all of them if it holds fewer),

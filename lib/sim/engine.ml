@@ -142,9 +142,14 @@ let run ~config ~strategy ?workload ?net_policy ?round_hook ?scope () =
       (* The sparse plane has no per-party nodes to strategize against:
          every party mines the converged chain (the honest-coalition
          behaviour). The strategy module is accepted for interface parity
-         and ignored; see Sparse.run and DESIGN.md §14. *)
+         and ignored; see Sparse.run and DESIGN.md §14. The other three
+         inputs would have nothing to act on there, so they are refused. *)
       let (module _ : Strategy.S) = strategy in
-      Sparse.run ~config ?workload ?net_policy ?round_hook ?scope ()
+      let refuse what = invalid_arg ("Engine.run: the sparse plane takes no " ^ what) in
+      if Option.is_some workload then refuse "workload";
+      if Option.is_some net_policy then refuse "delivery policy";
+      if Option.is_some round_hook then refuse "round hook";
+      Sparse.run ~config ?scope ()
   | Config.Exact ->
       let seed_rng = Rng.of_seed (Int64.logxor config.Config.seed 0x5DEECE66DL) in
       let oracle =

@@ -28,6 +28,8 @@ val run :
     seeded from [config.seed]; every honest party, the adversary, and the
     network get independent split streams.
 
+    [?workload], [?net_policy] and [?round_hook] are exact-plane inputs:
+    on a [Sparse] config any of them raises [Invalid_argument].
     [?net_policy] is installed on the run's network at creation — the
     fruitstorm fault-injection hook ({!Fruitchain_net.Network.policy}).
     [?round_hook] is called at the top of every round, before the round's

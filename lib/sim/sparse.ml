@@ -6,11 +6,9 @@ module Sampling = Fruitchain_util.Sampling
 module Oracle = Fruitchain_crypto.Oracle
 module Network = Fruitchain_net.Network
 module Params = Fruitchain_core.Params
-module Scope = Fruitchain_obs.Scope
 
 (* Stream indices under the config seed: each concern owns a derived
-   stream, so the draw count of one (e.g. a power change re-scheduling the
-   next win round) never shifts another. *)
+   stream, so the draw count of one never shifts another. *)
 let scheduler_stream = 0
 let attribution_stream = 1
 let forge_stream = 2
@@ -25,15 +23,7 @@ let round_win_prob ~budget ~p =
   else if p <= 0.0 || budget <= 0 then 0.0
   else -.Float.expm1 (float_of_int budget *. Float.log1p (-.p))
 
-let validate_power ~n w =
-  if not (Int.equal (Array.length w) n) then invalid_arg "Sparse.run: power vector length <> n";
-  Array.iter (fun q -> if q < 0 then invalid_arg "Sparse.run: negative power") w;
-  if not (Array.exists (fun q -> q > 0) w) then
-    invalid_arg "Sparse.run: all-zero power vector"
-
-let run ~config ?power ?power_schedule
-    ?(workload = fun ~round:_ ~party:_ -> "") ?net_policy ?round_hook
-    ?(max_skip = max_int) ?scope () =
+let run ~config ?(max_skip = max_int) ?scope () =
   if max_skip < 1 then invalid_arg "Sparse.run: max_skip must be >= 1";
   let scope = match scope with Some s -> s | None -> Pool.current_scope () in
   let n = config.Config.n in
@@ -44,43 +34,18 @@ let run ~config ?power ?power_schedule
     | Config.Fruitchain -> true
     | Config.Nakamoto -> false
   in
-  let power_schedule =
-    match power_schedule with
-    | None -> []
-    | Some sched ->
-        List.iter
-          (fun (r, w) ->
-            if r < 0 || r >= rounds then
-              invalid_arg "Sparse.run: power change round out of range";
-            validate_power ~n w)
-          sched;
-        let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) sched in
-        let rs = List.map fst sorted in
-        if not (Int.equal (List.length (List.sort_uniq Int.compare rs)) (List.length rs)) then
-          invalid_arg "Sparse.run: duplicate power change round";
-        sorted
-  in
   let store = Store.create () in
-  let network =
-    Network.create ~scope ?policy:net_policy ~n ~delta:config.Config.delta ()
-  in
+  let network = Network.create ~scope ~n ~delta:config.Config.delta () in
   let trace = Trace.create ~scope ~config ~store () in
   let sched_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:scheduler_stream) in
   let attr_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:attribution_stream) in
   let forge_rng = Rng.of_seed (Rng.derive config.Config.seed ~index:forge_stream) in
   let oracle = Oracle.sim ~p ~pf (Rng.of_seed (Rng.derive config.Config.seed ~index:oracle_stream)) in
-  let power =
-    match power with
-    | None -> Array.make n 1
-    | Some w ->
-        validate_power ~n w;
-        Array.copy w
-  in
-  let budget = ref (Array.fold_left ( + ) 0 power) in
-  let table = ref (Alias.create (Array.map float_of_int power)) in
-  let rebuilds = ref 0 in
-  let pb = ref (round_win_prob ~budget:!budget ~p) in
-  let pfr = ref (if fruiting then round_win_prob ~budget:!budget ~p:pf else 0.0) in
+  (* One query per party per round (the paper's model): the round's budget
+     is [n] and every party is equally likely to be a round's winner. *)
+  let table = Alias.create (Array.make n 1.0) in
+  let pb = round_win_prob ~budget:n ~p in
+  let pfr = if fruiting then round_win_prob ~budget:n ~p:pf else 0.0 in
   (* Next round containing at least one win of each kind. [from + g] with a
      geometric number of empty rounds g — drawing the gap instead of a
      Bernoulli per round is the whole event-driven trick. *)
@@ -90,19 +55,15 @@ let run ~config ?power ?power_schedule
       let g = Sampling.geometric sched_rng prob in
       if from > max_int - g then max_int else from + g
   in
-  let next_b = ref (next_win 0 !pb) in
-  let next_f = ref (if fruiting then next_win 0 !pfr else max_int) in
+  let next_b = ref (next_win 0 pb) in
+  let next_f = ref (if fruiting then next_win 0 pfr else max_int) in
   let head_id = ref Store.genesis_id in
   let pending = Queue.create () in
-  let eff_queries = ref 0 in
-  let seg_start = ref 0 in
   let visited = ref 0 in
   let depth = Params.pointer_depth params in
-  (* Cursor into the sorted power schedule; the processing loop advances
-     past entries <= the current round. Corruption, uncorruption and gossip
-     toggles change no state here (corruption is read off the config), so
-     they only need their rounds visited: the trace keeps that cursor. *)
-  let powers = ref power_schedule in
+  (* Corruption, uncorruption and gossip toggles change no state here
+     (corruption is read off the config), so they only need their rounds
+     visited: the trace keeps the schedule rounds. *)
   Trace.start trace;
   let head_hash () = Store.hash_at store !head_id in
   let pointer_hash () = Mine.pointer store ~head:!head_id ~depth in
@@ -121,21 +82,6 @@ let run ~config ?power ?power_schedule
     done;
     List.rev !out
   in
-  let apply_power_change ~round w =
-    eff_queries := !eff_queries + (!budget * (round - !seg_start));
-    seg_start := round;
-    Array.blit w 0 power 0 n;
-    budget := Array.fold_left ( + ) 0 power;
-    table := Alias.create (Array.map float_of_int power);
-    incr rebuilds;
-    pb := round_win_prob ~budget:!budget ~p;
-    pfr := (if fruiting then round_win_prob ~budget:!budget ~p:pf else 0.0);
-    (* The old gap draws were made under the old rate; re-schedule both
-       kinds from this round (a win at the change round itself stays
-       possible). Draw order: block first, like every scheduler draw. *)
-    next_b := next_win round !pb;
-    next_f := (if fruiting then next_win round !pfr else max_int)
-  in
   (* One forged winner, either a block or a fruit: attribute it, forge its
      nonce and digest, and build it with the exact plane's constructor.
      Only the first block winner of a round extends the canonical chain;
@@ -143,9 +89,9 @@ let run ~config ?power ?power_schedule
      image of the exact plane's fork-then-resolve, where exactly one of the
      simultaneous blocks survives. Ready fruits go to the survivor. *)
   let forge ~round ~parent ~pointer ~won_block ~sibling =
-    let winner = Alias.sample !table attr_rng in
+    let winner = Alias.sample table attr_rng in
     let honest = not (Config.is_corrupt_at config ~round winner) in
-    let record = Trace.record trace (workload ~round ~party:winner) in
+    let record = Trace.record trace "" in
     Rng.draw forge_rng;
     let nonce = Rng.last_bits64 forge_rng in
     let hash = Oracle.sample_win oracle ~block:won_block ~fruit:(not won_block) forge_rng in
@@ -171,20 +117,13 @@ let run ~config ?power ?power_schedule
   in
   let process round =
     incr visited;
-    (match round_hook with None -> () | Some hook -> hook ~scope ~round);
     (* Relaying does not exist on the sparse plane (the chain is already
        converged); gossip toggles survive only as trace lines, for
        scenario parity. *)
     Trace.round_start trace ~round;
-    while (match !powers with (r, _) :: _ when r <= round -> true | _ -> false) do
-      (match !powers with
-      | (r, w) :: _ when Int.equal r round -> apply_power_change ~round w
-      | _ -> ());
-      powers := List.tl !powers
-    done;
     if Int.equal round !next_b then begin
-      let count = Sampling.binomial_pos sched_rng !budget p in
-      next_b := next_win (round + 1) !pb;
+      let count = Sampling.binomial_pos sched_rng n p in
+      next_b := next_win (round + 1) pb;
       let parent = head_hash () in
       let pointer = pointer_hash () in
       for k = 0 to count - 1 do
@@ -192,8 +131,8 @@ let run ~config ?power ?power_schedule
       done
     end;
     if fruiting && Int.equal round !next_f then begin
-      let count = Sampling.binomial_pos sched_rng !budget pf in
-      next_f := next_win (round + 1) !pfr;
+      let count = Sampling.binomial_pos sched_rng n pf in
+      next_f := next_win (round + 1) pfr;
       let parent = head_hash () in
       let pointer = pointer_hash () in
       for _ = 1 to count do
@@ -202,20 +141,18 @@ let run ~config ?power ?power_schedule
     end;
     Trace.measure trace ~round (head_at ~round) network
   in
-  (* Next round that needs visiting: the earliest win, power change, hook
-     tick, or round the trace measures or has scheduled after [r]. Rounds
-     in between contain no wins (by the geometric gap draw), no schedule
-     entries, and no snapshots — visiting them would consume no randomness
-     and change no state, which is exactly why skipping them is sound (and
-     why a [max_skip = 1] run is byte-identical; the suite checks this). *)
+  (* Next round that needs visiting: the earliest win, or round the trace
+     measures or has scheduled after [r]. Rounds in between contain no
+     wins (by the geometric gap draw), no schedule entries, and no
+     snapshots — visiting them would consume no randomness and change no
+     state, which is exactly why skipping them is sound (and why a
+     [max_skip = 1] run is byte-identical; the suite checks this). *)
   let next_visit r =
     let cand = ref max_int in
     let consider v = if v > r && v < !cand then cand := v in
     consider !next_b;
     consider !next_f;
     consider (Trace.next_visit trace ~after:r);
-    (match !powers with (rr, _) :: _ -> consider rr | [] -> ());
-    (match round_hook with Some _ -> consider (r + 1) | None -> ());
     if max_skip < max_int && r <= max_int - max_skip then consider (r + max_skip);
     !cand
   in
@@ -224,8 +161,8 @@ let run ~config ?power ?power_schedule
     process !r;
     r := next_visit !r
   done;
-  eff_queries := !eff_queries + (!budget * (rounds - !seg_start));
-  Oracle.charge oracle !eff_queries;
+  Oracle.charge oracle (n * rounds);
+  (* The table is built once; the counter stays in the dump the goldens pin. *)
   Trace.finish trace (head_at ~round:(rounds - 1)) ~network ~oracle
-    ~extra:[ ("sim.rounds_visited", !visited); ("sim.alias_rebuilds", !rebuilds) ];
+    ~extra:[ ("sim.rounds_visited", !visited); ("sim.alias_rebuilds", 0) ];
   trace

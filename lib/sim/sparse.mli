@@ -6,9 +6,11 @@
     number of block (resp. fruit) wins is a Binomial(Q, p) draw over the
     total query budget Q, rounds containing no win are skipped with a
     geometric gap draw (never landing past a win round), and each win is
-    attributed to a party through a hash-power-weighted alias table
-    ({!Fruitchain_util.Alias}) in O(1). Work and randomness are O(wins +
-    schedule events), independent of n except for attribution.
+    attributed to a party through an alias table
+    ({!Fruitchain_util.Alias}) in O(1). Every party makes one query per
+    round (the paper's model), so Q is n and the table is uniform; it is
+    built once. Work and randomness are O(wins + schedule events),
+    independent of n except for attribution.
 
     The price is strategic fidelity: every party mines the single
     converged canonical chain (the exact plane's honest-coalition
@@ -23,34 +25,11 @@
     are byte-identical at any jobs count and unchanged by observation,
     like the exact plane. *)
 
-module Scope = Fruitchain_obs.Scope
-module Network = Fruitchain_net.Network
-
 val run :
-  config:Config.t ->
-  ?power:int array ->
-  ?power_schedule:(int * int array) list ->
-  ?workload:Strategy.workload ->
-  ?net_policy:Network.policy ->
-  ?round_hook:(scope:Scope.t -> round:int -> unit) ->
-  ?max_skip:int ->
-  ?scope:Scope.t ->
-  unit ->
-  Trace.t
-(** Runs the configured execution on the sparse plane.
-
-    [power] gives each party's oracle queries per round (default: one
-    each, the paper's model); the win-attribution table weights parties by
-    it. [power_schedule] replaces the whole vector at the given rounds —
-    churn; each change rebuilds the alias table and re-schedules the next
-    win rounds. Entries must be unique rounds within range.
-
-    [workload] and [round_hook] are the fruitstorm/fruitscope hooks of the
-    exact engine; a live [round_hook] forces every round to be visited
-    (the hook must observe each one), which costs the skip-ahead but not
-    the aggregate sampling. [net_policy] is accepted for interface parity
-    but cannot re-order anything here: the sparse plane delivers by batch
-    accounting ({!Network.deliver_batch}).
+  config:Config.t -> ?max_skip:int -> ?scope:Fruitchain_obs.Scope.t -> unit -> Trace.t
+(** Runs the configured execution on the sparse plane. Corruption is read
+    off the config; the exact plane's workload, delivery policy and round
+    hook have no counterpart here ({!Engine.run} rejects them).
 
     [max_skip] caps how far ahead the engine may jump (default:
     unlimited). Because skipped rounds consume no randomness and mutate no
@@ -58,5 +37,5 @@ val run :
     byte-identical trace; the determinism suite pins this.
 
     [oracle.queries] reports the {e effective} simulated attempts
-    (Σ budget over rounds), not RNG draws, so fruitscope dumps stay
-    comparable with the exact engine. *)
+    (n · rounds), not RNG draws, so fruitscope dumps stay comparable with
+    the exact engine. *)

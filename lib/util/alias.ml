@@ -7,9 +7,8 @@
 type t = {
   prob : float array;  (* acceptance probability of the cell's own index *)
   alias : int array;   (* donor index used when the cell rejects *)
-  weight : float array; (* normalized input weights, kept for inspection *)
   (* No cell started small, so none was paired and every [prob] is 1.0:
-     every cell accepts (uniform power, the sparse plane's default). *)
+     every cell accepts (uniform power, the sparse plane's table). *)
   accepts_all : bool;
 }
 
@@ -24,9 +23,8 @@ let create weights =
       total := !total +. w)
     weights;
   if not (!total > 0.0) then invalid_arg "Alias.create: all weights are zero";
-  let weight = Array.map (fun w -> w /. !total) weights in
   (* Scaled weights: average cell mass is exactly 1. *)
-  let scaled = Array.map (fun w -> w *. float_of_int n) weight in
+  let scaled = Array.map (fun w -> w /. !total *. float_of_int n) weights in
   let prob = Array.make n 1.0 in
   let alias = Array.init n (fun i -> i) in
   let small = Array.make n 0 and large = Array.make n 0 in
@@ -66,7 +64,7 @@ let create weights =
     decr nl;
     prob.(large.(!nl)) <- 1.0
   done;
-  { prob; alias; weight; accepts_all }
+  { prob; alias; accepts_all }
 
 (* When every cell accepts, the acceptance draw is taken and not compared:
    a uniform float in [0, 1) is always below 1.0, and at n = 10^5 reading
@@ -79,5 +77,3 @@ let sample t rng =
   end
   else if Rng.float rng < t.prob.(i) then i
   else t.alias.(i)
-
-let probability t i = t.weight.(i)

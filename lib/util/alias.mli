@@ -4,8 +4,9 @@
     The sparse simulation plane attributes every aggregate mining win to a
     party in proportion to its hash power; with up to 10⁵ parties and one
     attribution per win, linear scans are off the table. An alias table
-    costs O(n) to build and exactly two RNG draws per sample, and is
-    rebuilt only when the power vector changes (corruption/churn). *)
+    costs O(n) to build and exactly two RNG draws per sample. The plane
+    builds one, from uniform power, and never rebuilds it: corruption is
+    read off the config. *)
 
 type t
 
@@ -19,8 +20,3 @@ val create : float array -> t
 val sample : t -> Rng.t -> int
 (** Two draws from the generator ({!Rng.int} then {!Rng.float}), regardless
     of table size. *)
-
-(* fruitlint: allow R12 test_util "probability normalizes", "alias sampling matches weights" *)
-val probability : t -> int -> float
-(** The normalized weight of index [i] — the exact probability {!sample}
-    returns it with. For tests and inspection. *)

@@ -1,6 +1,5 @@
-(* Tests for Fruitchain_crypto: SHA-256 against the FIPS/NIST vectors, HMAC
-   against RFC 4231, Hash difficulty views, Merkle trees, and both oracle
-   backends. *)
+(* Tests for Fruitchain_crypto: SHA-256 against the FIPS/NIST vectors, Hash
+   difficulty views, Merkle trees, and both oracle backends. *)
 
 module Sha256 = Fruitchain_crypto.Sha256
 module Hash = Fruitchain_crypto.Hash
@@ -37,56 +36,6 @@ let test_sha256_million_a () =
   check_vector "FIPS 1M x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (String.make 1_000_000 'a')
 
-let test_sha256_incremental_chunks () =
-  (* Absorbing in arbitrary chunks must equal one-shot hashing. *)
-  let msg = String.init 1_000 (fun i -> Char.chr (i mod 256)) in
-  let expected = Sha256.digest msg in
-  List.iter
-    (fun chunk ->
-      let ctx = Sha256.init () in
-      let rec feed pos =
-        if pos < String.length msg then begin
-          let len = min chunk (String.length msg - pos) in
-          Sha256.update ctx (String.sub msg pos len);
-          feed (pos + len)
-        end
-      in
-      feed 0;
-      Alcotest.(check string)
-        (Printf.sprintf "chunk=%d" chunk)
-        (Hex.encode expected)
-        (Hex.encode (Sha256.finalize ctx)))
-    [ 1; 3; 63; 64; 65; 128; 999 ]
-
-let test_sha256_boundary_lengths () =
-  (* Padding edge cases: lengths around the 55/56/64-byte boundaries. *)
-  List.iter
-    (fun len ->
-      let msg = String.make len 'x' in
-      let ctx = Sha256.init () in
-      Sha256.update ctx msg;
-      Alcotest.(check string)
-        (Printf.sprintf "len=%d" len)
-        (Hex.encode (Sha256.digest msg))
-        (Hex.encode (Sha256.finalize ctx)))
-    [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
-
-let test_update_bytes_bounds () =
-  (* [pos + len] wraps negative for a huge [len]; the guard must not add. *)
-  let data = Bytes.make 8 'a' in
-  let out_of_bounds = Invalid_argument "Sha256.update_bytes: out of bounds" in
-  List.iter
-    (fun (pos, len) ->
-      Alcotest.check_raises (Printf.sprintf "pos=%d len=%d" pos len) out_of_bounds (fun () ->
-          Sha256.update_bytes (Sha256.init ()) data ~pos ~len))
-    [ (1, max_int); (9, 0); (-1, 1); (0, -1); (0, 9) ];
-  (* The in-bounds edge: the empty slice at the end. *)
-  let ctx = Sha256.init () in
-  Sha256.update_bytes ctx data ~pos:8 ~len:0;
-  Alcotest.(check string) "pos=8 len=0 absorbs nothing"
-    (Hex.encode (Sha256.digest ""))
-    (Hex.encode (Sha256.finalize ctx))
-
 (* The flags of the first CPU in /proc/cpuinfo, or [None] where there is no
    [flags] line (not Linux, or not x86). *)
 let cpuinfo_flags () =
@@ -119,25 +68,6 @@ let test_probe_matches_cpuinfo () =
       Alcotest.(check bool) "accelerated iff sha_ni, ssse3 and sse4_1 are listed"
         (has "sha_ni" && has "ssse3" && has "sse4_1")
         Sha256.accelerated
-
-let test_hmac_rfc4231_case1 () =
-  let key = String.make 20 '\x0b' in
-  Alcotest.(check string) "RFC4231 #1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hex.encode (Sha256.hmac ~key "Hi There"))
-
-let test_hmac_rfc4231_case2 () =
-  Alcotest.(check string) "RFC4231 #2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hex.encode (Sha256.hmac ~key:"Jefe" "what do ya want for nothing?"))
-
-let test_hmac_long_key () =
-  (* Keys longer than the block size are hashed first; check against the
-     equivalent explicit construction. *)
-  let key = String.make 100 'k' in
-  let direct = Sha256.hmac ~key "msg" in
-  let via_digest = Sha256.hmac ~key:(Sha256.digest key) "msg" in
-  Alcotest.(check string) "long key folds" (Hex.encode via_digest) (Hex.encode direct)
 
 (* --- Hash views and difficulty --------------------------------------- *)
 
@@ -293,13 +223,6 @@ let qcheck_tests =
   [
     Test.make ~name:"sha256 deterministic" ~count:200 string (fun s ->
         Sha256.digest s = Sha256.digest s);
-    Test.make ~name:"sha256 split invariance" ~count:200
-      (pair string string)
-      (fun (a, b) ->
-        let ctx = Sha256.init () in
-        Sha256.update ctx a;
-        Sha256.update ctx b;
-        Sha256.finalize ctx = Sha256.digest (a ^ b));
     Test.make ~name:"merkle proofs verify (random sets)" ~count:100
       (list_of_size Gen.(1 -- 20) (string_of_size Gen.(0 -- 16)))
       (fun leaves ->
@@ -324,13 +247,7 @@ let () =
           Alcotest.test_case "448 bits" `Quick test_sha256_448bits;
           Alcotest.test_case "896 bits" `Quick test_sha256_896bits;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
-          Alcotest.test_case "incremental chunks" `Quick test_sha256_incremental_chunks;
-          Alcotest.test_case "padding boundaries" `Quick test_sha256_boundary_lengths;
-          Alcotest.test_case "update_bytes bounds" `Quick test_update_bytes_bounds;
           Alcotest.test_case "probe agrees with cpuinfo" `Quick test_probe_matches_cpuinfo;
-          Alcotest.test_case "hmac rfc4231 #1" `Quick test_hmac_rfc4231_case1;
-          Alcotest.test_case "hmac rfc4231 #2" `Quick test_hmac_rfc4231_case2;
-          Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
         ] );
       ( "hash",
         [

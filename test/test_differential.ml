@@ -946,35 +946,6 @@ let sha256_differential =
       let expect = Ref_sha256.digest s in
       String.equal (Sha256.digest s) expect && String.equal (Sha256.digest_portable s) expect)
 
-let sha256_split_points =
-  (* Feed one buffer through [update_bytes] in random pieces, at non-zero
-     offsets, and compare with the one-shot path over either block
-     function. *)
-  let gen =
-    let open QCheck.Gen in
-    gen_message >>= fun s ->
-    list_size (int_range 0 6) (int_range 0 (String.length s)) >|= fun cuts ->
-    (s, List.sort_uniq Int.compare cuts)
-  in
-  QCheck.Test.make ~name:"init/update_bytes/finalize at random splits = digest" ~count:500
-    (QCheck.make ~print:(fun (s, cuts) ->
-         Printf.sprintf "%s cuts=[%s]" (print_message s)
-           (String.concat ";" (List.map string_of_int cuts)))
-       gen)
-    (fun (s, cuts) ->
-      let data = Bytes.of_string s in
-      let ctx = Sha256.init () in
-      let last =
-        List.fold_left
-          (fun pos cut ->
-            Sha256.update_bytes ctx data ~pos ~len:(cut - pos);
-            cut)
-          0 cuts
-      in
-      Sha256.update_bytes ctx data ~pos:last ~len:(String.length s - last);
-      let got = Sha256.finalize ctx in
-      String.equal got (Sha256.digest s) && String.equal got (Sha256.digest_portable s))
-
 let merkle_differential =
   QCheck.Test.make ~name:"Merkle.root = concatenation-based reference root" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 70) (string_of_size Gen.(int_range 0 200)))
@@ -1001,10 +972,9 @@ let codec_differential =
 
 (* ------------------------------------------------------------------ *)
 (* Reference fruit buffer: the eager candidate-set classifier. Verbatim *)
-(* except that [Window_view.expired] now also carries the fruits, and   *)
-(* that without recency "recorded" means anywhere on the owner's chain: *)
-(* that half keeps the chain's recorded fruits itself, by scanning the  *)
-(* chain on [refresh] and adding each block on [advance].               *)
+(* except that without recency "recorded" means anywhere on the owner's *)
+(* chain: that half keeps the chain's recorded fruits itself, by        *)
+(* scanning the chain on [refresh] and adding each block on [advance].  *)
 
 module Ref_buffer = struct
   open Fruitchain_chain
@@ -1110,7 +1080,7 @@ module Ref_buffer = struct
     if t.enforce_recency then begin
       match Window_view.expired view with
       | None -> ()
-      | Some (old_block, _) ->
+      | Some old_block ->
           (* Fruits hanging from the block that left the window are stale on
              this chain forever (heights only grow). *)
           let victims = Option.value ~default:[] (Hashtbl.find_opt t.by_pointer old_block) in
@@ -1560,10 +1530,10 @@ end
    old block grows, reorgs deeper than the window). A block records 0 to
    4 fruits drawn from a small pool, so one chain often records a fruit
    twice. Between blocks, random heads are compared: their height, their
-   expired block with its fruits, the blocks of [fold_window] and of
-   [fold_newest k], [is_recent] for every block, [is_included] for every
-   fruit and [stale_pointer] for every block, each also for a hash no
-   block or fruit has. The caches live through the case, so views made
+   expired block, the blocks of [fold_window] and of [fold_newest k],
+   [is_recent] for every block, [is_included] for every fruit and
+   [stale_pointer] for every block, each also for a hash no block or
+   fruit has. The caches live through the case, so views made
    early are compared again after other views have extended and forked
    their vectors. At the end every stored head is compared, in store
    order in the case's caches and newest first in fresh ones, which
@@ -1611,11 +1581,10 @@ let view_differential =
       let agree ~recency view reference k =
         let pointers = unknown :: Array.to_list (Array.map (fun (b : Types.block) -> b.b_hash) !blocks) in
         let fruits = unknown :: Array.to_list (Array.map (fun (f : Types.fruit) -> f.f_hash) !pool) in
-        let same_expired (b, fs) (b', fs') = Hash.equal b b' && List.equal Hash.equal fs fs' in
         Hash.equal (Window_view.head view) (Ref_view.head reference)
         && Int.equal (Window_view.height view) (Ref_view.height reference)
         && Bool.equal (Window_view.enforces_recency view) recency
-        && Option.equal same_expired (Window_view.expired view) (Ref_view.expired reference)
+        && Option.equal Hash.equal (Window_view.expired view) (Option.map fst (Ref_view.expired reference))
         && List.equal Hash.equal
              (sorted_fold (Window_view.fold_window view))
              (sorted_fold (Ref_view.fold_window reference))
@@ -2490,7 +2459,6 @@ let () =
       ( "crypto",
         [
           QCheck_alcotest.to_alcotest sha256_differential;
-          QCheck_alcotest.to_alcotest sha256_split_points;
           QCheck_alcotest.to_alcotest merkle_differential;
           QCheck_alcotest.to_alcotest codec_differential;
         ] );

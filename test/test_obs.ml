@@ -245,7 +245,6 @@ let qcheck_merge_associative =
 
 let test_tracer_buffer () =
   let t = Tracer.buffer () in
-  Alcotest.(check bool) "enabled" true (Tracer.enabled t);
   Tracer.emit t "a" [ ("k", Json.Int 1) ];
   Tracer.emit t "b" [];
   Alcotest.(check int) "emitted" 2 (Tracer.emitted t);
@@ -260,11 +259,6 @@ let test_tracer_ring () =
   Alcotest.(check (list string)) "ring keeps the most recent"
     [ {|{"ev":"c"}|}; {|{"ev":"d"}|} ]
     (Tracer.lines t)
-
-let test_tracer_null () =
-  Alcotest.(check bool) "null disabled" false (Tracer.enabled Tracer.null);
-  Tracer.emit Tracer.null "a" [];
-  Alcotest.(check int) "null ignores" 0 (Tracer.emitted Tracer.null)
 
 (* --- Scope fork/merge ---------------------------------------------------- *)
 
@@ -449,7 +443,6 @@ let () =
         [
           Alcotest.test_case "buffer" `Quick test_tracer_buffer;
           Alcotest.test_case "ring" `Quick test_tracer_ring;
-          Alcotest.test_case "null" `Quick test_tracer_null;
         ] );
       ( "scope",
         [

@@ -328,6 +328,28 @@ let test_workload_reaches_ledger () =
   Alcotest.(check bool) "workload records present" true
     (List.exists (String.equal "steady-record") ledger)
 
+let test_sparse_refuses_exact_inputs () =
+  (* The sparse plane has no records, deliveries or rounds of its own:
+     [Engine.run] refuses each exact-plane input instead of dropping it. *)
+  let config =
+    Config.make ~protocol:Config.Fruitchain ~engine:Config.Sparse ~n:8 ~rho:0.25 ~delta:2
+      ~rounds:500 ~seed:1L ~params:(params ()) ()
+  in
+  let strategy = (module Delays.Null_max : Strategy.S) in
+  let refused what run =
+    Alcotest.check_raises what
+      (Invalid_argument ("Engine.run: the sparse plane takes no " ^ what))
+      (fun () -> ignore (run ()))
+  in
+  refused "workload" (fun () ->
+      Engine.run ~config ~strategy ~workload:(fun ~round:_ ~party:_ -> "x") ());
+  refused "delivery policy" (fun () ->
+      Engine.run ~config ~strategy ~net_policy:(fun ~now ~sender:_ ~recipient:_ ~round:_ -> now + 5) ());
+  refused "round hook" (fun () ->
+      Engine.run ~config ~strategy ~round_hook:(fun ~scope:_ ~round:_ -> ()) ());
+  Alcotest.(check int) "without them it runs: one query per party-round" (8 * 500)
+    (Trace.oracle_queries (Engine.run ~config ~strategy ()))
+
 let () =
   Alcotest.run "sim"
     [
@@ -362,5 +384,7 @@ let () =
           Alcotest.test_case "uncorruption: validation" `Quick test_uncorruption_validation;
           Alcotest.test_case "corrupt parties' snapshot entries" `Quick
             test_corrupt_snapshot_entries;
+          Alcotest.test_case "sparse refuses exact-plane inputs" `Quick
+            test_sparse_refuses_exact_inputs;
         ] );
     ]

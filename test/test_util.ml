@@ -277,7 +277,6 @@ let test_table_formats () =
 
 let test_alias_single () =
   let t = Alias.create [| 3.0 |] in
-  check_float "probability" 1.0 (Alias.probability t 0);
   let g = Rng.of_seed 5L in
   for _ = 1 to 100 do
     Alcotest.(check int) "always index 0" 0 (Alias.sample t g)
@@ -285,7 +284,6 @@ let test_alias_single () =
 
 let test_alias_zero_weight_excluded () =
   let t = Alias.create [| 1.0; 0.0; 1.0 |] in
-  check_float "zero weight has zero probability" 0.0 (Alias.probability t 1);
   let g = Rng.of_seed 11L in
   for _ = 1 to 2000 do
     Alcotest.(check bool) "never samples a zero-weight index" true (Alias.sample t g <> 1)
@@ -302,14 +300,6 @@ let test_alias_invalid () =
   raises "negative" bad [| 1.0; -1.0 |];
   raises "nan" bad [| 1.0; Float.nan |];
   raises "infinite" bad [| 1.0; Float.infinity |]
-
-let test_alias_probability_normalizes () =
-  let weights = [| 2.0; 6.0; 0.0; 4.0 |] in
-  let t = Alias.create weights in
-  check_float "w0" (2.0 /. 12.0) (Alias.probability t 0);
-  check_float "w1" (6.0 /. 12.0) (Alias.probability t 1);
-  check_float "w2" 0.0 (Alias.probability t 2);
-  check_float "w3" (4.0 /. 12.0) (Alias.probability t 3)
 
 let test_alias_deterministic () =
   let weights = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
@@ -464,6 +454,7 @@ let qcheck_tests =
       (fun (seed, ws) ->
         let ws = if List.for_all (fun w -> w = 0) ws then [ 1 ] else ws in
         let weights = Array.of_list (List.map float_of_int ws) in
+        let total = Array.fold_left ( +. ) 0.0 weights in
         let t = Alias.create weights in
         let n = Array.length weights in
         let g = Rng.of_seed (Int64.of_int (seed + 1)) in
@@ -475,37 +466,12 @@ let qcheck_tests =
         done;
         let ok = ref true in
         for i = 0 to n - 1 do
-          let p = Alias.probability t i in
+          let p = weights.(i) /. total in
           let emp = float_of_int counts.(i) /. float_of_int trials in
           let sigma = Float.sqrt (p *. (1.0 -. p) /. float_of_int trials) in
           if Float.abs (emp -. p) > (5.0 *. sigma) +. 1e-9 then ok := false
         done;
         !ok);
-    Test.make ~name:"alias rebuild tracks the new weight vector" ~count:200
-      (pair
-         (list_of_size Gen.(1 -- 6) (int_bound 9))
-         (list_of_size Gen.(1 -- 6) (int_bound 9)))
-      (fun (ws1, ws2) ->
-        (* A power change on the sparse plane rebuilds the table from the
-           new vector; the old table is immutable and keeps its law. *)
-        let fix ws =
-          let ws = List.map float_of_int ws in
-          if List.for_all (fun w -> w = 0.0) ws then [ 1.0 ] else ws
-        in
-        let w1 = Array.of_list (fix ws1) and w2 = Array.of_list (fix ws2) in
-        let t1 = Alias.create w1 in
-        let t2 = Alias.create w2 in
-        let matches t w =
-          let total = Array.fold_left ( +. ) 0.0 w in
-          let ok = ref true in
-          Array.iteri
-            (fun i wi ->
-              if Float.abs (Alias.probability t i -. (wi /. total)) > 1e-9 then
-                ok := false)
-            w;
-          !ok
-        in
-        matches t2 w2 && matches t1 w1);
     Test.make ~name:"binomial_pos within [1,n]" ~count:300
       (pair (int_bound 99) (int_bound 1000))
       (fun (n, seed) ->
@@ -586,7 +552,6 @@ let () =
           Alcotest.test_case "single entry" `Quick test_alias_single;
           Alcotest.test_case "zero weight excluded" `Quick test_alias_zero_weight_excluded;
           Alcotest.test_case "invalid weights" `Quick test_alias_invalid;
-          Alcotest.test_case "probability normalizes" `Quick test_alias_probability_normalizes;
           Alcotest.test_case "deterministic construction" `Quick test_alias_deterministic;
           Alcotest.test_case "exactly two draws" `Quick test_alias_two_draws;
           Alcotest.test_case "same draws as the table walk" `Quick test_alias_table_walk;
